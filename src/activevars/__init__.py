@@ -24,7 +24,7 @@ from .cost import (
     eval_cost,
     tractability_classify,
 )
-from .errors import ActiveVarsError
+from .errors import ActiveVarsError, EnumerationCapError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
     RunConfig,
@@ -88,6 +88,7 @@ __all__ = [
     "CdaPlan",
     "ComplexityReport",
     "CostModel",
+    "EnumerationCapError",
     "Functional",
     "GOLDEN_MAJORANT_CEILINGS",
     "KernelSpec",

@@ -31,8 +31,10 @@ from .cost import CostModel, log_eval_cost
 from .errors import (
     CertificationError,
     DimensionMismatchError,
+    EnumerationCapError,
     InvalidArgumentError,
 )
+from .optimal import ENUMERATION_CAP, arrangement_count
 from .space import AnovaFunction
 from .spectrum import Spectrum, power_sum
 from .truncation import truncation_level
@@ -211,8 +213,6 @@ class _RankOracle:
     located, splitting the boundary value class by lexicographic rank.
     """
 
-    _ENUM_CAP = 2_000_000
-
     def __init__(self, spectrum: Spectrum, cardinality: int, budget: int) -> None:
         self.spectrum = spectrum
         self.cardinality = cardinality
@@ -223,17 +223,11 @@ class _RankOracle:
         if cardinality >= 2 and budget > 0:
             self._enumerate()
 
-    def _value_of(self, multiset: tuple[int, ...]) -> float:
-        v = 1.0
-        for i in multiset:
-            v *= self.spectrum.eigenvalue(i)
-        return v
-
     def _enumerate(self) -> None:
         n_max = self.spectrum.n_eigenvalues
         l = self.cardinality
         heap: list[tuple[float, tuple[int, ...]]] = [
-            (-self._value_of((1,) * l), (1,) * l)
+            (-self.spectrum.eigen_product((1,) * l), (1,) * l)
         ]
         seen = {(1,) * l}
         cum = 0
@@ -245,7 +239,7 @@ class _RankOracle:
                     bumped = ms[:pos] + (ms[pos] + 1,) + ms[pos + 1 :]
                     if bumped not in seen:
                         seen.add(bumped)
-                        heapq.heappush(heap, (-self._value_of(bumped), bumped))
+                        heapq.heappush(heap, (-self.spectrum.eigen_product(bumped), bumped))
 
         while heap and cum < self.budget:
             neg_v, _ = heap[0]
@@ -256,13 +250,13 @@ class _RankOracle:
                 cls.append(ms)
                 push_successors(ms)
                 pops += 1
-            if pops > self._ENUM_CAP:
-                raise InvalidArgumentError(
-                    f"rank enumeration for cardinality {l} exceeded "
-                    f"{self._ENUM_CAP} multisets; the demand is too small for "
-                    "in-memory ranking"
+            if pops > ENUMERATION_CAP:
+                raise EnumerationCapError(
+                    f"rank enumeration for cardinality {l} exceeded the cap of "
+                    f"{ENUMERATION_CAP} multisets: every visited multiset stays "
+                    "in memory, so the demand is too small for in-memory ranking"
                 )
-            cls_count = sum(_arrangement_count(ms) for ms in cls)
+            cls_count = sum(arrangement_count(ms) for ms in cls)
             if cum + cls_count <= self.budget:
                 self._full.update(cls)
                 cum += cls_count
@@ -285,18 +279,6 @@ class _RankOracle:
             return True
         ms = tuple(sorted(k))
         return ms in self._full or k in self._partial
-
-
-def _arrangement_count(multiset: tuple[int, ...]) -> int:
-    count = math.factorial(len(multiset))
-    run = 1
-    for i in range(1, len(multiset)):
-        if multiset[i] == multiset[i - 1]:
-            run += 1
-        else:
-            count //= math.factorial(run)
-            run = 1
-    return count // math.factorial(run)
 
 
 @dataclass(frozen=True)
@@ -361,7 +343,7 @@ class CdaApplier:
             drop_sq: list[float] = []
             if len(u) > self.plan.level:
                 for k, c in coeffs.items():
-                    drop_sq.append(c * c * self._eigen_product(k))
+                    drop_sq.append(c * c * self.spectrum.eigen_product(k))
             else:
                 oracle = self._oracle(len(u))
                 kept_u: dict[tuple[int, ...], float] = {}
@@ -369,7 +351,7 @@ class CdaApplier:
                     if oracle.retained(k):
                         kept_u[k] = c
                     else:
-                        drop_sq.append(c * c * self._eigen_product(k))
+                        drop_sq.append(c * c * self.spectrum.eigen_product(k))
                 if kept_u:
                     kept[u] = kept_u
                     used.append(u)
@@ -391,12 +373,6 @@ class CdaApplier:
             used_subsets=tuple(sorted(used)),
             max_act=max_act,
         )
-
-    def _eigen_product(self, k: tuple[int, ...]) -> float:
-        v = 1.0
-        for i in k:
-            v *= self.spectrum.eigenvalue(i)
-        return v
 
 
 def apply_plan(

@@ -33,6 +33,10 @@ class TailCertificateError(ActiveVarsError, RuntimeError):
     """A truncated spectrum cannot certify enumeration below its tail threshold."""
 
 
+class EnumerationCapError(ActiveVarsError, RuntimeError):
+    """An enumeration would visit more labels than fit in memory (the cap)."""
+
+
 class InvalidModelError(ActiveVarsError, ValueError):
     """A cost-model parameterization violates $(0) >= 1 or monotonicity."""
 

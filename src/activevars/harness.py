@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class RunConfig:
     top: int = 10
     out: str | None = None
     fmt: str = "csv"
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.subcommand in ("bounds", "complexity") and (
@@ -182,7 +181,7 @@ def random_function(
 
 
 def make_test_function(kind: str, d: int, spectrum: Spectrum, seed: int = 0, **kw):
-    """Dispatcher used by the CLI: ``mean``, ``single_subset`` or ``random``."""
+    """Build a test function by ``kind``: ``mean``, ``single_subset`` or ``random``."""
     if kind == "mean":
         return mean_function(d, spectrum, **kw)
     if kind == "single_subset":

@@ -23,6 +23,7 @@ from typing import Iterator
 
 from .errors import (
     CertificationError,
+    EnumerationCapError,
     InvalidArgumentError,
     InvalidConfigurationError,
     TailCertificateError,
@@ -71,7 +72,13 @@ class DistinctEigenvalue:
     labels: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _arrangements(indices: tuple[int, ...]) -> int:
+# Exhaustive and best-first enumerations keep every label they visit in
+# memory (heap entries and the seen-set), so their size is capped.
+ENUMERATION_CAP = 2_000_000
+
+
+def arrangement_count(indices: tuple[int, ...]) -> int:
+    """Number of distinct orderings of the sorted index multiset ``indices``."""
     count = math.factorial(len(indices))
     run = 1
     for i in range(1, len(indices)):
@@ -143,22 +150,17 @@ class TensorEigenStream:
 
     # -- enumeration -----------------------------------------------------
 
-    def _value_of(self, indices: tuple[int, ...]) -> float:
-        # Canonical multiplication order (eigenvalues nonincreasing, then the
-        # 1/d factors) keeps equal labels bit-identical across code paths.
-        v = 1.0
-        for i in indices:
-            v *= self.spectrum.eigenvalue(i)
-        for _ in indices:
-            v *= self._inv_d
-        return v
-
     def _push(self, cardinality: int, indices: tuple[int, ...]) -> None:
         key = (cardinality, indices)
         if key in self._seen:
             return
         self._seen.add(key)
-        heapq.heappush(self._heap, (-self._value_of(indices), cardinality, indices))
+        # Canonical multiplication order (eigenvalues nonincreasing, then the
+        # 1/d factors) keeps equal labels bit-identical across code paths.
+        value = self.spectrum.eigen_product(indices)
+        for _ in indices:
+            value *= self._inv_d
+        heapq.heappush(self._heap, (-value, cardinality, indices))
 
     def __iter__(self) -> Iterator[EigenEntry]:
         return self
@@ -182,19 +184,13 @@ class TensorEigenStream:
             raise CertificationError("eigenvalue stream emitted an increasing value")
         self._last_value = value
         self.emitted += 1
-        multiplicity = math.comb(self.d, cardinality) * _arrangements(indices)
+        multiplicity = math.comb(self.d, cardinality) * arrangement_count(indices)
         return EigenEntry(
             value=value,
             cardinality=cardinality,
             indices=indices,
             multiplicity=multiplicity,
         )
-
-    def peek_value(self) -> float | None:
-        """Value the next label will carry, or ``None`` when exhausted."""
-        if not self._heap:
-            return None
-        return -self._heap[0][0]
 
     def next_eigenvalue(self) -> DistinctEigenvalue:
         """Next distinct value, merging all labels that share it.
@@ -327,9 +323,6 @@ class PowerSumIdentity:
     exact: bool
 
 
-_ENUMERATION_CAP = 2_000_000
-
-
 def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdentity:
     """Evaluate the tau-th power sum of the tensor spectrum both ways.
 
@@ -352,9 +345,11 @@ def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdenti
     if spectrum.is_finite:
         n = spectrum.n_eigenvalues
         n_labels = sum(math.comb(n + l - 1, l) for l in range(d + 1))
-        if n_labels > _ENUMERATION_CAP:
-            raise InvalidArgumentError(
-                f"{n_labels} labels exceed the exhaustive-enumeration cap"
+        if n_labels > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"{n_labels} labels exceed the enumeration cap of "
+                f"{ENUMERATION_CAP}: exhaustive enumeration keeps every label "
+                "in memory"
             )
         lhs = math.fsum(
             entry.multiplicity * entry.value**tau for entry in TensorEigenStream(d, spectrum)

@@ -179,13 +179,7 @@ def h_norm(f: AnovaFunction) -> float:
 
 def _term_g_sq(coeffs: Mapping[tuple[int, ...], float], s: Spectrum) -> float:
     """Exact squared embedded norm of one interaction term."""
-    out = []
-    for k, c in coeffs.items():
-        prod = 1.0
-        for idx in k:
-            prod *= s.eigenvalue(idx)
-        out.append(c * c * prod)
-    return math.fsum(out)
+    return math.fsum([c * c * s.eigen_product(k) for k, c in coeffs.items()])
 
 
 @dataclass(frozen=True)

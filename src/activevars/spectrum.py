@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -132,6 +133,15 @@ class Spectrum:
     Instances are immutable and safe to share across workers; every
     operation in this module is a pure function of its inputs.
 
+    The ``N`` retained eigenvalues are tabulated once, at construction
+    (about 6-9 ms and 320 KB for korobov at ``N = 40,000``), so a scalar
+    lookup ``eigenvalue(n)`` with a Python ``int`` ``1 <= n <= N`` costs
+    O(1), and so does every factor of :meth:`eigen_product`.  The table
+    holds the scalar closed form.  Array lookups, and with them
+    :meth:`leading`, :func:`power_sum` and :func:`spectrum_to_json`, use
+    numpy's vectorized power, which can differ from it by one ulp for
+    korobov; those outputs keep the vectorized values.
+
     Attributes
     ----------
     kind : str
@@ -161,6 +171,17 @@ class Spectrum:
     c0sq_mode: str = "exact"
     r: float | None = None
     _custom: tuple[float, ...] | None = field(default=None, repr=False)
+    _table: array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        indices = range(1, self.n_eigenvalues + 1)
+        if self.kind == "wiener":
+            values = [4.0 / ((2.0 * n - 1.0) ** 2 * math.pi**2) for n in indices]
+        elif self.kind == "korobov":
+            values = [(2.0 * math.pi * ((n + 1) // 2)) ** (-2.0 * self.r) for n in indices]
+        else:
+            values = self._custom
+        object.__setattr__(self, "_table", array("d", values))
 
     # -- eigenvalue access -------------------------------------------------
 
@@ -171,6 +192,8 @@ class Spectrum:
         beyond the truncation length, which is how tail certificates are
         checked); custom spectra only know their stored values.
         """
+        if type(n) is int and 1 <= n <= self.n_eigenvalues:
+            return self._table[n - 1]
         n_arr = np.asarray(n)
         if np.any(n_arr < 1):
             raise InvalidArgumentError("eigenvalue index is 1-based")
@@ -184,10 +207,17 @@ class Spectrum:
                 raise InvalidArgumentError(
                     f"custom spectrum has only {self.n_eigenvalues} eigenvalues"
                 )
-            out = np.asarray(self._custom)[n_arr - 1]
+            out = np.frombuffer(self._table)[n_arr - 1]
         if np.isscalar(n) or n_arr.ndim == 0:
             return float(out)
         return out
+
+    def eigen_product(self, indices) -> float:
+        """``lambda_{k_1} ... lambda_{k_l}``, multiplied left to right in every layer."""
+        v = 1.0
+        for i in indices:
+            v *= self.eigenvalue(i)
+        return v
 
     def leading(self, count: int | None = None) -> np.ndarray:
         """First ``count`` eigenvalues as an array (default: all retained)."""

@@ -8,6 +8,7 @@ brute-force enumeration for tensor eigenvalue streams.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import mpmath as mp
@@ -144,3 +145,16 @@ def direct_eigen_product(spectrum, k) -> float:
     for idx in sorted(k):
         v *= spectrum.eigenvalue(idx)
     return v
+
+
+def numpy_closed_form_eigenvalue(spectrum, n) -> float:
+    """``lambda_n`` of an analytic spectrum from its closed form on a 0-d numpy array.
+
+    Scalar lookups read a table built at construction; that table must
+    reproduce this formula bit for bit.
+    """
+    n_arr = np.asarray(n)
+    if spectrum.kind == "wiener":
+        return float(4.0 / ((2.0 * n_arr - 1.0) ** 2 * math.pi**2))
+    k = (n_arr + 1) // 2
+    return float((2.0 * math.pi * k) ** (-2.0 * spectrum.r))

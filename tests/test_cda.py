@@ -9,6 +9,7 @@ from activevars import (
     AnovaFunction,
     CdaApplier,
     CostModel,
+    EnumerationCapError,
     apply_plan,
     build_plan,
     build_spectrum,
@@ -19,6 +20,7 @@ from activevars import (
     random_function,
     single_subset_function,
 )
+from activevars import cda
 from activevars.cda import _RankOracle
 from activevars.errors import DimensionMismatchError, DivergenceError
 
@@ -140,6 +142,11 @@ class TestRankOracle:
         assert oracle.retained((1, 2))
         assert not oracle.retained((2, 1))
         assert not oracle.retained((2, 2))
+
+    def test_enumeration_cap_is_a_memory_error(self, korobov1, monkeypatch):
+        monkeypatch.setattr(cda, "ENUMERATION_CAP", 10)
+        with pytest.raises(EnumerationCapError, match="memory"):
+            _RankOracle(korobov1, 2, 1000)
 
     def test_korobov_pair_split(self, korobov1):
         # Budget 3 at cardinality 1 keeps the first three flattened indices.

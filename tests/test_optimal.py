@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activevars import (
+    EnumerationCapError,
     TensorEigenStream,
     build_spectrum,
     custom_kernel,
@@ -243,6 +244,12 @@ class TestPowerSumIdentity:
                 > power_sum_identity(d, korobov1, tau).rhs
             )
             d *= 2
+
+    def test_label_count_over_the_cap_is_refused_before_enumerating(self):
+        # 30 eigenvalues at d = 8 give C(38, 8) ~ 4.9e7 labels.
+        s = build_spectrum(custom_kernel([0.5 / n for n in range(1, 31)]))
+        with pytest.raises(EnumerationCapError, match="memory"):
+            power_sum_identity(8, s, 1.0)
 
     def test_truncated_spectra_are_flagged(self, korobov1):
         res = power_sum_identity(4, korobov1, 1.0)

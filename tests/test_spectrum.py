@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activevars import (
     KernelSpec,
@@ -78,6 +80,64 @@ class TestBuildSpectrum:
         KernelSpec(kind="wiener", density=lambda x: np.full_like(x, 1.0))
         with pytest.raises(InvalidArgumentError):
             KernelSpec(kind="wiener", density=lambda x: np.full_like(x, 1.01))
+
+
+analytic_spectra = st.one_of(
+    st.builds(
+        lambda r, n: build_spectrum(korobov_kernel(r), n),
+        st.floats(min_value=0.5, max_value=4.0, exclude_min=True),
+        st.integers(1, 2000),
+    ),
+    st.builds(lambda n: build_spectrum(wiener_kernel(), n), st.integers(1, 2000)),
+)
+custom_values = st.lists(
+    st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=60
+).map(lambda v: sorted(v, reverse=True))
+custom_spectra = custom_values.map(lambda v: build_spectrum(custom_kernel(v)))
+
+
+class TestEigenvalueTable:
+    @given(s=analytic_spectra)
+    @settings(max_examples=40, deadline=None)
+    def test_analytic_lookups_match_the_numpy_closed_form(self, s):
+        for n in range(1, s.n_eigenvalues + 2):
+            assert s.eigenvalue(n) == oracles.numpy_closed_form_eigenvalue(s, n), n
+
+    @given(values=custom_values)
+    @settings(max_examples=40, deadline=None)
+    def test_custom_lookup_paths_agree(self, values):
+        s = build_spectrum(custom_kernel(values))
+        for n, stored in enumerate(values, start=1):
+            value = s.eigenvalue(n)
+            assert value == stored
+            assert value == s.eigenvalue(np.int64(n))
+            assert value == float(s.eigenvalue(np.array([n]))[0])
+
+    @given(s=st.one_of(analytic_spectra, custom_spectra))
+    @settings(max_examples=40, deadline=None)
+    def test_out_of_range_indices_raise(self, s):
+        for n in (0, np.int64(0), -1):
+            with pytest.raises(InvalidArgumentError):
+                s.eigenvalue(n)
+        if s.is_finite:
+            for n in (s.n_eigenvalues + 1, np.int64(s.n_eigenvalues + 1)):
+                with pytest.raises(InvalidArgumentError):
+                    s.eigenvalue(n)
+
+    @given(s=st.one_of(analytic_spectra, custom_spectra), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_eigen_product_multiplies_scalar_lookups_left_to_right(self, s, data):
+        k = data.draw(st.lists(st.integers(1, s.n_eigenvalues), max_size=5))
+        expected = 1.0
+        for i in k:
+            expected *= s.eigenvalue(i)
+        assert s.eigen_product(tuple(k)) == expected
+
+    def test_table_leaves_equality_hash_and_repr_alone(self):
+        a = build_spectrum(korobov_kernel(1.0), 500)
+        b = build_spectrum(korobov_kernel(1.0), 500)
+        assert a == b and hash(a) == hash(b)
+        assert "_table" not in repr(a)
 
 
 class TestPowerSum:
