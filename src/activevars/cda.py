@@ -97,17 +97,13 @@ def _dust_floor(x: float) -> int:
 
 
 def _log_r_terms(d: int, level: int, tau: float) -> list[float]:
+    # Exact binomials: lgamma differences lose ~1e-9 relative accuracy at
+    # d >= 1e5, which the demand-split identity would inherit.
     log_d = math.log(d)
-    lg_d1 = math.lgamma(d + 1)
-    out = []
-    for k in range(1, level + 1):
-        out.append(
-            lg_d1
-            - math.lgamma(k + 1)
-            - math.lgamma(d - k + 1)
-            - k * tau / (1.0 + tau) * log_d
-        )
-    return out
+    return [
+        math.log(math.comb(d, k)) - k * tau / (1.0 + tau) * log_d
+        for k in range(1, level + 1)
+    ]
 
 
 def build_plan(

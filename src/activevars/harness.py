@@ -37,6 +37,12 @@ GOLDEN_MAJORANT_CEILINGS: tuple[int, ...] = (3, 5, 7, 8, 10, 11, 13, 14, 15, 17)
 # 1e-10 of its squared embedded norm (the tail decays like B^-3).
 MEAN_INDEX_BOUND = 768
 
+# Largest Monte Carlo run, in term-point products of the difference being
+# sampled (sum_u |u| * coefficients on u, times samples).  Cost depends on
+# that product, not on the dimension: at the 6-14 ns per product measured
+# on one Xeon core, 1e9 of them take 6-14 s.
+_MC_WORK_BUDGET = 10**9
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -205,16 +211,29 @@ def mc_l2_error(
 
     Uniform sampling on the unit cube (the default density); the standard
     error of the norm follows from the error of the mean-square by the
-    delta method.  Restricted to ``d <= 12``, where pointwise evaluation of
-    the stored expansions stays affordable.
+    delta method.  The difference ``f - approx`` is evaluated once, as one
+    expansion without its exact-zero coefficients.  Its cost is
+    ``sum_u |u| (coefficients on u) * samples`` term-point products, and
+    runs above 10^9 of them are refused before any sample is drawn; the
+    dimension itself is not limited.
+
+    Raises
+    ------
+    UnsupportedScaleError
+        If the run would exceed 10^9 term-point products.
     """
     if f.d != approx.d:
         raise InvalidArgumentError("functions live in different dimensions")
-    if f.d > 12:
-        raise UnsupportedScaleError("pointwise evaluation is limited to d <= 12")
+    diff = _difference(f, approx)
+    work = samples * sum(len(u) * len(c) for u, c in diff.terms.items())
+    if work > _MC_WORK_BUDGET:
+        raise UnsupportedScaleError(
+            f"{work:.3g} term-point products exceed the Monte Carlo budget "
+            f"of {_MC_WORK_BUDGET:.3g}"
+        )
     rng = np.random.default_rng(seed)
     x = rng.random((samples, f.d))
-    g = eval_pointwise(f, spectrum, x) - eval_pointwise(approx, spectrum, x)
+    g = eval_pointwise(diff, spectrum, x)
     gsq = g * g
     m = float(np.mean(gsq))
     se_m = float(np.std(gsq, ddof=1) / math.sqrt(samples))
@@ -222,3 +241,18 @@ def mc_l2_error(
         return 0.0, 0.0
     est = math.sqrt(m)
     return est, se_m / (2.0 * est)
+
+
+def _difference(f: AnovaFunction, g: AnovaFunction) -> AnovaFunction:
+    """``f - g`` as one expansion, exact-zero coefficients dropped."""
+    terms = {}
+    for u in sorted(f.terms.keys() | g.terms.keys()):
+        a, b = f.terms.get(u, {}), g.terms.get(u, {})
+        diff = {k: a.get(k, 0.0) - b.get(k, 0.0) for k in sorted(a.keys() | b.keys())}
+        terms[u] = {k: c for k, c in diff.items() if c != 0.0}
+    return AnovaFunction(
+        d=f.d,
+        constant=f.constant - g.constant,
+        terms=terms,
+        max_index=max(f.max_index, g.max_index),
+    )

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidConfigurationError
-from .spectrum import Spectrum, eval_eigenfunction
+from .spectrum import EigenfunctionTable, Spectrum
 
 __all__ = [
     "SubsetIndex",
@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_INDEX = 64
+
+# Points per eval_pointwise block are chosen so that one block's tables and
+# products hold about this many doubles (8 MB), whatever the point count.
+_BLOCK_DOUBLES = 1 << 20
 
 
 def _validate_coords(coords: tuple[int, ...], d: int) -> None:
@@ -253,34 +257,74 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
     """Evaluate ``f`` at sample points (rows of ``x``), for test/MC purposes.
 
     Requires an analytic kernel so the eigenfunctions can be evaluated.
-    ``x`` has shape ``(n_points, d)``.
+    ``x`` has shape ``(n_points, d)``; the coordinates ``f`` uses must lie
+    in ``[0, 1]``, the others are not looked at.
+
+    Each used coordinate gets one :class:`EigenfunctionTable` of the
+    indices ``f`` uses on it.  A subset's terms are its coordinates' table
+    rows, gathered and multiplied, weighted by
+    ``c sqrt(2^{|u|} lambda_{k_1} ... lambda_{k_l})`` and summed.  Points
+    go through in blocks of about ``_BLOCK_DOUBLES`` live doubles, so
+    memory stays bounded whatever their number.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != f.d:
         raise InvalidArgumentError(f"points have {x.shape[1]} coordinates, need {f.d}")
     out = np.full(x.shape[0], f.constant, dtype=float)
-    # Eigenfunction values are cached per (coordinate, index): the same pair
-    # recurs across multi-indices of the same subset.  The cache is capped so
-    # deep expansions (e.g. the mean function) cannot exhaust memory.
-    cache: dict[tuple[int, int], np.ndarray] = {}
-    cache_cap = 4096
-
-    def zeta(coord: int, idx: int) -> np.ndarray:
-        key = (coord, idx)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        val = eval_eigenfunction(s, idx, x[:, coord - 1])
-        if len(cache) < cache_cap:
-            cache[key] = val
-        return val
-
+    if not f.terms:
+        return out
+    used: dict[int, set[int]] = {}
     for u, coeffs in f.terms.items():
-        for k, c in coeffs.items():
-            prod = np.ones(x.shape[0])
-            for coord, idx in zip(u, k):
-                prod = prod * zeta(coord, idx)
-            out += c * prod
+        for j, coord in enumerate(u):
+            used.setdefault(coord, set()).update(k[j] for k in coeffs)
+    indices = {coord: np.array(sorted(idx)) for coord, idx in used.items()}
+    tables = {coord: EigenfunctionTable(s, idx) for coord, idx in indices.items()}
+    if any(np.any(x[:, c - 1] < 0.0) or np.any(x[:, c - 1] > 1.0) for c in used):
+        raise InvalidArgumentError("evaluation points must lie in [0, 1]")
+    offsets, n_rows = {}, 0
+    for coord, table in tables.items():
+        offsets[coord] = n_rows
+        n_rows += table.n_rows
+
+    # Per subset: term weights, and each term's row in the stacked tables,
+    # one row list per coordinate of the subset.
+    terms = []
+    for u, coeffs in f.terms.items():
+        ks = np.array(list(coeffs))
+        weights = np.array(
+            [c * math.sqrt(2.0 ** len(u) * s.eigen_product(k)) for k, c in coeffs.items()]
+        )
+        rows = [
+            offsets[coord] + tables[coord].layout[np.searchsorted(indices[coord], ks[:, j])]
+            for j, coord in enumerate(u)
+        ]
+        terms.append((weights, rows))
+
+    # One buffer per call, carved anew for each block: fresh memory costs a
+    # page fault per page on first touch, so blocks reuse it.
+    widest = max(len(weights) for weights, _ in terms)
+    work = max(table.work_doubles for table in tables.values())
+    per_point = n_rows + 2 * widest + work
+    block = max(1, min(len(out), _BLOCK_DOUBLES // per_point))
+    buffer = np.empty(per_point * block)
+    for start in range(0, len(out), block):
+        xb = x[start : start + block]
+        b = len(xb)
+        # Scratch first: its complex view wants the buffer's alignment.
+        scratch = buffer[: work * b]
+        stacked = buffer[work * b :][: n_rows * b].reshape(n_rows, b)
+        prod = buffer[(work + n_rows) * b :][: widest * b].reshape(widest, b)
+        factor = buffer[(work + n_rows + widest) * b :][: widest * b].reshape(widest, b)
+        for coord, table in tables.items():
+            rows = slice(offsets[coord], offsets[coord] + table.n_rows)
+            table.fill(xb[:, coord - 1], scratch, stacked[rows])
+        for weights, rows in terms:
+            p, q = prod[: len(weights)], factor[: len(weights)]
+            np.take(stacked, rows[0], axis=0, out=p, mode="clip")
+            for r in rows[1:]:
+                np.take(stacked, r, axis=0, out=q, mode="clip")
+                p *= q
+            out[start : start + b] += weights @ p
     return out
 
 

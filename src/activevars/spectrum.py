@@ -48,6 +48,7 @@ __all__ = [
     "build_spectrum",
     "power_sum",
     "eval_eigenfunction",
+    "EigenfunctionTable",
     "spectrum_to_json",
     "spectrum_from_json",
 ]
@@ -73,7 +74,9 @@ class KernelSpec:
         analytic kernels.
     density : callable, optional
         Probability density on the domain.  ``None`` means uniform.  A
-        supplied density must integrate to 1 within relative 1e-10.
+        supplied density must integrate to 1 within relative 1e-10, and
+        must be the uniform one, because every eigenvalue and
+        eigenfunction here assumes it.
     """
 
     kind: str
@@ -104,10 +107,17 @@ class KernelSpec:
         lo, hi = self.domain
         nodes, weights = np.polynomial.legendre.leggauss(200)
         x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        total = float(np.sum(weights * self.density(x)) * 0.5 * (hi - lo))
+        values = np.asarray(self.density(x), dtype=float)
+        total = float(np.sum(weights * values) * 0.5 * (hi - lo))
         if not math.isclose(total, 1.0, rel_tol=_DENSITY_RTOL):
             raise InvalidArgumentError(
                 f"density integrates to {total!r}, not 1 (rel tol {_DENSITY_RTOL})"
+            )
+        uniform = 1.0 / (hi - lo)
+        if not np.all(np.abs(values - uniform) <= _DENSITY_RTOL * uniform):
+            raise InvalidConfigurationError(
+                "only the uniform density is supported: the eigenvalues and "
+                "eigenfunctions assume it"
             )
 
 
@@ -397,6 +407,120 @@ def eval_eigenfunction(s: Spectrum, n, x):
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(out)
     return out
+
+
+def _rows(union: np.ndarray, values) -> slice | np.ndarray:
+    """Positions of ``values`` in the sorted ``union``; a slice when contiguous."""
+    pos = np.searchsorted(union, values)
+    if pos[-1] - pos[0] == pos.size - 1:
+        return slice(int(pos[0]), int(pos[-1]) + 1)
+    return pos
+
+
+class EigenfunctionTable:
+    """Unscaled eigenfunctions ``zeta_n(x) / sqrt(2 lambda_n)`` for a fixed index set.
+
+    ``indices`` are sorted, distinct and ``>= 1``.  With ``z = exp(i theta)``
+    the rows are ``Im(z^n exp(-i theta / 2)) = sin((n - 1/2) pi x)`` for
+    wiener (``theta = pi x``), and for korobov (``theta = 2 pi x``)
+    ``Re z^k = cos(2 pi k x)`` for odd ``n``, ``Im z^k = sin(2 pi k x)`` for
+    even ``n``, with ``k = ceil(n/2)``.  Cosine rows come first in the
+    table, then sine rows; ``layout[j]`` is the table row of ``indices[j]``.
+
+    The powers ``z^m`` for ``m = 1, 2, 4, ...`` are seeded directly, each
+    from one ``tan(m theta / 2)`` per point; scaling the rounded angle by a
+    power of two is exact, so every seed sees the same angle.  Every other
+    power ``z^k`` is ``z^(k - m)`` rotated by ``z^m``, ``m`` the top bit of
+    ``k``: one vectorized complex product covers all ``k`` between ``m`` and
+    ``2m`` once the lower powers exist, so ``ceil(log2 k_max)`` products
+    build the table with no loop over rows.  The plan (the powers needed:
+    every frequency with its leading bits cleared, plus the seeds) is made
+    once, here, and :meth:`fill` runs it on each block of points.
+
+    Accuracy: row ``n`` is within a few ulps per set bit of the exact value
+    at the rounded angle.  Rounding the angle itself moves row ``n`` by
+    about ``n`` ulps, as it does in the reference :func:`eval_eigenfunction`;
+    the two agree to better than ``6e-13`` up to ``n = 768`` (measured).
+    """
+
+    def __init__(self, s: Spectrum, indices) -> None:
+        if not s.has_eigenfunctions():
+            raise UnsupportedOperationError("custom spectra carry no eigenfunction data")
+        n = np.asarray(indices, dtype=np.int64)
+        self._wiener = s.kind == "wiener"
+        if self._wiener:
+            freqs, inverse = n, np.arange(len(n))
+            theta, cos = math.pi, np.zeros(len(n), dtype=bool)
+        else:
+            freqs, inverse = np.unique((n + 1) // 2, return_inverse=True)
+            theta, cos = 2.0 * math.pi, n % 2 == 1
+        bits = int(freqs[-1]).bit_length()
+        powers = 1 << np.arange(bits)
+        parts = np.unique(np.concatenate([freqs & (p - 1) for p in powers] + [freqs, powers]))
+        union = parts[parts > 0]
+        # tan arguments per unit x: half of m theta for every seed m; wiener
+        # adds theta / 4 for the half-angle rotation, kept in a last row.
+        scale = np.concatenate([powers, [0.5]]) if self._wiener else powers
+        self._half_angles = 0.5 * theta * scale
+        self._seed_rows = np.searchsorted(union, powers)
+        if self._wiener:
+            self._seed_rows = np.append(self._seed_rows, len(union))
+        self._steps = []
+        for m in powers:
+            dst = union[(union > m) & (union < 2 * m)]
+            if dst.size:
+                self._steps.append(
+                    (_rows(union, dst), _rows(union, dst - m), _rows(union, [m]))
+                )
+        rows = np.searchsorted(union, freqs)[inverse]
+        self._cos_rows, self._sin_rows = rows[cos], rows[~cos]
+        self.layout = np.empty(len(n), dtype=np.int64)
+        self.layout[cos] = np.arange(len(self._cos_rows))
+        self.layout[~cos] = np.arange(len(self._cos_rows), len(n))
+        self.n_rows = len(n)
+        self._z_rows = len(union) + self._wiener
+        # Doubles per point that fill() needs besides its output: the
+        # complex rows, two real rows per seed, and the temporaries of a
+        # step whose source rows are not contiguous.
+        widest = max(
+            (0 if isinstance(src, slice) else src.size for _, src, _ in self._steps),
+            default=0,
+        )
+        self.work_doubles = 2 * self._z_rows + 2 * len(scale) + 4 * widest
+
+    def fill(self, x: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+        """Write the table at the 1-d points ``x`` into ``out``.
+
+        ``out`` has shape ``(n_rows, len(x))``; ``work`` is a 1-d float
+        scratch array of at least ``work_doubles * len(x)`` entries.  Points
+        are not range-checked here; callers check ``[0, 1]``.
+        """
+        b, n_seeds = len(x), len(self._half_angles)
+        z = work[: 2 * self._z_rows * b].view(complex).reshape(self._z_rows, b)
+        seeds = work[2 * self._z_rows * b :][: 2 * n_seeds * b].reshape(2, n_seeds, b)
+        # exp(i a) from t = tan(a / 2): cos a = 2r - 1 and sin a = 2tr with
+        # r = 1 / (1 + t^2), within 3 ulps.  numpy has a SIMD float64 tan on
+        # AVX-512 but no SIMD cos or sin: one tan cost about a sixth of one
+        # cos plus one sin (numpy 2.4, Xeon); without SIMD it costs one sin.
+        sin, cos = seeds
+        np.multiply.outer(self._half_angles, x, out=sin)
+        np.tan(sin, out=sin)
+        np.multiply(sin, sin, out=cos)
+        cos += 1.0
+        np.reciprocal(cos, out=cos)
+        sin *= cos
+        sin *= 2.0
+        cos *= 2.0
+        cos -= 1.0
+        z.real[self._seed_rows] = cos
+        z.imag[self._seed_rows] = sin
+        for dst, src, pivot in self._steps:
+            np.multiply(z[src], z[pivot], out=z[dst])
+        if self._wiener:
+            np.multiply(z[:-1], np.conj(z[-1]), out=z[:-1])
+        n_cos = len(self._cos_rows)
+        np.take(z.real, self._cos_rows, axis=0, out=out[:n_cos], mode="clip")
+        np.take(z.imag, self._sin_rows, axis=0, out=out[n_cos:], mode="clip")
 
 
 # -- serialization ----------------------------------------------------------

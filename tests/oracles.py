@@ -16,6 +16,8 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from activevars import eval_eigenfunction
+
 
 def mp_binomial_tail(d: int, m: int, c0sq) -> float:
     """Tail sum at 50-digit precision, rounded to the nearest double."""
@@ -158,3 +160,20 @@ def numpy_closed_form_eigenvalue(spectrum, n) -> float:
         return float(4.0 / ((2.0 * n_arr - 1.0) ** 2 * math.pi**2))
     k = (n_arr + 1) // 2
     return float((2.0 * math.pi * k) ** (-2.0 * spectrum.r))
+
+
+def direct_pointwise(f, spectrum, x) -> np.ndarray:
+    """``f`` at the rows of ``x``, one ``eval_eigenfunction`` call per term and coordinate.
+
+    The reference that table-driven pointwise evaluation is checked against:
+    each eigenfunction value comes straight from its closed form.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.full(x.shape[0], float(f.constant))
+    for u, coeffs in f.terms.items():
+        for k, c in coeffs.items():
+            term = np.full(x.shape[0], float(c))
+            for coord, idx in zip(u, k):
+                term = term * eval_eigenfunction(spectrum, idx, x[:, coord - 1])
+            out = out + term
+    return out

@@ -27,6 +27,13 @@ from activevars.errors import DimensionMismatchError, DivergenceError
 import oracles
 
 
+def _split_total(plan) -> float:
+    return math.fsum(
+        math.comb(plan.d, r.cardinality) * plan.d**-r.cardinality * r.eps_l**2
+        for r in plan.rows
+    )
+
+
 class TestPlan:
     def test_two_term_r_sum(self, korobov1):
         plan = build_plan(0.3, 4, korobov1, tau=1.0, level=2)
@@ -62,13 +69,17 @@ class TestPlan:
                 plan = build_plan(eps, d, korobov1)
                 if plan.level == 0:
                     continue
-                total = math.fsum(
-                    math.comb(d, r.cardinality)
-                    * d**-r.cardinality
-                    * r.eps_l**2
-                    for r in plan.rows
-                )
-                assert total == pytest.approx(eps * eps, rel=1e-10)
+                assert _split_total(plan) == pytest.approx(eps * eps, rel=1e-10)
+
+    def test_error_allocation_identity_at_large_dimension(self, wiener):
+        # R comes from exact binomials; lgamma differences missed eps^2 by
+        # ~1.7e-9 relative at d = 1e6.
+        for d in (10**5, 10**6):
+            for q in range(1, 9):
+                eps = 10.0**-q
+                plan = build_plan(eps, d, wiener)
+                assert plan.level > 0
+                assert _split_total(plan) == pytest.approx(eps * eps, rel=1e-10)
 
 
 class TestRGrowthBounds:

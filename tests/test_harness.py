@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activevars import (
     AnovaFunction,
+    CdaApplier,
+    build_plan,
     GOLDEN_MAJORANT_CEILINGS,
     eval_pointwise,
     g_norm_exact,
@@ -19,6 +23,7 @@ from activevars import (
     single_subset_function,
     table_check,
 )
+from activevars import harness
 from activevars.errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
@@ -119,7 +124,38 @@ class TestMonteCarlo:
         est, se = mc_l2_error(f, approx, wiener, samples=40_000, seed=7)
         assert abs(est - quad) <= 3.0 * se
 
-    def test_large_dimension_is_rejected(self, korobov1):
-        f = single_subset_function(13, (1,), (1,))
+    def test_over_budget_run_is_refused_before_sampling(self, korobov1, monkeypatch):
+        # 10 singleton terms x 2e8 samples = 2e9 term-point products.
+        f = AnovaFunction(d=10, terms={(j,): {(1,): 1.0} for j in range(1, 11)})
+        approx = AnovaFunction(d=10)
+        assert 10 * 2 * 10**8 > harness._MC_WORK_BUDGET
+
+        def no_sampling(*_args, **_kwargs):
+            raise AssertionError("samples drawn before the budget check")
+
+        monkeypatch.setattr(harness.np.random, "default_rng", no_sampling)
         with pytest.raises(UnsupportedScaleError):
-            mc_l2_error(f, f, korobov1, samples=10)
+            mc_l2_error(f, approx, korobov1, samples=2 * 10**8)
+
+    def test_cross_check_at_dimension_50(self, korobov1):
+        # Cost follows stored terms x samples, not d: the changing-dimension
+        # approximation of a d = 50 function is checked like any other.
+        f = random_function(50, korobov1, seed=0)
+        approx = CdaApplier(build_plan(0.1, 50, korobov1), korobov1).apply(f).approx
+        dropped = AnovaFunction(
+            d=50,
+            terms={
+                u: {k: c for k, c in coeffs.items() if k not in approx.terms.get(u, {})}
+                for u, coeffs in f.terms.items()
+            },
+        )
+        exact = g_norm_exact(dropped, korobov1, orthogonal=True).value
+        assert exact > 0.0
+        est, se = mc_l2_error(f, approx, korobov1, samples=20_000, seed=0)
+        assert abs(est - exact) <= 3.0 * se
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**31 - 1))
+    def test_identical_random_functions_have_zero_error(self, korobov1, d, seed):
+        f = random_function(d, korobov1, seed=seed)
+        assert mc_l2_error(f, f, korobov1, samples=100, seed=seed) == (0.0, 0.0)

@@ -23,8 +23,12 @@ from activevars import (
     mean_function,
     weight,
 )
-from activevars import build_spectrum, custom_kernel
-from activevars.errors import InvalidArgumentError, InvalidConfigurationError
+from activevars import build_spectrum, custom_kernel, korobov_kernel, space, wiener_kernel
+from activevars.errors import (
+    InvalidArgumentError,
+    InvalidConfigurationError,
+    UnsupportedOperationError,
+)
 
 import oracles
 
@@ -220,3 +224,87 @@ class TestSerialization:
             wiener, 2, 0.7
         )
         assert eval_pointwise(f, wiener, x)[0] == pytest.approx(manual, rel=1e-14)
+
+
+analytic = st.one_of(
+    st.just(build_spectrum(wiener_kernel(), 1000)),
+    st.builds(
+        lambda r: build_spectrum(korobov_kernel(r), 1000),
+        st.floats(min_value=0.5, max_value=3.0, exclude_min=True),
+    ),
+)
+
+
+@st.composite
+def sparse_functions(draw, max_d=8, max_index=768):
+    d = draw(st.integers(1, max_d))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        u = tuple(sorted(draw(st.sets(st.integers(1, d), min_size=1, max_size=min(d, 4)))))
+        idx = st.integers(1, max_index)
+        ks = draw(st.lists(st.tuples(*[idx] * len(u)), min_size=1, max_size=6))
+        terms[u] = {k: draw(st.floats(-2.0, 2.0)) for k in ks}
+    constant = draw(st.floats(-1.0, 1.0))
+    return AnovaFunction(d=d, constant=constant, terms=terms, max_index=max_index)
+
+
+def _scale_bound(f, s) -> float:
+    """``sum |c| sqrt(2^{|u|} prod lambda)``: the size of the largest possible value."""
+    return abs(f.constant) + sum(
+        abs(c) * math.sqrt(2.0 ** len(u) * oracles.direct_eigen_product(s, k))
+        for u, coeffs in f.terms.items()
+        for k, c in coeffs.items()
+    )
+
+
+EDGE_POINTS = [0.0, 1.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)), 1e-12]
+
+
+class TestPointwise:
+    @settings(max_examples=60, deadline=None)
+    @given(analytic, sparse_functions(), st.integers(0, 2**31 - 1), st.integers(1, 40))
+    def test_matches_direct_evaluation(self, s, f, seed, block):
+        # A block budget of a few points per block puts block boundaries
+        # inside the sample.
+        rng = np.random.default_rng(seed)
+        x = rng.random((23, f.d))
+        x[: len(EDGE_POINTS)] = np.array(EDGE_POINTS)[:, None]
+        want = oracles.direct_pointwise(f, s, x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space, "_BLOCK_DOUBLES", block)
+            got = eval_pointwise(f, s, x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * _scale_bound(f, s))
+        np.testing.assert_allclose(
+            eval_pointwise(f, s, x), want, rtol=0, atol=1e-12 * _scale_bound(f, s)
+        )
+
+    def test_mean_function_across_block_boundaries(self, wiener):
+        # At the real block budget, 4 x 768 terms fit a few hundred points.
+        f = mean_function(4, wiener)
+        x = np.random.default_rng(2).random((700, 4))
+        x[0], x[-1] = 0.0, 1.0
+        want = oracles.direct_pointwise(f, wiener, x)
+        np.testing.assert_allclose(
+            eval_pointwise(f, wiener, x), want, rtol=0, atol=1e-12 * _scale_bound(f, wiener)
+        )
+
+    def test_range_is_checked_on_used_coordinates_only(self, korobov1):
+        f = AnovaFunction(d=3, constant=0.5, terms={(1, 3): {(2, 5): 1.0}})
+        x = np.array([[0.25, 7.0, 0.75], [0.5, -3.0, 1.0]])
+        np.testing.assert_allclose(
+            eval_pointwise(f, korobov1, x), oracles.direct_pointwise(f, korobov1, x), atol=1e-15
+        )
+        for bad in ([1.5, 0.5, 0.5], [0.5, 0.5, -1e-300]):
+            with pytest.raises(InvalidArgumentError):
+                eval_pointwise(f, korobov1, np.array([bad]))
+
+    def test_custom_spectra_and_shapes(self, custom_pair, korobov1):
+        f = AnovaFunction(d=2, terms={(2,): {(1,): 1.0}})
+        with pytest.raises(UnsupportedOperationError):
+            eval_pointwise(f, custom_pair, np.zeros((3, 2)))
+        constant = AnovaFunction(d=2, constant=0.25)
+        np.testing.assert_array_equal(
+            eval_pointwise(constant, custom_pair, np.full((3, 2), 9.0)), [0.25] * 3
+        )
+        with pytest.raises(InvalidArgumentError):
+            eval_pointwise(f, korobov1, np.zeros((3, 3)))

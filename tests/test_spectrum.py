@@ -19,6 +19,7 @@ from activevars import (
     spectrum_to_json,
     wiener_kernel,
 )
+from activevars.spectrum import EigenfunctionTable
 from activevars.errors import (
     DivergenceError,
     InvalidArgumentError,
@@ -80,6 +81,14 @@ class TestBuildSpectrum:
         KernelSpec(kind="wiener", density=lambda x: np.full_like(x, 1.0))
         with pytest.raises(InvalidArgumentError):
             KernelSpec(kind="wiener", density=lambda x: np.full_like(x, 1.01))
+
+    def test_only_the_uniform_density_is_accepted(self):
+        # Normalised but not uniform: the eigenvalues would silently be wrong.
+        with pytest.raises(InvalidConfigurationError):
+            KernelSpec(kind="wiener", density=lambda x: 2.0 * x)
+        KernelSpec(kind="korobov", r=1.0, density=np.ones_like)
+        KernelSpec(kind="custom", eigenvalues=(0.5,), domain=(0.0, 2.0),
+                   density=lambda x: np.full_like(x, 0.5))
 
 
 analytic_spectra = st.one_of(
@@ -239,6 +248,51 @@ class TestEigenfunctions:
             h_norm = math.sqrt(float(np.sum(coeffs**2)))
             worst = max(worst, g_norm / h_norm)
         assert worst <= math.sqrt(wiener.c0sq) + 1e-6
+
+
+def _table(s, indices, x):
+    """Table rows in index order, built in a scratch buffer full of NaNs."""
+    t = EigenfunctionTable(s, indices)
+    out = np.full((t.n_rows, len(x)), np.nan)
+    t.fill(np.asarray(x, dtype=float), np.full(t.work_doubles * len(x), np.nan), out)
+    return out[t.layout]
+
+
+eigenfunction_spectra = st.one_of(
+    st.just(build_spectrum(wiener_kernel(), 1000)),
+    st.builds(
+        lambda r: build_spectrum(korobov_kernel(r), 1000),
+        st.floats(min_value=0.5, max_value=3.0, exclude_min=True),
+    ),
+)
+EDGE_POINTS = [0.0, 1.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)), 1e-12]
+
+
+class TestEigenfunctionTable:
+    def _assert_matches_reference(self, s, indices, x):
+        table = _table(s, indices, x)
+        for row, n in zip(table, indices):
+            scale = math.sqrt(2.0 * s.eigenvalue(int(n)))
+            gap = np.max(np.abs(scale * row - eval_eigenfunction(s, int(n), x)))
+            assert gap <= 1e-12 * scale, (s.kind, int(n), gap)
+
+    @settings(max_examples=15, deadline=None)
+    @given(eigenfunction_spectra, st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_every_row_up_to_768_matches_reference(self, s, points):
+        self._assert_matches_reference(s, np.arange(1, 769), np.array(EDGE_POINTS + points))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eigenfunction_spectra,
+        st.sets(st.integers(1, 768), min_size=1, max_size=12),
+        st.lists(st.floats(0.0, 1.0), max_size=40),
+    )
+    def test_sparse_index_sets_match_reference(self, s, indices, points):
+        self._assert_matches_reference(s, np.array(sorted(indices)), np.array(EDGE_POINTS + points))
+
+    def test_custom_spectra_have_no_table(self, custom_pair):
+        with pytest.raises(UnsupportedOperationError):
+            EigenfunctionTable(custom_pair, [1])
 
 
 class TestSerialization:
