@@ -23,8 +23,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice
+from typing import Iterator
 
+import numpy as np
 from scipy.special import logsumexp
 
 from .cost import CostModel, log_eval_cost
@@ -34,7 +36,7 @@ from .errors import (
     EnumerationCapError,
     InvalidArgumentError,
 )
-from .optimal import ENUMERATION_CAP, arrangement_count
+from .optimal import ENUMERATION_CAP
 from .space import AnovaFunction
 from .spectrum import Spectrum, power_sum
 from .truncation import truncation_level
@@ -96,14 +98,18 @@ def _dust_floor(x: float) -> int:
     return int(math.floor(x * (1.0 + 2.0**-40)))
 
 
+def _log_comb(d: int, l: int) -> float:
+    """``log C(d, l)`` from the exact binomial.
+
+    lgamma differences lose ~1e-9 relative accuracy at ``d >= 1e5``, which
+    the demand-split identity and the priced cost would inherit.
+    """
+    return math.log(math.comb(d, l))
+
+
 def _log_r_terms(d: int, level: int, tau: float) -> list[float]:
-    # Exact binomials: lgamma differences lose ~1e-9 relative accuracy at
-    # d >= 1e5, which the demand-split identity would inherit.
     log_d = math.log(d)
-    return [
-        math.log(math.comb(d, k)) - k * tau / (1.0 + tau) * log_d
-        for k in range(1, level + 1)
-    ]
+    return [_log_comb(d, k) - k * tau / (1.0 + tau) * log_d for k in range(1, level + 1)]
 
 
 def build_plan(
@@ -199,72 +205,109 @@ def r_growth_bounds(plan: CdaPlan) -> RGrowthBounds:
 # -- applying a plan to a stored function -------------------------------------
 
 
+# Relative slack of the rank cut's pruning bound.  A float product of l
+# factors is within about l ulps of the exact product of its factors;
+# 1e-12 is about 4,500 ulps.
+_PRUNE_SLACK = 1e-12
+
+
 class _RankOracle:
     """Decides whether a multi-index ranks within the first ``n`` eigendirections.
 
     The eigenbasis of an ``l``-fold tensor space is ordered by nonincreasing
     eigenvalue product, ties broken by lexicographically smallest ordered
-    multi-index.  Cardinality 1 reduces to an index comparison; higher
-    cardinalities enumerate index multisets best-first until the budget is
-    located, splitting the boundary value class by lexicographic rank.
+    multi-index.  Cardinality 1 reduces to an index comparison.  Higher
+    cardinalities locate the *cut*: the value of the product class that
+    holds the ``n``-th ordered multi-index.  Products above it are kept,
+    products below it dropped, and of the cut class only the ``room``
+    lexicographically first ordered multi-indices are kept (all of them
+    when the class fits).  A value is the left-to-right product of the
+    sorted multi-index over the spectrum's table, as
+    :meth:`Spectrum.eigen_product` computes it.
+
+    The cut is found without a frontier: :func:`_multisets_at_least`
+    generates, in numpy, every sorted multiset whose product reaches a
+    bound ``t``, and ``t`` is lowered until the ordered count covers the
+    budget.  A bound whose candidates would pass twice
+    ``ENUMERATION_CAP`` is not generated; the search bisects between it
+    and the last bound short of the budget instead.  The ranking is
+    refused when more than ``ENUMERATION_CAP`` multisets reach the cut
+    (all of them when the budget exhausts the space): those are the
+    multisets a best-first walk would visit.  Only the cut value and the
+    kept part of a split cut class remain afterwards.
     """
 
     def __init__(self, spectrum: Spectrum, cardinality: int, budget: int) -> None:
         self.spectrum = spectrum
         self.cardinality = cardinality
         self.budget = budget
-        self._full: set[tuple[int, ...]] = set()
-        self._partial: set[tuple[int, ...]] = set()
+        self._table = spectrum.table()
+        self._cut = math.inf
+        self._boundary: frozenset[tuple[int, ...]] | None = None
         self._exhausted = False
         if cardinality >= 2 and budget > 0:
-            self._enumerate()
+            self._rank()
 
-    def _enumerate(self) -> None:
-        n_max = self.spectrum.n_eigenvalues
+    def _rank(self) -> None:
+        lam = np.frombuffer(self._table)
         l = self.cardinality
-        heap: list[tuple[float, tuple[int, ...]]] = [
-            (-self.spectrum.eigen_product((1,) * l), (1,) * l)
-        ]
-        seen = {(1,) * l}
-        cum = 0
-        pops = 0
-
-        def push_successors(ms: tuple[int, ...]) -> None:
-            for pos in range(l):
-                if ms[pos] < n_max and (pos == l - 1 or ms[pos] < ms[pos + 1]):
-                    bumped = ms[:pos] + (ms[pos] + 1,) + ms[pos + 1 :]
-                    if bumped not in seen:
-                        seen.add(bumped)
-                        heapq.heappush(heap, (-self.spectrum.eigen_product(bumped), bumped))
-
-        while heap and cum < self.budget:
-            neg_v, _ = heap[0]
-            # Pop the whole equal-value class before deciding retention.
-            cls: list[tuple[int, ...]] = []
-            while heap and heap[0][0] == neg_v:
-                _, ms = heapq.heappop(heap)
-                cls.append(ms)
-                push_successors(ms)
-                pops += 1
-            if pops > ENUMERATION_CAP:
-                raise EnumerationCapError(
-                    f"rank enumeration for cardinality {l} exceeded the cap of "
-                    f"{ENUMERATION_CAP} multisets: every visited multiset stays "
-                    "in memory, so the demand is too small for in-memory ranking"
-                )
-            cls_count = sum(arrangement_count(ms) for ms in cls)
-            if cum + cls_count <= self.budget:
-                self._full.update(cls)
-                cum += cls_count
+        # neg_pow[r - 1] = -lam^r by repeated products: nondecreasing in the index.
+        neg_pow = [-lam]
+        for _ in range(1, l):
+            neg_pow.append(neg_pow[-1] * lam)
+        top = self.spectrum.eigen_product((1,) * l)
+        bottom = self.spectrum.eigen_product((len(lam),) * l)
+        seen: list[tuple[float, int]] = []  # bounds short of the budget, counts
+        lo = None  # a bound whose candidates passed the cap
+        t = top
+        while True:
+            got = _multisets_at_least(lam, neg_pow, t, 2 * ENUMERATION_CAP)
+            if got is not None:
+                rows, values = got
+                counts = _arrangement_counts(rows)
+                total = int(counts.sum())
+                if total >= self.budget:
+                    held = self._cut_at(rows, values, counts)
+                    break
+                if t <= bottom:
+                    self._exhausted = True
+                    held = len(values)
+                    break
+                seen.append((t, total))
+            elif not seen:
+                held = math.inf  # the top class alone is over the cap
+                break
             else:
-                room = self.budget - cum
-                ordered = sorted(
-                    tup for ms in cls for tup in set(permutations(ms))
-                )
-                self._partial.update(ordered[:room])
-                cum = self.budget
-        if not heap and cum < self.budget:
-            self._exhausted = True
+                lo = t
+            if lo is None:
+                t = max(_next_bound(seen, self.budget, self.spectrum.alpha), bottom)
+            else:
+                hi = seen[-1][0]
+                t = _float_midpoint(lo, hi)
+                if t in (lo, hi):
+                    held = math.inf
+                    break
+        if held > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"rank enumeration for cardinality {l} exceeded the cap of "
+                f"{ENUMERATION_CAP} multisets: every multiset down to the cut "
+                "is held in memory, so the demand is too small for in-memory ranking"
+            )
+
+    def _cut_at(self, rows: np.ndarray, values: np.ndarray, counts: np.ndarray) -> int:
+        """Record the cut and boundary; return the multisets at or above the cut."""
+        order = np.argsort(-values, kind="stable")
+        cum = np.cumsum(counts[order])
+        cut = values[order[int(np.searchsorted(cum, self.budget))]]
+        room = self.budget - int(counts[values > cut].sum())
+        in_class = values == cut
+        self._cut = float(cut)
+        if room < int(counts[in_class].sum()):
+            # Distinct multisets have disjoint orderings, so merging their
+            # lexicographic streams yields the class in lexicographic order.
+            merged = heapq.merge(*map(_orderings, rows[in_class].tolist()))
+            self._boundary = frozenset(islice(merged, room))
+        return int(np.count_nonzero(values >= cut))
 
     def retained(self, k: tuple[int, ...]) -> bool:
         if self.budget <= 0:
@@ -273,8 +316,113 @@ class _RankOracle:
             return k[0] <= self.budget
         if self._exhausted:
             return True
-        ms = tuple(sorted(k))
-        return ms in self._full or k in self._partial
+        ms = sorted(k)
+        if ms[0] < 1 or ms[-1] > self.spectrum.n_eigenvalues:
+            return False
+        # Spectrum.eigen_product(ms), minus a bounds-checked lookup per factor.
+        v = 1.0
+        for i in ms:
+            v *= self._table[i - 1]
+        if v != self._cut:
+            return v > self._cut
+        return self._boundary is None or tuple(k) in self._boundary
+
+
+def _multisets_at_least(
+    lam: np.ndarray, neg_pow: list[np.ndarray], t: float, limit: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every sorted ``l``-multiset whose product reaches ``t``, with its products.
+
+    Returns 1-based index rows and their left-to-right products, or
+    ``None`` as soon as more than ``limit`` multisets (or prefixes of
+    them) would be held; ``neg_pow[r - 1]`` holds ``-lam^r``.  Multisets
+    grow one index per depth: a prefix with product ``p`` and last index
+    ``a`` takes every next index ``m >= a`` with ``p * lam[m]^r`` above
+    ``t`` less the slack, ``r`` the indices still to come, since no
+    completion beats repeating ``m``.  The exact float product then
+    decides.  Each kept prefix has a completion within the slack of ``t``,
+    so no depth holds more prefixes than there are such multisets.  Below
+    ``t = 1e-290`` products may be subnormal, where a relative slack does
+    not hold, and nothing is pruned.
+    """
+    n, l = len(lam), len(neg_pow)
+    floor = t * (1.0 - _PRUNE_SLACK) if t > 1e-290 else 0.0
+    stop = int(np.searchsorted(neg_pow[l - 1], -floor, side="right"))
+    if stop > limit:
+        return None
+    cols = [np.arange(stop)]
+    values = lam[:stop].copy()
+    for r in range(l - 1, 0, -1):
+        last = cols[-1]
+        if floor > 0.0:
+            stop = np.searchsorted(neg_pow[r - 1], -(floor / values), side="right")
+        else:
+            stop = np.full(len(last), n)
+        width = np.maximum(stop - last, 0)
+        total = int(width.sum())
+        if total > limit:
+            return None
+        parent = np.repeat(np.arange(len(last)), width)
+        offset = np.repeat(last - (np.cumsum(width) - width), width)
+        cols = [c[parent] for c in cols] + [np.arange(total) + offset]
+        values = values[parent] * lam[cols[-1]]
+    keep = values >= t
+    return np.stack([c[keep] + 1 for c in cols], axis=1), values[keep]
+
+
+def _orderings(ms: list[int]) -> Iterator[tuple[int, ...]]:
+    """Distinct orderings of the sorted list ``ms``, lexicographically increasing.
+
+    Each step is the next permutation, made in place on ``ms``: swap the
+    rightmost ascent with the smallest larger entry after it, then reverse
+    the tail.
+    """
+    while True:
+        yield tuple(ms)
+        i = len(ms) - 2
+        while i >= 0 and ms[i] >= ms[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(ms) - 1
+        while ms[j] <= ms[i]:
+            j -= 1
+        ms[i], ms[j] = ms[j], ms[i]
+        ms[i + 1 :] = ms[:i:-1]
+
+
+def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
+    """``optimal.arrangement_count`` of every sorted row, as exact integers."""
+    l = rows.shape[1]
+    dtype = np.int64 if math.factorial(l) * max(len(rows), 1) < 2**63 else object
+    run = np.ones(len(rows), dtype=dtype)
+    denom = np.ones(len(rows), dtype=dtype)
+    for j in range(1, l):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1).astype(dtype)
+        denom *= run
+    return math.factorial(l) // denom
+
+
+def _next_bound(seen: list[tuple[float, int]], budget: int, alpha: float) -> float:
+    """Next, lower bound to try: log-log secant through the last two counts.
+
+    Aims a quarter past the budget so that one more pass usually suffices.
+    The first step assumes counts grow like ``t^(-1/alpha)``.
+    """
+    t, count = seen[-1]
+    slope = 1.0 / alpha if math.isfinite(alpha) else 0.5
+    if len(seen) > 1:
+        t0, count0 = seen[-2]
+        if count > count0:
+            slope = math.log(count / count0) / math.log(t0 / t)
+    factor = (count / (1.25 * budget)) ** (1.0 / slope)
+    return t * min(max(factor, 1e-6), 0.5)
+
+
+def _float_midpoint(a: float, b: float) -> float:
+    """The float halfway between two positive floats in bit order."""
+    ia, ib = (int(np.float64(x).view(np.int64)) for x in (a, b))
+    return float(np.int64((ia + ib) // 2).view(np.float64))
 
 
 @dataclass(frozen=True)
@@ -414,15 +562,12 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
         plans built by :func:`build_plan`; guards against tampered plans).
     """
     d, tau, m1 = plan.d, plan.tau, plan.level
-    lg_d1 = math.lgamma(d + 1)
     log_terms = [log_eval_cost(model, 0)]
     for row in plan.rows:
         if row.n_l <= 0:
             continue
         log_terms.append(
-            lg_d1
-            - math.lgamma(row.cardinality + 1)
-            - math.lgamma(d - row.cardinality + 1)
+            _log_comb(d, row.cardinality)
             + math.log(row.n_l)
             + log_eval_cost(model, row.cardinality)
         )

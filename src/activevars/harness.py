@@ -12,6 +12,7 @@ from .errors import (
     InvalidConfigurationError,
     UnsupportedScaleError,
 )
+from . import space
 from .space import AnovaFunction, eval_pointwise, h_norm
 from .spectrum import Spectrum
 from .truncation import factorial_majorant
@@ -212,7 +213,12 @@ def mc_l2_error(
     Uniform sampling on the unit cube (the default density); the standard
     error of the norm follows from the error of the mean-square by the
     delta method.  The difference ``f - approx`` is evaluated once, as one
-    expansion without its exact-zero coefficients.  Its cost is
+    expansion without its exact-zero coefficients.  Sample points are
+    drawn in row chunks of about ``2^20`` doubles, so memory stays bounded
+    whatever ``samples * d``; a run whose matrix fits in one chunk draws
+    it in one piece.  Evaluating in several chunks can move the last bits
+    of the estimate (the point blocks of :func:`eval_pointwise` shift), not
+    the points drawn.  Its cost is
     ``sum_u |u| (coefficients on u) * samples`` term-point products, and
     runs above 10^9 of them are refused before any sample is drawn; the
     dimension itself is not limited.
@@ -231,9 +237,13 @@ def mc_l2_error(
             f"{work:.3g} term-point products exceed the Monte Carlo budget "
             f"of {_MC_WORK_BUDGET:.3g}"
         )
+    # Consecutive draws from one generator yield the points of a single draw.
     rng = np.random.default_rng(seed)
-    x = rng.random((samples, f.d))
-    g = eval_pointwise(diff, spectrum, x)
+    rows = max(1, space._BLOCK_DOUBLES // f.d)
+    g = np.empty(samples)
+    for start in range(0, samples, rows):
+        x = rng.random((min(rows, samples - start), f.d))
+        g[start : start + len(x)] = eval_pointwise(diff, spectrum, x)
     gsq = g * g
     m = float(np.mean(gsq))
     se_m = float(np.std(gsq, ddof=1) / math.sqrt(samples))

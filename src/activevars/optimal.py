@@ -28,7 +28,7 @@ from .errors import (
     InvalidConfigurationError,
     TailCertificateError,
 )
-from .spectrum import Spectrum, power_sum
+from .spectrum import Spectrum, partial_power_sum, power_sum
 from .truncation import orthogonal_truncation_level
 
 __all__ = [
@@ -355,7 +355,7 @@ def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdenti
             entry.multiplicity * entry.value**tau for entry in TensorEigenStream(d, spectrum)
         )
         return PowerSumIdentity(lhs=lhs, rhs=rhs, log_rhs=log_rhs, exact=True)
-    partial = math.fsum(v**tau for v in spectrum.leading())
+    partial = partial_power_sum(spectrum, tau)
     lhs = math.exp(d * math.log1p(partial * d ** (-tau)))
     return PowerSumIdentity(lhs=lhs, rhs=rhs, log_rhs=log_rhs, exact=False)
 

@@ -29,6 +29,8 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -217,10 +219,18 @@ class Spectrum:
                 raise InvalidArgumentError(
                     f"custom spectrum has only {self.n_eigenvalues} eigenvalues"
                 )
-            out = np.frombuffer(self._table)[n_arr - 1]
+            out = np.frombuffer(self.table())[n_arr - 1]
         if np.isscalar(n) or n_arr.ndim == 0:
             return float(out)
         return out
+
+    def table(self) -> memoryview:
+        """The ``N`` tabulated eigenvalues, as scalar lookups return them.
+
+        A read-only view, no copy: indexing it yields Python floats, and
+        ``np.frombuffer`` wraps it as a read-only array.
+        """
+        return memoryview(self._table).toreadonly()
 
     def eigen_product(self, indices) -> float:
         """``lambda_{k_1} ... lambda_{k_l}``, multiplied left to right in every layer."""
@@ -336,6 +346,28 @@ def _korobov_power_tail(r: float, tau: float, n: int) -> float:
     return 2.0 * base * float(zeta(s, k + 1))
 
 
+def partial_power_sum(s: Spectrum, tau: float) -> float:
+    """``math.fsum(v**tau for v in s.leading())``, bit for bit, with fewer powers.
+
+    Python's float power is the C ``pow`` that numpy's scalar power calls,
+    so it is taken once per run of equal values (korobov's flattened
+    sequence repeats every value twice).  Doubling a power is exact, so a
+    pair contributes ``2 * p``; a longer run contributes ``p`` once per
+    member.  numpy's array power is not used: its SIMD path differs from
+    ``pow`` in the last bit on some elements.
+    """
+    lead = s.leading()
+    starts = np.flatnonzero(np.concatenate(([True], lead[1:] != lead[:-1])))
+    try:
+        powers = list(map(pow, lead[starts].tolist(), repeat(tau)))
+    except OverflowError:  # numpy's power gives inf, and fsum keeps it
+        return math.inf
+    counts = np.diff(starts, append=len(lead))
+    if counts.max() > 2:
+        return math.fsum(chain.from_iterable(map(repeat, powers, counts.tolist())))
+    return math.fsum(map(mul, powers, counts.tolist()))
+
+
 def power_sum(s: Spectrum, tau: float) -> float:
     """The tau-th power sum ``L(tau) = sum_n lambda_n^tau`` of the spectrum.
 
@@ -357,7 +389,7 @@ def power_sum(s: Spectrum, tau: float) -> float:
         raise DivergenceError(
             f"power sum diverges for tau={tau} <= 1/alpha={1.0 / s.alpha}"
         )
-    partial = math.fsum(v**tau for v in s.leading())
+    partial = partial_power_sum(s, tau)
     if s.kind == "wiener":
         # lambda_n^tau = (4/pi^2)^tau (2n-1)^{-2 tau}; the tail collapses to
         # pi^{-2 tau} * zeta(2 tau, N + 1/2).

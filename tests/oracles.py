@@ -8,8 +8,10 @@ brute-force enumeration for tensor eigenvalue streams.
 
 from __future__ import annotations
 
+import heapq
 import math
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import mpmath as mp
 import numpy as np
@@ -177,3 +179,80 @@ def direct_pointwise(f, spectrum, x) -> np.ndarray:
                 term = term * eval_eigenfunction(spectrum, idx, x[:, coord - 1])
             out = out + term
     return out
+
+
+class HeapRank:
+    """Best-first reference ranking: pops product classes from a heap.
+
+    Starting from ``(1, ..., 1)``, every popped sorted multiset pushes each
+    one-index bump that stays sorted (deduplicated through a seen-set), so
+    classes of equal product leave the heap in nonincreasing order.  Whole
+    classes are kept until the next would pass the budget; that boundary
+    class is split by lexicographic rank of its ordered multi-indices.
+    ``cut`` is the value of the last class popped, ``boundary`` the kept
+    part of a split class (``None`` when the last class fit whole), and
+    ``pops`` the number of multisets popped: every multiset down to the
+    cut, all of them when the budget exhausts the space.
+    """
+
+    def __init__(self, spectrum, cardinality, budget):
+        self.cardinality = cardinality
+        self.budget = budget
+        self.full = set()
+        self.boundary = None
+        self.cut = math.inf
+        self.exhausted = False
+        self.pops = 0
+        if cardinality >= 2 and budget > 0:
+            self._enumerate(spectrum)
+
+    def _enumerate(self, spectrum):
+        n_max = spectrum.n_eigenvalues
+        l = self.cardinality
+        start = (1,) * l
+        heap = [(-spectrum.eigen_product(start), start)]
+        seen = {start}
+        cum = 0
+        while heap and cum < self.budget:
+            neg_v, _ = heap[0]
+            cls = []
+            while heap and heap[0][0] == neg_v:
+                _, ms = heapq.heappop(heap)
+                cls.append(ms)
+                self.pops += 1
+                for pos in range(l):
+                    if ms[pos] < n_max and (pos == l - 1 or ms[pos] < ms[pos + 1]):
+                        bumped = ms[:pos] + (ms[pos] + 1,) + ms[pos + 1 :]
+                        if bumped not in seen:
+                            seen.add(bumped)
+                            heapq.heappush(heap, (-spectrum.eigen_product(bumped), bumped))
+            self.cut = -neg_v
+            cls_count = sum(
+                math.factorial(l) // math.prod(map(math.factorial, Counter(ms).values()))
+                for ms in cls
+            )
+            if cum + cls_count <= self.budget:
+                self.full.update(cls)
+                cum += cls_count
+            else:
+                ordered = sorted(tup for ms in cls for tup in set(permutations(ms)))
+                self.boundary = frozenset(ordered[: self.budget - cum])
+                cum = self.budget
+        self.exhausted = cum < self.budget
+
+    def retained(self, k):
+        if self.budget <= 0:
+            return False
+        if self.cardinality == 1:
+            return k[0] <= self.budget
+        if self.exhausted:
+            return True
+        k = tuple(k)
+        return tuple(sorted(k)) in self.full or (
+            self.boundary is not None and k in self.boundary
+        )
+
+
+def genexpr_partial_power_sum(spectrum, tau) -> float:
+    """``sum_n lambda_n^tau`` over the retained eigenvalues, one numpy scalar power each."""
+    return math.fsum(v**tau for v in spectrum.leading())

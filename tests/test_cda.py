@@ -1,9 +1,13 @@
 """Changing-dimension plans: parameters, error certificates, pricing."""
 
 import math
+from itertools import combinations, permutations
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activevars import (
     AnovaFunction,
@@ -22,6 +26,7 @@ from activevars import (
 )
 from activevars import cda
 from activevars.cda import _RankOracle
+from activevars.optimal import arrangement_count
 from activevars.errors import DimensionMismatchError, DivergenceError
 
 import oracles
@@ -123,6 +128,14 @@ class TestRGrowthBounds:
         assert rb.r_power <= rb.factorial_bound
 
 
+# Custom spectra from a small value set: repeated values and products such
+# as 0.6 * 0.1 and 0.3 * 0.2 tie exactly, while 0.9 * 0.1 and 0.3 * 0.3
+# are equal only up to rounding and land in different classes.
+_tie_spectra = st.lists(
+    st.sampled_from([0.9, 0.6, 0.5, 0.3, 0.2, 0.1, 0.05]), min_size=1, max_size=5
+).map(lambda v: sorted(v, reverse=True))
+
+
 class _BruteRank:
     """Reference ranking over a finite index space, ties lexicographic."""
 
@@ -163,6 +176,110 @@ class TestRankOracle:
         # Budget 3 at cardinality 1 keeps the first three flattened indices.
         oracle = _RankOracle(korobov1, 1, 3)
         assert oracle.retained((3,)) and not oracle.retained((4,))
+
+    def test_cut_matches_the_heap_walk_on_the_benchmark_plans(self, korobov1_deep):
+        # The twelve korobov:1 plans of the cda-apply benchmark workload.
+        ranked = 0
+        for d in (2, 5, 10, 50):
+            for eps in (1e-1, 1e-2, 1e-3):
+                for row in build_plan(eps, d, korobov1_deep).rows[1:]:
+                    oracle = _RankOracle(korobov1_deep, row.cardinality, row.n_l)
+                    heap = oracles.HeapRank(korobov1_deep, row.cardinality, row.n_l)
+                    assert not heap.exhausted and not oracle._exhausted
+                    assert oracle._cut == heap.cut, (d, eps, row)
+                    assert oracle._boundary == heap.boundary, (d, eps, row)
+                    ranked += 1
+        assert ranked == 11
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_tie_spectra, cardinality=st.integers(2, 4), data=st.data())
+    def test_cut_matches_brute_force_with_ties(self, values, cardinality, data):
+        s = build_spectrum(custom_kernel(values))
+        n = s.n_eigenvalues
+        budget = data.draw(st.integers(0, n**cardinality + 2), label="budget")
+        oracle = _RankOracle(s, cardinality, budget)
+        brute = _BruteRank(s, cardinality, budget)
+        heap = oracles.HeapRank(s, cardinality, budget)
+        assert oracle._exhausted == heap.exhausted
+        if not heap.exhausted:
+            assert (oracle._cut, oracle._boundary) == (heap.cut, heap.boundary)
+        # Index n + 1 lies outside the space: dropped, unless the budget
+        # exhausts it and everything is kept.
+        for k in iproduct(range(1, n + 2), repeat=cardinality):
+            if max(k) <= n:
+                assert oracle.retained(k) == brute.retained(k), (k, budget)
+            assert oracle.retained(k) == heap.retained(k), (k, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=_tie_spectra, cardinality=st.integers(2, 4), data=st.data())
+    def test_cap_refuses_what_the_heap_walk_refused(self, values, cardinality, data):
+        s = build_spectrum(custom_kernel(values))
+        budget = data.draw(st.integers(1, s.n_eigenvalues**cardinality + 2), label="budget")
+        heap = oracles.HeapRank(s, cardinality, budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cda, "ENUMERATION_CAP", heap.pops)
+            oracle = _RankOracle(s, cardinality, budget)
+            assert oracle._exhausted == heap.exhausted
+            mp.setattr(cda, "ENUMERATION_CAP", heap.pops - 1)
+            with pytest.raises(EnumerationCapError):
+                _RankOracle(s, cardinality, budget)
+
+    def test_cap_bounds_the_cut_not_the_search(self, korobov1):
+        # The first lowered bound overshoots the budget; with the cap at
+        # what the heap walk held, the ranking still goes through.
+        heap = oracles.HeapRank(korobov1, 2, 1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cda, "ENUMERATION_CAP", heap.pops)
+            oracle = _RankOracle(korobov1, 2, 1000)
+        assert (oracle._cut, oracle._boundary) == (heap.cut, heap.boundary)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda l: st.lists(
+                st.lists(st.integers(1, 4), min_size=l, max_size=l).map(sorted),
+                min_size=1,
+                max_size=20,
+            )
+        )
+    )
+    def test_row_counts_match_the_scalar_counter(self, rows):
+        counts = cda._arrangement_counts(np.array(rows))
+        assert counts.tolist() == [arrangement_count(tuple(r)) for r in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6).map(sorted))
+    def test_orderings_are_the_sorted_distinct_permutations(self, ms):
+        assert list(cda._orderings(list(ms))) == sorted(set(permutations(ms)))
+
+    def test_split_class_generates_only_the_kept_orderings(self):
+        # The cut class holds the five multisets 1^16 {2,3}^4, 77,520
+        # orderings in all; listing the 20! permutations of each would
+        # never finish.  The first `room` in lexicographic order are kept.
+        s = build_spectrum(custom_kernel([0.9, 0.5, 0.5]))
+        oracle = _RankOracle(s, 20, 50_000)
+        assert oracle._cut == s.eigen_product((1,) * 16 + (2,) * 4)
+        above = sum(math.comb(20, a) * 2 ** (20 - a) for a in range(17, 21))
+        orderings = []
+        for positions in combinations(range(20), 4):
+            for fill in iproduct((2, 3), repeat=4):
+                k = [1] * 20
+                for p, v in zip(positions, fill):
+                    k[p] = v
+                orderings.append(tuple(k))
+        assert oracle._boundary == frozenset(sorted(orderings)[: 50_000 - above])
+
+    def test_large_cardinality_counts_stay_exact(self):
+        # 21! passes int64, so arrangement counts are Python ints.  The
+        # budget ends exactly on a class (1 + 21 + 210 ordered tuples), so
+        # no boundary class has to be split into its 21! orderings.
+        s = build_spectrum(custom_kernel([0.9, 0.5]))
+        oracle = _RankOracle(s, 21, 232)
+        heap = oracles.HeapRank(s, 21, 232)
+        assert (oracle._cut, oracle._boundary) == (heap.cut, heap.boundary)
+        assert oracle._boundary is None
+        assert oracle.retained((1,) * 19 + (2, 2))
+        assert not oracle.retained((1,) * 18 + (2, 2, 2))
 
 
 class TestApply:
@@ -235,6 +352,15 @@ class TestPrice:
         )
         pr = price_plan(plan, CostModel(family="constant"))
         assert pr.exact == pytest.approx(direct, rel=1e-12)
+
+    def test_exact_cost_uses_exact_binomials_at_large_dimension(self, wiener):
+        # lgamma differences put log C(d, l) off by up to 1.7e-9 at d = 1e6.
+        for d in (10**5, 10**6):
+            for q in range(1, 9):
+                plan = build_plan(10.0**-q, d, wiener)
+                exact = 1 + sum(math.comb(d, r.cardinality) * r.n_l for r in plan.rows)
+                pr = price_plan(plan, CostModel(family="constant"))
+                assert pr.log_exact == pytest.approx(math.log(exact), abs=1e-12)
 
     def test_exponential_cost_scales_strata(self, korobov1):
         plan = build_plan(0.01, 4, korobov1, tau=1.0)

@@ -1,6 +1,7 @@
 """Test-function generators, the reference table, Monte Carlo checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from activevars import (
     single_subset_function,
     table_check,
 )
-from activevars import harness
+from activevars import harness, space
 from activevars.errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
@@ -136,6 +137,42 @@ class TestMonteCarlo:
         monkeypatch.setattr(harness.np.random, "default_rng", no_sampling)
         with pytest.raises(UnsupportedScaleError):
             mc_l2_error(f, approx, korobov1, samples=2 * 10**8)
+
+    def test_sample_memory_is_bounded_by_the_block_budget(self, korobov1):
+        # A two-coordinate function at d = 50: drawing the whole 10^5 x 50
+        # matrix at once peaked at 48 MB, 40 MB of it the matrix.
+        f = single_subset_function(50, (3, 17), (1, 2), value=1.0)
+        approx = AnovaFunction(d=50)
+        tracemalloc.start()
+        try:
+            est, se = mc_l2_error(f, approx, korobov1, samples=100_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak
+        exact = g_norm_exact(f, korobov1, orthogonal=True).value
+        assert abs(est - exact) <= 3.0 * se
+
+    def test_chunks_draw_the_points_of_one_draw(self, korobov1, monkeypatch):
+        # Chunks of 33 rows from one generator stream: the points are those
+        # of a single 100 x 3 draw, and so is the estimate, to rounding.
+        f = AnovaFunction(d=3, terms={(1, 3): {(1, 1): 0.6, (3, 2): 0.3}})
+        approx = AnovaFunction(d=3)
+        whole = mc_l2_error(f, approx, korobov1, samples=100, seed=3)
+        drawn = []
+        evaluate = harness.eval_pointwise
+
+        def recording(g, s, x):
+            drawn.append(x)
+            return evaluate(g, s, x)
+
+        monkeypatch.setattr(harness, "eval_pointwise", recording)
+        monkeypatch.setattr(space, "_BLOCK_DOUBLES", 100)
+        chunked = mc_l2_error(f, approx, korobov1, samples=100, seed=3)
+        assert [len(x) for x in drawn] == [33, 33, 33, 1]
+        expected = np.random.default_rng(3).random((100, 3))
+        assert np.array_equal(np.concatenate(drawn), expected)
+        assert chunked == pytest.approx(whole, rel=1e-12)
 
     def test_cross_check_at_dimension_50(self, korobov1):
         # Cost follows stored terms x samples, not d: the changing-dimension

@@ -256,6 +256,16 @@ class TestPowerSumIdentity:
         assert not res.exact
         assert res.lhs <= res.rhs
 
+    @pytest.mark.parametrize("tau", [0.75, 1.0, 1.1, 2.0])
+    def test_truncated_lhs_is_bit_identical_to_the_power_genexpr(self, korobov1, wiener, tau):
+        for s in (korobov1, wiener):
+            if tau <= 1.0 / s.alpha:
+                continue
+            for d in (1, 4, 50):
+                partial = oracles.genexpr_partial_power_sum(s, tau)
+                expected = math.exp(d * math.log1p(partial * d ** (-tau)))
+                assert power_sum_identity(d, s, tau).lhs == expected
+
 
 class TestDecayBound:
     def test_first_eigenvalue_bounded_by_one(self, custom_pair, korobov1):

@@ -19,7 +19,7 @@ from activevars import (
     spectrum_to_json,
     wiener_kernel,
 )
-from activevars.spectrum import EigenfunctionTable
+from activevars.spectrum import EigenfunctionTable, partial_power_sum
 from activevars.errors import (
     DivergenceError,
     InvalidArgumentError,
@@ -175,6 +175,26 @@ class TestPowerSum:
         assert power_sum(custom_pair, 0.25) > 0  # finite spectra take any tau > 0
         with pytest.raises(InvalidArgumentError):
             power_sum(custom_pair, 0.0)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            build_spectrum(korobov_kernel(0.7), 40_000),
+            build_spectrum(korobov_kernel(1.0), 40_000),
+            build_spectrum(korobov_kernel(2.3), 40_001),
+            build_spectrum(wiener_kernel(), 10_000),
+            build_spectrum(custom_kernel([0.9, 0.6, 0.6, 0.6, 0.3, 0.2, 0.2, 0.1])),
+            build_spectrum(custom_kernel([0.5])),
+        ],
+        ids=["korobov0.7", "korobov1", "korobov2.3-odd", "wiener", "custom-runs", "custom-one"],
+    )
+    def test_partial_sum_is_bit_identical_to_one_power_per_eigenvalue(self, spectrum):
+        for tau in (0.75, 1.0, 1.1, 1.5, 2.0, 2.5, 3.0, 7.3):
+            if not spectrum.is_finite and tau <= 1.0 / spectrum.alpha:
+                continue
+            assert partial_power_sum(spectrum, tau) == oracles.genexpr_partial_power_sum(
+                spectrum, tau
+            ), tau
 
     def test_trace_partial_sum_convergence(self, wiener):
         n = 100_000
