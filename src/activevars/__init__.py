@@ -27,7 +27,6 @@ from .cost import (
 from .errors import ActiveVarsError, EnumerationCapError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
-    RunConfig,
     majorant_table,
     make_test_function,
     mc_l2_error,
@@ -92,7 +91,6 @@ __all__ = [
     "Functional",
     "GOLDEN_MAJORANT_CEILINGS",
     "KernelSpec",
-    "RunConfig",
     "Spectrum",
     "SubsetIndex",
     "TensorEigenStream",

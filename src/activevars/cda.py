@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import logsumexp
 
-from .cost import CostModel, log_eval_cost
+from .cost import CostModel, eval_cost, log_eval_cost
 from .errors import (
     CertificationError,
     DimensionMismatchError,
@@ -439,7 +439,6 @@ class ApplyResult:
     approx: AnovaFunction
     error_cert: float
     exact: bool
-    used_subsets: tuple[tuple[int, ...], ...]
     max_act: int
 
 
@@ -481,7 +480,6 @@ class CdaApplier:
         kept: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
         residual_sq: list[float] = []
         residual_norms: list[float] = []
-        used: list[tuple[int, ...]] = []
         max_act = 0
         for u, coeffs in f.terms.items():
             drop_sq: list[float] = []
@@ -498,7 +496,6 @@ class CdaApplier:
                         drop_sq.append(c * c * self.spectrum.eigen_product(k))
                 if kept_u:
                     kept[u] = kept_u
-                    used.append(u)
                     max_act = max(max_act, len(u))
             term_sq = math.fsum(drop_sq)
             residual_sq.append(term_sq)
@@ -514,7 +511,6 @@ class CdaApplier:
             approx=approx,
             error_cert=cert,
             exact=self.orthogonal,
-            used_subsets=tuple(sorted(used)),
             max_act=max_act,
         )
 
@@ -552,8 +548,10 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
     """Price ``$(0) + sum_l C(d,l) n_l $(l)`` and check the closed-form budget.
 
     The budget is ``$(0) + $(m1) max(L, L^{m1}) R^{1+tau} / eps^{2 tau}``.
-    Both sides are assembled in log space, so cardinality strata whose cost
-    exceeds double range still compare correctly.
+    Both sides are compared in log space, so cardinality strata whose cost
+    exceeds double range still compare correctly.  Within double range
+    ``exact`` is the compensated sum of the terms themselves, with exact
+    integer binomials, so an integer cost is reproduced exactly.
 
     Raises
     ------
@@ -585,7 +583,17 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
         )
     log_bound = float(logsumexp(log_bound_terms))
 
-    exact = math.exp(log_exact) if log_exact < 709.0 else math.inf
+    if log_exact < 709.0:
+        exact = math.fsum(
+            [eval_cost(model, 0)]
+            + [
+                math.comb(d, row.cardinality) * row.n_l * eval_cost(model, row.cardinality)
+                for row in plan.rows
+                if row.n_l > 0
+            ]
+        )
+    else:
+        exact = math.inf
     bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
     within = log_exact <= log_bound + 1e-12
     if not within:

@@ -10,7 +10,8 @@ complexity  complexity grid plus tractability fits
 table       reproduce the factorial-majorant reference table
 mc-check    Monte Carlo cross-check of exact truncation errors
 
-Exit codes: 0 on success, 2 when a reference check fails, 1 on usage errors.
+Each subcommand accepts only the flags it reads.  Exit codes: 0 on success,
+2 when a reference check fails, 1 on usage errors.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import sys
 
 from .cda import build_plan, price_plan
 from .cost import CostModel, complexity_curve, tractability_classify
-from .errors import ActiveVarsError
+from .errors import ActiveVarsError, InvalidModelError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
-    RunConfig,
     mc_l2_error,
     single_subset_function,
     table_check,
@@ -36,6 +36,7 @@ from .optimal import optimal_algorithm
 from .space import g_norm_exact
 from .spectrum import (
     KernelSpec,
+    Spectrum,
     build_spectrum,
     power_sum,
     spectrum_to_json,
@@ -67,17 +68,21 @@ def _parse_kernel(text: str) -> tuple[str, float | None, str | None]:
     )
 
 
-def _parse_cost(text: str) -> tuple[str, float]:
+def _parse_cost(text: str) -> CostModel:
     if text == "constant":
-        return "constant", 0.0
-    for prefix, family in (
-        ("poly:", "polynomial"),
-        ("exp:", "exponential"),
-        ("doubleexp:", "double_exponential"),
-        ("linfloor:", "linear_floor"),
+        return CostModel(family="constant")
+    for prefix, family, param in (
+        ("poly:", "polynomial", "q"),
+        ("exp:", "exponential", "q"),
+        ("doubleexp:", "double_exponential", "q"),
+        ("linfloor:", "linear_floor", "c"),
     ):
         if text.startswith(prefix):
-            return family, float(text.split(":", 1)[1])
+            value = float(text.split(":", 1)[1])
+            try:
+                return CostModel(family=family, **{param: value})
+            except InvalidModelError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"unknown cost model {text!r}")
 
 
@@ -89,51 +94,29 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    kernel, r, custom_path = args.kernel
-    cost_family, cost_param = getattr(args, "cost", ("constant", 0.0))
-    return RunConfig(
-        subcommand=args.subcommand,
-        kernel=kernel,
-        r=r,
-        custom_path=custom_path,
-        c0sq_mode="paper_bound" if args.c0sq_mode == "paper" else "exact",
-        n_eigenvalues=args.n_eigenvalues,
-        eps_grid=tuple(getattr(args, "eps_grid", ()) or ()),
-        d_grid=tuple(getattr(args, "d_grid", ()) or ()),
-        tau=getattr(args, "tau", None),
-        cost=cost_family,
-        cost_param=cost_param,
-        c_const=getattr(args, "c_const", 1.0),
-        seed=args.seed,
-        samples=getattr(args, "samples", 100_000),
-        trials=getattr(args, "trials", 50),
-        top=getattr(args, "top", 10),
-        out=args.out,
-        fmt=args.format,
-    )
-
-
-def _spectrum_from_config(cfg: RunConfig):
-    if cfg.kernel == "wiener":
-        spec = KernelSpec(kind="wiener")
-    elif cfg.kernel == "korobov":
-        spec = KernelSpec(kind="korobov", r=cfg.r)
+def _spectrum(args: argparse.Namespace) -> Spectrum:
+    kind, r, custom_path = args.kernel
+    if kind == "custom":
+        with open(custom_path) as fh:
+            spec = KernelSpec(kind="custom", eigenvalues=tuple(json.load(fh)))
     else:
-        with open(cfg.custom_path) as fh:
-            values = json.load(fh)
-        spec = KernelSpec(kind="custom", eigenvalues=tuple(values))
-    return build_spectrum(spec, cfg.n_eigenvalues, cfg.c0sq_mode)
+        spec = KernelSpec(kind=kind, r=r)
+    c0sq_mode = "paper_bound" if args.c0sq_mode == "paper" else "exact"
+    return build_spectrum(spec, args.n_eigenvalues, c0sq_mode)
 
 
-def _cost_model(cfg: RunConfig) -> CostModel:
-    if cfg.cost == "linear_floor":
-        return CostModel(family="linear_floor", c=cfg.cost_param)
-    return CostModel(family=cfg.cost, q=cfg.cost_param)
+def _write(out: str | None, text: str) -> None:
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
-def _emit(cfg: RunConfig, header: list[str], rows: list[list], summary: dict) -> None:
-    if cfg.fmt == "json":
+def _emit(
+    args: argparse.Namespace, header: list[str], rows: list[list], summary: dict
+) -> None:
+    if args.format == "json":
         text = json.dumps(
             {"rows": [dict(zip(header, row)) for row in rows], "summary": summary},
             sort_keys=True,
@@ -147,44 +130,34 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list], summary: dict) ->
         writer.writerow(header)
         writer.writerows(rows)
         text = buf.getvalue().rstrip("\n")
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args.out, text)
 
 
 # -- subcommand implementations ----------------------------------------------
 
 
-def _run_bounds(cfg: RunConfig) -> int:
-    s = _spectrum_from_config(cfg)
+def _run_bounds(args: argparse.Namespace) -> int:
+    s = _spectrum(args)
     rows = []
-    for d in cfg.d_grid:
-        for eps in cfg.eps_grid:
-            rep = truncation_level(eps, d, s.c0sq, c_const=cfg.c_const)
+    for d in args.d_grid:
+        for eps in args.eps_grid:
+            rep = truncation_level(eps, d, s.c0sq, c_const=args.c_const)
             rows.append(
                 [eps, d, rep.level, rep.tail_at_level, rep.majorant_ceil, rep.orthogonal_level]
             )
-    _emit(cfg, ["epsilon", "d", "m1", "tail_at_m1", "ceil_big_m", "m2"], rows, {})
+    _emit(args, ["epsilon", "d", "m1", "tail_at_m1", "ceil_big_m", "m2"], rows, {})
     return 0
 
 
-def _run_spectrum(cfg: RunConfig) -> int:
-    s = _spectrum_from_config(cfg)
-    text = spectrum_to_json(s)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _run_spectrum(args: argparse.Namespace) -> int:
+    _write(args.out, spectrum_to_json(_spectrum(args)))
     return 0
 
 
-def _run_cda(cfg: RunConfig, epsilon: float, d: int) -> int:
-    s = _spectrum_from_config(cfg)
-    plan = build_plan(epsilon, d, s, tau=cfg.tau)
-    price = price_plan(plan, _cost_model(cfg))
+def _run_cda(args: argparse.Namespace) -> int:
+    s = _spectrum(args)
+    plan = build_plan(args.epsilon, args.d, s, tau=args.tau)
+    price = price_plan(plan, args.cost)
     rows = [[row.cardinality, row.eps_l, row.n_l] for row in plan.rows]
     summary = {
         "epsilon": plan.epsilon,
@@ -199,16 +172,17 @@ def _run_cda(cfg: RunConfig, epsilon: float, d: int) -> int:
         "log_exact_cost": price.log_exact,
         "log_bound_cost": price.log_bound,
     }
-    _emit(cfg, ["cardinality", "eps_l", "n_l"], rows, summary)
+    _emit(args, ["cardinality", "eps_l", "n_l"], rows, summary)
     return 0
 
 
-def _run_optimal(cfg: RunConfig, epsilon: float, d: int) -> int:
-    s = _spectrum_from_config(cfg)
-    alg = optimal_algorithm(epsilon, d, s, c_const=cfg.c_const)
+def _run_optimal(args: argparse.Namespace) -> int:
+    s = _spectrum(args)
+    epsilon, d, tau = args.epsilon, args.d, args.tau
+    alg = optimal_algorithm(epsilon, d, s, c_const=args.c_const)
     rows = [
         [e.cardinality, ":".join(map(str, e.indices)), e.value, e.multiplicity]
-        for e in alg.entries[: cfg.top]
+        for e in alg.entries[: args.top]
     ]
     summary = {
         "epsilon": epsilon,
@@ -218,24 +192,21 @@ def _run_optimal(cfg: RunConfig, epsilon: float, d: int) -> int:
         "max_act": alg.max_act,
         "m2_ceiling": alg.m2_ceiling,
     }
-    if cfg.tau is not None:
-        ltau = power_sum(s, cfg.tau)
+    if tau is not None:
+        ltau = power_sum(s, tau)
         summary["n_cap"] = (
             math.ceil(
-                math.exp(ltau * d ** (1.0 - cfg.tau))
-                * alg.epsilon_effective ** (-2.0 * cfg.tau)
+                math.exp(ltau * d ** (1.0 - tau)) * alg.epsilon_effective ** (-2.0 * tau)
             )
             - 1
         )
-    _emit(cfg, ["cardinality", "indices", "eigenvalue", "multiplicity"], rows, summary)
+    _emit(args, ["cardinality", "indices", "eigenvalue", "multiplicity"], rows, summary)
     return 0
 
 
-def _run_complexity(cfg: RunConfig) -> int:
-    s = _spectrum_from_config(cfg)
-    tau = cfg.tau if cfg.tau is not None else 1.0
+def _run_complexity(args: argparse.Namespace) -> int:
     report = complexity_curve(
-        s, cfg.c_const, _cost_model(cfg), cfg.eps_grid, cfg.d_grid, tau=tau
+        _spectrum(args), args.c_const, args.cost, args.eps_grid, args.d_grid, tau=args.tau
     )
     rows = [
         [p.d, p.epsilon, p.comp, p.bound, p.n_terms, p.max_act, int(p.within_bound)]
@@ -256,7 +227,7 @@ def _run_complexity(cfg: RunConfig) -> int:
         "flags": list(report.flags),
     }
     _emit(
-        cfg,
+        args,
         ["d", "epsilon", "comp", "bound", "n_terms", "max_act", "within_bound"],
         rows,
         summary,
@@ -264,10 +235,10 @@ def _run_complexity(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_table(cfg: RunConfig) -> int:
+def _run_table(args: argparse.Namespace) -> int:
     rows, diffs = table_check()
     _emit(
-        cfg,
+        args,
         ["q", "ceil_majorant", "expected"],
         [[q, got, want] for (q, got), want in zip(rows, GOLDEN_MAJORANT_CEILINGS)],
         {"mismatches": diffs} if diffs else {},
@@ -279,30 +250,30 @@ def _run_table(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_mc_check(cfg: RunConfig, d: int) -> int:
-    s = _spectrum_from_config(cfg)
+def _run_mc_check(args: argparse.Namespace) -> int:
+    s = _spectrum(args)
     if s.kind == "wiener":
         print("mc-check needs a kernel with orthogonal embedded norms", file=sys.stderr)
         return USAGE_ERROR
+    d, trials = args.d, args.trials
     rows = []
     inside = 0
-    for trial in range(cfg.trials):
-        rng_seed = cfg.seed + trial
+    for trial in range(trials):
         u = tuple(range(1, min(2, d) + 1))
         k = tuple([1 + (trial % 3)] * len(u))
         f = single_subset_function(d, u, k, value=1.0)
         approx = single_subset_function(d, u, k, value=0.0)
         exact = g_norm_exact(f, s, orthogonal=True).value
-        est, se = mc_l2_error(f, approx, s, samples=cfg.samples, seed=rng_seed)
+        est, se = mc_l2_error(f, approx, s, samples=args.samples, seed=args.seed + trial)
         ok = abs(exact - est) <= 3.0 * se if se > 0 else exact == est
         inside += int(ok)
         rows.append([trial, exact, est, se, int(ok)])
-    needed = math.ceil(0.94 * cfg.trials)
+    needed = math.ceil(0.94 * trials)
     _emit(
-        cfg,
+        args,
         ["trial", "exact", "estimate", "std_error", "inside_3_sigma"],
         rows,
-        {"inside": inside, "trials": cfg.trials, "needed": needed},
+        {"inside": inside, "trials": trials, "needed": needed},
     )
     return 0 if inside >= needed else CHECK_FAILED
 
@@ -310,57 +281,55 @@ def _run_mc_check(cfg: RunConfig, d: int) -> int:
 # -- argument wiring -----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", type=_parse_kernel, default=("wiener", None, None))
-    p.add_argument("--c0sq-mode", choices=("exact", "paper"), default="exact")
-    p.add_argument("--n-eigenvalues", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="activevars", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("bounds")
-    _add_common(p)
+    def add(name, run, spectrum: bool = True, fmt: bool = True) -> argparse.ArgumentParser:
+        """A subparser for ``run`` with the spectrum and output flags it reads."""
+        p = sub.add_parser(name)
+        p.set_defaults(run=run)
+        if spectrum:
+            p.add_argument("--kernel", type=_parse_kernel, default="wiener")
+            p.add_argument("--c0sq-mode", choices=("exact", "paper"), default="exact")
+            p.add_argument("--n-eigenvalues", type=int, default=10_000)
+        p.add_argument("--out", default=None)
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
+
+    p = add("bounds", _run_bounds)
     p.add_argument("--eps-grid", type=_floats, required=True)
     p.add_argument("--d-grid", type=_ints, required=True)
     p.add_argument("--c-const", type=float, default=1.0)
 
-    p = sub.add_parser("spectrum")
-    _add_common(p)
+    add("spectrum", _run_spectrum, fmt=False)
 
-    p = sub.add_parser("cda")
-    _add_common(p)
+    p = add("cda", _run_cda)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--cost", type=_parse_cost, default=("constant", 0.0))
+    p.add_argument("--cost", type=_parse_cost, default="constant")
 
-    p = sub.add_parser("optimal")
-    _add_common(p)
+    p = add("optimal", _run_optimal)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--c-const", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--top", type=int, default=10)
 
-    p = sub.add_parser("complexity")
-    _add_common(p)
+    p = add("complexity", _run_complexity)
     p.add_argument("--eps-grid", type=_floats, required=True)
     p.add_argument("--d-grid", type=_ints, required=True)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--cost", type=_parse_cost, default=("constant", 0.0))
+    p.add_argument("--cost", type=_parse_cost, default="constant")
     p.add_argument("--c-const", type=float, default=1.0)
 
-    p = sub.add_parser("table")
-    _add_common(p)
+    add("table", _run_table, spectrum=False)
 
-    p = sub.add_parser("mc-check")
-    _add_common(p)
+    p = add("mc-check", _run_mc_check)
     p.add_argument("--d", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--trials", type=int, default=50)
 
@@ -374,26 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        cfg = _build_config(args)
-        if cfg.subcommand == "bounds":
-            return _run_bounds(cfg)
-        if cfg.subcommand == "spectrum":
-            return _run_spectrum(cfg)
-        if cfg.subcommand == "cda":
-            return _run_cda(cfg, args.epsilon, args.d)
-        if cfg.subcommand == "optimal":
-            return _run_optimal(cfg, args.epsilon, args.d)
-        if cfg.subcommand == "complexity":
-            return _run_complexity(cfg)
-        if cfg.subcommand == "table":
-            return _run_table(cfg)
-        if cfg.subcommand == "mc-check":
-            return _run_mc_check(cfg, args.d)
-        return USAGE_ERROR  # pragma: no cover
-    except ActiveVarsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+        return args.run(args)
+    except (ActiveVarsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -22,6 +22,7 @@ from .errors import (
     InvalidModelError,
     TailCertificateError,
 )
+from .optimal import TensorEigenStream
 from .spectrum import Spectrum, power_sum
 from .truncation import orthogonal_truncation_level
 
@@ -327,17 +328,10 @@ def _price_spectral_algorithm(
     spectrum: Spectrum, d: int, eps: float, model: CostModel
 ) -> tuple[float, int, int]:
     """Exact priced cost ``sum $(|u|)`` over all tensor eigenvalues above ``eps^2``."""
-    from .optimal import TensorEigenStream
-
-    stream = TensorEigenStream(d, spectrum)
-    stream.require_certified(eps)
-    thr = eps * eps
     cost_terms: list[float] = []
     n_terms = 0
     max_act = 0
-    for entry in stream:
-        if entry.value <= thr:
-            break
+    for entry in TensorEigenStream(d, spectrum).above(eps):
         cost_terms.append(entry.multiplicity * eval_cost(model, entry.cardinality))
         n_terms += entry.multiplicity
         max_act = max(max_act, entry.cardinality)

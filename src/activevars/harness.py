@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .spectrum import Spectrum
 from .truncation import factorial_majorant
 
 __all__ = [
-    "RunConfig",
     "GOLDEN_MAJORANT_CEILINGS",
     "majorant_table",
     "table_check",
@@ -43,40 +41,6 @@ MEAN_INDEX_BOUND = 768
 # that product, not on the dimension: at the 6-14 ns per product measured
 # on one Xeon core, 1e9 of them take 6-14 s.
 _MC_WORK_BUDGET = 10**9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully deterministic description of one CLI run.
-
-    The seed determines every random draw; two runs with equal configs
-    produce identical output files.
-    """
-
-    subcommand: str
-    kernel: str = "wiener"
-    r: float | None = None
-    custom_path: str | None = None
-    c0sq_mode: str = "exact"
-    n_eigenvalues: int = 10_000
-    eps_grid: tuple[float, ...] = ()
-    d_grid: tuple[int, ...] = ()
-    tau: float | None = None
-    cost: str = "constant"
-    cost_param: float = 1.0
-    c_const: float = 1.0
-    seed: int = 0
-    samples: int = 100_000
-    trials: int = 50
-    top: int = 10
-    out: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.subcommand in ("bounds", "complexity") and (
-            not self.eps_grid or not self.d_grid
-        ):
-            raise InvalidArgumentError(f"{self.subcommand} needs nonempty grids")
 
 
 def majorant_table(c0sq: float = 0.5) -> list[tuple[int, int]]:

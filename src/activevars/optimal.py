@@ -127,7 +127,8 @@ class TensorEigenStream:
         self._heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, ())]
         self._seen: set[tuple[int, tuple[int, ...]]] = {(0, ())}
         self._last_value = math.inf
-        self.emitted = 0
+        # Value of the first entry :meth:`above` stopped at (0 until one is).
+        self.first_excluded = 0.0
 
     # -- certification -------------------------------------------------
 
@@ -154,6 +155,11 @@ class TensorEigenStream:
         key = (cardinality, indices)
         if key in self._seen:
             return
+        if len(self._seen) >= ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"the stream would visit more than {ENUMERATION_CAP} labels, the "
+                "enumeration cap: every visited label stays in memory"
+            )
         self._seen.add(key)
         # Canonical multiplication order (eigenvalues nonincreasing, then the
         # 1/d factors) keeps equal labels bit-identical across code paths.
@@ -183,7 +189,6 @@ class TensorEigenStream:
         if value > self._last_value * (1.0 + 1e-12):  # pragma: no cover
             raise CertificationError("eigenvalue stream emitted an increasing value")
         self._last_value = value
-        self.emitted += 1
         multiplicity = math.comb(self.d, cardinality) * arrangement_count(indices)
         return EigenEntry(
             value=value,
@@ -191,6 +196,22 @@ class TensorEigenStream:
             indices=indices,
             multiplicity=multiplicity,
         )
+
+    def above(self, epsilon: float) -> Iterator[EigenEntry]:
+        """Entries with value strictly above ``epsilon^2``, largest first.
+
+        The demand is certified (:meth:`require_certified`) before the
+        first entry.  The first entry at or below ``epsilon^2`` is popped
+        too, and its value kept as :attr:`first_excluded`; that attribute
+        stays 0 when the stream runs out first.
+        """
+        self.require_certified(epsilon)
+        thr = epsilon * epsilon
+        for entry in self:
+            if entry.value <= thr:
+                self.first_excluded = entry.value
+                return
+            yield entry
 
     def next_eigenvalue(self) -> DistinctEigenvalue:
         """Next distinct value, merging all labels that share it.
@@ -221,15 +242,7 @@ def eigencount(epsilon: float, d: int, spectrum: Spectrum) -> int:
     """
     if not (0.0 < epsilon <= 1.0):
         raise InvalidArgumentError("epsilon must lie in (0, 1]")
-    stream = TensorEigenStream(d, spectrum)
-    stream.require_certified(epsilon)
-    thr = epsilon * epsilon
-    count = 0
-    for entry in stream:
-        if entry.value <= thr:
-            break
-        count += entry.multiplicity
-    return count
+    return sum(e.multiplicity for e in TensorEigenStream(d, spectrum).above(epsilon))
 
 
 @dataclass(frozen=True)
@@ -280,19 +293,8 @@ def optimal_algorithm(
         )
     eps_eff = epsilon / math.sqrt(c_const)
     stream = TensorEigenStream(d, spectrum)
-    stream.require_certified(eps_eff)
-    thr = eps_eff * eps_eff
-    entries: list[EigenEntry] = []
-    n_terms = 0
-    max_act = 0
-    worst = 0.0
-    for entry in stream:
-        if entry.value <= thr:
-            worst = math.sqrt(entry.value)
-            break
-        entries.append(entry)
-        n_terms += entry.multiplicity
-        max_act = max(max_act, entry.cardinality)
+    entries = tuple(stream.above(eps_eff))
+    max_act = max((e.cardinality for e in entries), default=0)
     if eps_eff < 1.0:
         m2 = orthogonal_truncation_level(eps_eff, d, spectrum.c0sq, 1.0)
     else:
@@ -305,9 +307,9 @@ def optimal_algorithm(
         epsilon=epsilon,
         epsilon_effective=eps_eff,
         d=d,
-        entries=tuple(entries),
-        n_terms=n_terms,
-        worst_case_error=worst,
+        entries=entries,
+        n_terms=sum(e.multiplicity for e in entries),
+        worst_case_error=math.sqrt(stream.first_excluded),
         max_act=max_act,
         m2_ceiling=m2,
     )

@@ -362,6 +362,20 @@ class TestPrice:
                 pr = price_plan(plan, CostModel(family="constant"))
                 assert pr.log_exact == pytest.approx(math.log(exact), abs=1e-12)
 
+    def test_integer_costs_are_reproduced_exactly(self, wiener):
+        s = build_spectrum(custom_kernel([0.9, 0.6, 0.5, 0.3, 0.2, 0.1]))
+        plan = build_plan(0.05, 3, s)
+        direct = 1 + sum(math.comb(3, r.cardinality) * r.n_l for r in plan.rows)
+        assert direct == 28132
+        assert price_plan(plan, CostModel(family="constant")).exact == direct
+        # Past 2^53 the sum of the integer strata is correctly rounded.
+        for d in (10**5, 10**6):
+            for q in (3, 5, 8):
+                plan = build_plan(10.0**-q, d, wiener)
+                direct = 1 + sum(math.comb(d, r.cardinality) * r.n_l for r in plan.rows)
+                pr = price_plan(plan, CostModel(family="constant"))
+                assert pr.exact == pytest.approx(float(direct), rel=2.0**-52)
+
     def test_exponential_cost_scales_strata(self, korobov1):
         plan = build_plan(0.01, 4, korobov1, tau=1.0)
         direct = math.e**0 + math.fsum(

@@ -1,8 +1,16 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+import math
+import shlex
+from pathlib import Path
 
+import pytest
+
+from activevars import CostModel, build_spectrum, eval_cost, korobov_kernel, power_sum
 from activevars.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -47,7 +55,59 @@ class TestBounds:
         assert code == 1
 
 
+class TestSpectrum:
+    def test_stdout_and_out_file_carry_the_same_document(self, capsys, tmp_path):
+        argv = ["spectrum", "--kernel", "korobov:1", "--n-eigenvalues", "50"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["N"] == 50 and doc["kind"] == "korobov"
+        assert len(doc["eigenvalues"]) == 50
+        target = tmp_path / "s.json"
+        code, out_file_run, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert out_file_run == ""
+        assert target.read_text() == out
+
+
 class TestCda:
+    @pytest.mark.parametrize(
+        "cost, model",
+        [
+            ("constant", CostModel(family="constant")),
+            ("poly:2", CostModel(family="polynomial", q=2.0)),
+            ("exp:1", CostModel(family="exponential", q=1.0)),
+            ("doubleexp:0.5", CostModel(family="double_exponential", q=0.5)),
+            ("linfloor:2", CostModel(family="linear_floor", c=2.0)),
+        ],
+    )
+    def test_each_cost_family_prices_the_printed_plan(self, capsys, cost, model):
+        code, out, _ = run(
+            capsys,
+            "cda",
+            "--epsilon",
+            "0.01",
+            "--d",
+            "10",
+            "--kernel",
+            "korobov:1",
+            "--cost",
+            cost,
+            "--format",
+            "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        direct = math.fsum(
+            [eval_cost(model, 0)]
+            + [
+                math.comb(10, r["cardinality"]) * r["n_l"] * eval_cost(model, r["cardinality"])
+                for r in doc["rows"]
+            ]
+        )
+        assert doc["summary"]["exact_cost"] == direct
+        assert doc["summary"]["exact_cost"] <= doc["summary"]["bound_cost"]
+
     def test_json_summary(self, capsys):
         code, out, _ = run(
             capsys,
@@ -89,9 +149,88 @@ class TestOptimal:
         assert doc["summary"]["n"] == 3
         assert doc["summary"]["worst_case_error"] == 0.25
         assert doc["summary"]["max_act"] == 1
+        assert "n_cap" not in doc["summary"]
+
+    def test_n_cap_is_the_closed_form_term_bound(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "optimal",
+            "--epsilon",
+            "0.1",
+            "--d",
+            "4",
+            "--kernel",
+            "korobov:1",
+            "--tau",
+            "1.5",
+            "--c-const",
+            "2",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        ltau = power_sum(build_spectrum(korobov_kernel(1.0), 10_000), 1.5)
+        eps_eff = 0.1 / math.sqrt(2.0)
+        want = math.ceil(math.exp(ltau * 4 ** (1.0 - 1.5)) * eps_eff ** (-3.0)) - 1
+        assert summary["n_cap"] == want == 2842
+        assert summary["n"] <= summary["n_cap"]
 
 
 class TestComplexity:
+    def test_wiener_grid_carries_cda_upper_bounds(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "complexity",
+            "--eps-grid",
+            "0.1,0.01",
+            "--d-grid",
+            "2,5",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["summary"]["flags"] == ["comp values are cda upper bounds"]
+        for row in doc["rows"]:
+            code, cda_out, _ = run(
+                capsys,
+                "cda",
+                "--epsilon",
+                str(row["epsilon"]),
+                "--d",
+                str(row["d"]),
+                "--tau",
+                "1",
+                "--format",
+                "json",
+            )
+            assert code == 0
+            assert row["comp"] == json.loads(cda_out)["summary"]["exact_cost"]
+            assert row["comp"] == row["n_terms"] + 1  # constant cost: one per term
+            assert row["within_bound"] == 1
+
+    def test_points_below_the_tail_certificate_are_flagged(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "complexity",
+            "--kernel",
+            "korobov:1",
+            "--n-eigenvalues",
+            "100",
+            "--eps-grid",
+            "0.1,0.01,0.001",
+            "--d-grid",
+            "2,5",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        flags = next(line for line in lines if line.startswith("# flags="))
+        assert flags.count("tail certificate") == 2
+        assert "2,0.001,nan,nan,-1,-1,0" in lines
+        assert "5,0.001,nan,nan,-1,-1,0" in lines
+        assert "2,0.01,49.0,10869.040495212286,49,2,1" in lines
+
     def test_summary_fields(self, capsys):
         code, out, _ = run(
             capsys,
@@ -164,3 +303,53 @@ class TestUsageErrors:
         code, _, err = run(capsys, "mc-check", "--d", "3")
         assert code == 1
         assert "orthogonal" in err
+
+    def test_invalid_cost_model_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "cda", "--epsilon", "0.01", "--d", "10", "--cost", "poly:-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "q must be >= 0 to keep $ monotone" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--seed", "3"],
+            ["table", "--kernel", "korobov:1"],
+            ["table", "--c0sq-mode", "paper"],
+            ["table", "--n-eigenvalues", "5"],
+            ["spectrum", "--format", "json"],
+            ["spectrum", "--seed", "1"],
+            ["bounds", "--eps-grid", "0.1", "--d-grid", "2", "--seed", "1"],
+            ["cda", "--epsilon", "0.1", "--d", "2", "--seed", "1"],
+            ["optimal", "--epsilon", "0.1", "--d", "2", "--kernel", "korobov:1", "--seed", "1"],
+            ["complexity", "--eps-grid", "0.1", "--d-grid", "2", "--seed", "1"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``activevars ...`` command in README's ``## CLI`` code block."""
+    text = README.read_text()
+    section = text.split("## CLI", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("activevars ")
+    ]
+
+
+def test_readme_cli_examples_run(capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "table", "bounds", "spectrum", "cda", "optimal", "complexity", "mc-check"
+    }
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv

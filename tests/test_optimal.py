@@ -14,11 +14,13 @@ from activevars import (
     custom_kernel,
     eigencount,
     eigenvalue_decay_bound,
+    korobov_kernel,
     optimal_algorithm,
     orthogonal_truncation_level,
     power_sum,
     power_sum_identity,
 )
+from activevars import optimal
 from activevars.errors import (
     InvalidConfigurationError,
     TailCertificateError,
@@ -120,6 +122,46 @@ class TestStream:
         s = build_spectrum(custom_kernel([3.0]))
         with pytest.raises(InvalidConfigurationError):
             TensorEigenStream(2, s)
+
+    def test_visited_labels_are_capped(self, korobov1, monkeypatch):
+        # A cap equal to the labels a sweep visits lets it finish; one less
+        # refuses it instead of growing the seen-set past the cap.
+        stream = TensorEigenStream(5, korobov1)
+        count = 0
+        for entry in stream:
+            if entry.value <= 1e-4:
+                break
+            count += entry.multiplicity
+        visited = len(stream._seen)
+        assert visited > 20
+        monkeypatch.setattr(optimal, "ENUMERATION_CAP", visited)
+        assert eigencount(0.01, 5, korobov1) == count
+        monkeypatch.setattr(optimal, "ENUMERATION_CAP", visited - 1)
+        with pytest.raises(EnumerationCapError, match="memory"):
+            eigencount(0.01, 5, korobov1)
+
+
+class TestAbove:
+    def test_yields_the_prefix_above_the_demand(self, custom_quad):
+        full = list(TensorEigenStream(2, custom_quad))
+        for eps_sq in (0.9, 0.3, 0.1, 0.01):
+            stream = TensorEigenStream(2, custom_quad)
+            got = list(stream.above(math.sqrt(eps_sq)))
+            assert got == full[: len(got)]
+            assert all(e.value > eps_sq for e in got)
+            # The entry it stopped at was popped and its value recorded.
+            assert stream.first_excluded == full[len(got)].value <= eps_sq
+            assert next(stream) == full[len(got) + 1]
+
+    def test_exhausted_stream_records_zero(self, custom_pair):
+        stream = TensorEigenStream(1, custom_pair)
+        assert [e.value for e in stream.above(1e-3)] == [1.0, 0.5, 0.125]
+        assert stream.first_excluded == 0.0
+
+    def test_uncertified_demand_is_refused(self):
+        shallow = build_spectrum(korobov_kernel(1.0), 10)
+        with pytest.raises(TailCertificateError):
+            next(TensorEigenStream(2, shallow).above(1e-6))
 
 
 class TestEigencount:
