@@ -20,11 +20,8 @@ which caps the worst-case error of the applied algorithm at
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 from scipy.special import logsumexp
@@ -36,7 +33,7 @@ from .errors import (
     EnumerationCapError,
     InvalidArgumentError,
 )
-from .optimal import ENUMERATION_CAP
+from .optimal import ENUMERATION_CAP, arrangement_count
 from .space import AnovaFunction
 from .spectrum import Spectrum, power_sum
 from .truncation import truncation_level
@@ -216,14 +213,14 @@ class _RankOracle:
 
     The eigenbasis of an ``l``-fold tensor space is ordered by nonincreasing
     eigenvalue product, ties broken by lexicographically smallest ordered
-    multi-index.  Cardinality 1 reduces to an index comparison.  Higher
-    cardinalities locate the *cut*: the value of the product class that
-    holds the ``n``-th ordered multi-index.  Products above it are kept,
-    products below it dropped, and of the cut class only the ``room``
-    lexicographically first ordered multi-indices are kept (all of them
-    when the class fits).  A value is the left-to-right product of the
-    sorted multi-index over the spectrum's table, as
-    :meth:`Spectrum.eigen_product` computes it.
+    multi-index.  Cardinality 1 reduces to an index comparison, which holds
+    beyond the table too.  Higher cardinalities keep one key: ``(-cut,
+    last)``, where ``last`` is the ``n``-th ordered multi-index and ``cut``
+    its product.  A multi-index inside the table is kept exactly when
+    ``(-product, multi-index)`` comes no later than the key; one outside the
+    table is never kept.  A value is the left-to-right product of the sorted
+    multi-index over the spectrum's table, as :meth:`Spectrum.eigen_product`
+    computes it.
 
     The cut is found without a frontier: :func:`_multisets_at_least`
     generates, in numpy, every sorted multiset whose product reaches a
@@ -233,8 +230,9 @@ class _RankOracle:
     and the last bound short of the budget instead.  The ranking is
     refused when more than ``ENUMERATION_CAP`` multisets reach the cut
     (all of them when the budget exhausts the space): those are the
-    multisets a best-first walk would visit.  Only the cut value and the
-    kept part of a split cut class remain afterwards.
+    multisets a best-first walk would visit.  ``last`` is then unranked
+    within the cut class by :func:`_unrank`.  A budget that exhausts the
+    space keys ``(inf,)``, a budget of at most 0 ``(-inf,)``.
     """
 
     def __init__(self, spectrum: Spectrum, cardinality: int, budget: int) -> None:
@@ -242,9 +240,7 @@ class _RankOracle:
         self.cardinality = cardinality
         self.budget = budget
         self._table = spectrum.table()
-        self._cut = math.inf
-        self._boundary: frozenset[tuple[int, ...]] | None = None
-        self._exhausted = False
+        self._key: tuple = (-math.inf,)
         if cardinality >= 2 and budget > 0:
             self._rank()
 
@@ -255,11 +251,10 @@ class _RankOracle:
         neg_pow = [-lam]
         for _ in range(1, l):
             neg_pow.append(neg_pow[-1] * lam)
-        top = self.spectrum.eigen_product((1,) * l)
         bottom = self.spectrum.eigen_product((len(lam),) * l)
         seen: list[tuple[float, int]] = []  # bounds short of the budget, counts
         lo = None  # a bound whose candidates passed the cap
-        t = top
+        t = self.spectrum.eigen_product((1,) * l)
         while True:
             got = _multisets_at_least(lam, neg_pow, t, 2 * ENUMERATION_CAP)
             if got is not None:
@@ -270,7 +265,7 @@ class _RankOracle:
                     held = self._cut_at(rows, values, counts)
                     break
                 if t <= bottom:
-                    self._exhausted = True
+                    self._key = (math.inf,)
                     held = len(values)
                     break
                 seen.append((t, total))
@@ -295,27 +290,16 @@ class _RankOracle:
             )
 
     def _cut_at(self, rows: np.ndarray, values: np.ndarray, counts: np.ndarray) -> int:
-        """Record the cut and boundary; return the multisets at or above the cut."""
+        """Key the ``budget``-th ordered multi-index; return the multisets at or above its cut."""
         order = np.argsort(-values, kind="stable")
-        cum = np.cumsum(counts[order])
-        cut = values[order[int(np.searchsorted(cum, self.budget))]]
+        cut = values[order[int(np.searchsorted(np.cumsum(counts[order]), self.budget))]]
         room = self.budget - int(counts[values > cut].sum())
-        in_class = values == cut
-        self._cut = float(cut)
-        if room < int(counts[in_class].sum()):
-            # Distinct multisets have disjoint orderings, so merging their
-            # lexicographic streams yields the class in lexicographic order.
-            merged = heapq.merge(*map(_orderings, rows[in_class].tolist()))
-            self._boundary = frozenset(islice(merged, room))
+        self._key = (-float(cut), _unrank(rows[values == cut].tolist(), room))
         return int(np.count_nonzero(values >= cut))
 
     def retained(self, k: tuple[int, ...]) -> bool:
-        if self.budget <= 0:
-            return False
         if self.cardinality == 1:
             return k[0] <= self.budget
-        if self._exhausted:
-            return True
         ms = sorted(k)
         if ms[0] < 1 or ms[-1] > self.spectrum.n_eigenvalues:
             return False
@@ -323,9 +307,26 @@ class _RankOracle:
         v = 1.0
         for i in ms:
             v *= self._table[i - 1]
-        if v != self._cut:
-            return v > self._cut
-        return self._boundary is None or tuple(k) in self._boundary
+        return (-v, tuple(k)) <= self._key
+
+
+def _unrank(rests: list[list[int]], rank: int) -> tuple[int, ...]:
+    """The ``rank``-th (from 1) lexicographic ordering of distinct sorted multisets.
+
+    Positions are fixed left to right; each candidate value, smallest first,
+    skips the orderings that start with it until one holds the ``rank``-th.
+    """
+    prefix = []
+    while rests[0]:
+        for v in sorted({i for ms in rests for i in ms}):
+            tails = [ms[: ms.index(v)] + ms[ms.index(v) + 1 :] for ms in rests if v in ms]
+            count = sum(map(arrangement_count, tails))
+            if rank <= count:
+                break
+            rank -= count
+        prefix.append(v)
+        rests = tails
+    return tuple(prefix)
 
 
 def _multisets_at_least(
@@ -368,27 +369,6 @@ def _multisets_at_least(
         values = values[parent] * lam[cols[-1]]
     keep = values >= t
     return np.stack([c[keep] + 1 for c in cols], axis=1), values[keep]
-
-
-def _orderings(ms: list[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct orderings of the sorted list ``ms``, lexicographically increasing.
-
-    Each step is the next permutation, made in place on ``ms``: swap the
-    rightmost ascent with the smallest larger entry after it, then reverse
-    the tail.
-    """
-    while True:
-        yield tuple(ms)
-        i = len(ms) - 2
-        while i >= 0 and ms[i] >= ms[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(ms) - 1
-        while ms[j] <= ms[i]:
-            j -= 1
-        ms[i], ms[j] = ms[j], ms[i]
-        ms[i + 1 :] = ms[:i:-1]
 
 
 def _arrangement_counts(rows: np.ndarray) -> np.ndarray:

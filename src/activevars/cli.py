@@ -25,7 +25,7 @@ import sys
 
 from .cda import build_plan, price_plan
 from .cost import CostModel, complexity_curve, tractability_classify
-from .errors import ActiveVarsError, InvalidModelError
+from .errors import ActiveVarsError, InvalidArgumentError, InvalidModelError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
     mc_l2_error,
@@ -94,11 +94,29 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _spectrum(args: argparse.Namespace) -> Spectrum:
     kind, r, custom_path = args.kernel
     if kind == "custom":
         with open(custom_path) as fh:
-            spec = KernelSpec(kind="custom", eigenvalues=tuple(json.load(fh)))
+            try:
+                values = json.load(fh)
+            except ValueError as exc:
+                raise InvalidArgumentError(f"{custom_path} is not JSON: {exc}") from exc
+        if type(values) is not list or any(type(v) not in (int, float) for v in values):
+            raise InvalidArgumentError(f"{custom_path} must hold a JSON list of numbers")
+        spec = KernelSpec(kind="custom", eigenvalues=tuple(values))
     else:
         spec = KernelSpec(kind=kind, r=r)
     c0sq_mode = "paper_bound" if args.c0sq_mode == "paper" else "exact"
@@ -253,8 +271,7 @@ def _run_table(args: argparse.Namespace) -> int:
 def _run_mc_check(args: argparse.Namespace) -> int:
     s = _spectrum(args)
     if s.kind == "wiener":
-        print("mc-check needs a kernel with orthogonal embedded norms", file=sys.stderr)
-        return USAGE_ERROR
+        raise InvalidArgumentError("mc-check needs a kernel with orthogonal embedded norms")
     d, trials = args.d, args.trials
     rows = []
     inside = 0
@@ -316,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--c-const", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_at_least(0), default=10)
 
     p = add("complexity", _run_complexity)
     p.add_argument("--eps-grid", type=_floats, required=True)
@@ -330,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mc-check", _run_mc_check)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--samples", type=_at_least(2), default=100_000)
+    p.add_argument("--trials", type=_at_least(1), default=50)
 
     return parser
 

@@ -175,7 +175,7 @@ def complexity_curve(
     Points whose demand falls below the spectrum's tail certificate are
     flagged and excluded from fits rather than failing the whole curve.
     """
-    if c_const < 1.0:
+    if not c_const >= 1.0:
         raise InvalidArgumentError("orthogonality constant must be >= 1")
     eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
     d_grid = tuple(sorted(int(d) for d in d_grid))

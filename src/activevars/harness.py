@@ -185,13 +185,15 @@ def mc_l2_error(
     the points drawn.  Its cost is
     ``sum_u |u| (coefficients on u) * samples`` term-point products, and
     runs above 10^9 of them are refused before any sample is drawn; the
-    dimension itself is not limited.
+    dimension itself is not limited.  Runs of fewer than 2 samples are refused.
 
     Raises
     ------
     UnsupportedScaleError
         If the run would exceed 10^9 term-point products.
     """
+    if samples < 2:
+        raise InvalidArgumentError("samples must be at least 2")
     if f.d != approx.d:
         raise InvalidArgumentError("functions live in different dimensions")
     diff = _difference(f, approx)

@@ -275,7 +275,7 @@ def build_spectrum(
     InvalidArgumentError
         If ``n_eigenvalues < 1`` or the mode/kernel pairing is invalid.
     InvalidSpectrumError
-        If a custom list is not positive and nonincreasing.
+        If a custom list is empty, or not positive, finite and nonincreasing.
     """
     if n_eigenvalues < 1:
         raise InvalidArgumentError("n_eigenvalues must be >= 1")
@@ -317,8 +317,8 @@ def build_spectrum(
         )
 
     values = spec.eigenvalues
-    if any(v <= 0 for v in values):
-        raise InvalidSpectrumError("custom eigenvalues must be positive")
+    if not values or not all(0.0 < v < math.inf for v in values):
+        raise InvalidSpectrumError("custom eigenvalues must be one or more positive finite values")
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         raise InvalidSpectrumError("custom eigenvalues must be nonincreasing")
     return Spectrum(
@@ -381,9 +381,9 @@ def power_sum(s: Spectrum, tau: float) -> float:
     DivergenceError
         If ``tau <= 1/alpha`` for an infinite spectrum (the series diverges).
     InvalidArgumentError
-        If ``tau <= 0``.
+        If ``tau`` is not positive (NaN included).
     """
-    if tau <= 0:
+    if not tau > 0:
         raise InvalidArgumentError("tau must be positive")
     if not s.is_finite and tau <= 1.0 / s.alpha:
         raise DivergenceError(

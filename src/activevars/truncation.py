@@ -183,7 +183,7 @@ def orthogonal_truncation_level(
     ``ceil(ln(C/eps^2) / ln(d/c0sq)) - 1`` and clamped to ``[0, d]``.
     """
     _check_eps_d(epsilon, d)
-    if c_const < 1.0:
+    if not c_const >= 1.0:
         raise InvalidArgumentError("orthogonality constant must be >= 1")
     log_thr = 2.0 * math.log(epsilon) - math.log(c_const)
     log_ratio = math.log(c0sq) - math.log(d)

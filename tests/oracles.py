@@ -192,12 +192,14 @@ class HeapRank:
     ``cut`` is the value of the last class popped, ``boundary`` the kept
     part of a split class (``None`` when the last class fit whole), and
     ``pops`` the number of multisets popped: every multiset down to the
-    cut, all of them when the budget exhausts the space.
+    cut, all of them when the budget exhausts the space.  A multi-index
+    outside the space is never retained, even when the budget exhausts it.
     """
 
     def __init__(self, spectrum, cardinality, budget):
         self.cardinality = cardinality
         self.budget = budget
+        self.n_max = spectrum.n_eigenvalues
         self.full = set()
         self.boundary = None
         self.cut = math.inf
@@ -245,9 +247,11 @@ class HeapRank:
             return False
         if self.cardinality == 1:
             return k[0] <= self.budget
+        k = tuple(k)
+        if min(k) < 1 or max(k) > self.n_max:
+            return False
         if self.exhausted:
             return True
-        k = tuple(k)
         return tuple(sorted(k)) in self.full or (
             self.boundary is not None and k in self.boundary
         )

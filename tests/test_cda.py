@@ -19,6 +19,7 @@ from activevars import (
     build_spectrum,
     custom_kernel,
     h_norm,
+    korobov_kernel,
     price_plan,
     r_growth_bounds,
     random_function,
@@ -27,7 +28,11 @@ from activevars import (
 from activevars import cda
 from activevars.cda import _RankOracle
 from activevars.optimal import arrangement_count
-from activevars.errors import DimensionMismatchError, DivergenceError
+from activevars.errors import (
+    DimensionMismatchError,
+    DivergenceError,
+    InvalidArgumentError,
+)
 
 import oracles
 
@@ -137,15 +142,32 @@ _tie_spectra = st.lists(
 
 
 class _BruteRank:
-    """Reference ranking over a finite index space, ties lexicographic."""
+    """Reference ranking over a finite index space, ties lexicographic.
+
+    ``last`` is the ``budget``-th ordered multi-index, ``None`` when the
+    budget is at most 0 or exhausts the space.
+    """
 
     def __init__(self, spectrum, cardinality, budget):
         tuples = list(iproduct(range(1, spectrum.n_eigenvalues + 1), repeat=cardinality))
         tuples.sort(key=lambda k: (-oracles.direct_eigen_product(spectrum, k), k))
         self.kept = set(tuples[:budget])
+        self.last = tuples[budget - 1] if 0 < budget <= len(tuples) else None
 
     def retained(self, k):
         return tuple(k) in self.kept
+
+
+def _assert_key_matches(oracle, heap):
+    """The oracle's key against the heap walk's cut and split boundary."""
+    if heap.exhausted:
+        assert oracle._key == (math.inf,)
+        return
+    assert oracle._key[0] == -heap.cut
+    if heap.boundary is not None:
+        # The boundary is the first `room` orderings of the class in
+        # lexicographic order, so the key ends on its largest.
+        assert oracle._key[1] == max(heap.boundary)
 
 
 class TestRankOracle:
@@ -172,6 +194,18 @@ class TestRankOracle:
         with pytest.raises(EnumerationCapError, match="memory"):
             _RankOracle(korobov1, 2, 1000)
 
+    def test_indices_past_the_table_stay_dropped_when_the_budget_exhausts_it(self):
+        # N = 4 holds 16 pairs.  Budget 15 ranks and drops indices past N;
+        # budget 17 exhausts the space and must drop them too.
+        s = build_spectrum(korobov_kernel(1.0), 4)
+        for budget in (15, 16, 17):
+            oracle = _RankOracle(s, 2, budget)
+            heap = oracles.HeapRank(s, 2, budget)
+            for k in ((5, 5), (1, 5), (5, 1), (100, 100)):
+                assert not oracle.retained(k) and not heap.retained(k), (budget, k)
+        exhausted = _RankOracle(s, 2, 17)
+        assert exhausted._key == (math.inf,) and exhausted.retained((4, 4))
+
     def test_korobov_pair_split(self, korobov1):
         # Budget 3 at cardinality 1 keeps the first three flattened indices.
         oracle = _RankOracle(korobov1, 1, 3)
@@ -185,9 +219,8 @@ class TestRankOracle:
                 for row in build_plan(eps, d, korobov1_deep).rows[1:]:
                     oracle = _RankOracle(korobov1_deep, row.cardinality, row.n_l)
                     heap = oracles.HeapRank(korobov1_deep, row.cardinality, row.n_l)
-                    assert not heap.exhausted and not oracle._exhausted
-                    assert oracle._cut == heap.cut, (d, eps, row)
-                    assert oracle._boundary == heap.boundary, (d, eps, row)
+                    assert not heap.exhausted
+                    _assert_key_matches(oracle, heap)
                     ranked += 1
         assert ranked == 11
 
@@ -200,14 +233,13 @@ class TestRankOracle:
         oracle = _RankOracle(s, cardinality, budget)
         brute = _BruteRank(s, cardinality, budget)
         heap = oracles.HeapRank(s, cardinality, budget)
-        assert oracle._exhausted == heap.exhausted
-        if not heap.exhausted:
-            assert (oracle._cut, oracle._boundary) == (heap.cut, heap.boundary)
-        # Index n + 1 lies outside the space: dropped, unless the budget
-        # exhausts it and everything is kept.
+        _assert_key_matches(oracle, heap)
+        if brute.last is not None:
+            assert oracle._key == (-s.eigen_product(sorted(brute.last)), brute.last)
+        # Index n + 1 lies outside the space: dropped, also when the budget
+        # exhausts the space.
         for k in iproduct(range(1, n + 2), repeat=cardinality):
-            if max(k) <= n:
-                assert oracle.retained(k) == brute.retained(k), (k, budget)
+            assert oracle.retained(k) == brute.retained(k), (k, budget)
             assert oracle.retained(k) == heap.retained(k), (k, budget)
 
     @settings(max_examples=60, deadline=None)
@@ -219,7 +251,7 @@ class TestRankOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cda, "ENUMERATION_CAP", heap.pops)
             oracle = _RankOracle(s, cardinality, budget)
-            assert oracle._exhausted == heap.exhausted
+            assert (oracle._key == (math.inf,)) == heap.exhausted
             mp.setattr(cda, "ENUMERATION_CAP", heap.pops - 1)
             with pytest.raises(EnumerationCapError):
                 _RankOracle(s, cardinality, budget)
@@ -231,7 +263,7 @@ class TestRankOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cda, "ENUMERATION_CAP", heap.pops)
             oracle = _RankOracle(korobov1, 2, 1000)
-        assert (oracle._cut, oracle._boundary) == (heap.cut, heap.boundary)
+        _assert_key_matches(oracle, heap)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -248,17 +280,30 @@ class TestRankOracle:
         assert counts.tolist() == [arrangement_count(tuple(r)) for r in rows]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6).map(sorted))
-    def test_orderings_are_the_sorted_distinct_permutations(self, ms):
-        assert list(cda._orderings(list(ms))) == sorted(set(permutations(ms)))
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda l: st.sets(
+                st.lists(st.integers(1, 4), min_size=l, max_size=l).map(tuple),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_unrank_matches_the_sorted_distinct_permutations(self, tuples):
+        # A class of several multisets: its orderings, taken together in
+        # lexicographic order, are unranked one by one.
+        multisets = sorted({tuple(sorted(k)) for k in tuples})
+        ordered = sorted({p for ms in multisets for p in permutations(ms)})
+        for rank, want in enumerate(ordered, start=1):
+            assert cda._unrank([list(ms) for ms in multisets], rank) == want
 
     def test_split_class_generates_only_the_kept_orderings(self):
         # The cut class holds the five multisets 1^16 {2,3}^4, 77,520
         # orderings in all; listing the 20! permutations of each would
-        # never finish.  The first `room` in lexicographic order are kept.
+        # never finish.  The key ends on the `room`-th in lexicographic order.
         s = build_spectrum(custom_kernel([0.9, 0.5, 0.5]))
         oracle = _RankOracle(s, 20, 50_000)
-        assert oracle._cut == s.eigen_product((1,) * 16 + (2,) * 4)
+        assert oracle._key[0] == -s.eigen_product((1,) * 16 + (2,) * 4)
         above = sum(math.comb(20, a) * 2 ** (20 - a) for a in range(17, 21))
         orderings = []
         for positions in combinations(range(20), 4):
@@ -267,7 +312,45 @@ class TestRankOracle:
                 for p, v in zip(positions, fill):
                     k[p] = v
                 orderings.append(tuple(k))
-        assert oracle._boundary == frozenset(sorted(orderings)[: 50_000 - above])
+        assert oracle._key[1] == sorted(orderings)[50_000 - above - 1]
+
+    def test_split_class_far_past_the_cap_keys_one_tuple(self):
+        # Cardinality 20 over [0.9, 0.5, 0.5]: a class is every tuple with
+        # j ones and the rest in {2, 3}, C(20, j) 2^(20-j) of them.  The
+        # budget splits a class of 343,982,080 orderings 177,691,304 in, far
+        # past ENUMERATION_CAP; the key is checked against a closed-form
+        # unranking of that class.
+        n, budget = 20, 3**20 // 7
+        s = build_spectrum(custom_kernel([0.9, 0.5, 0.5]))
+        oracle = _RankOracle(s, n, budget)
+
+        def size(m, ones):
+            return math.comb(m, ones) * 2 ** (m - ones) if 0 <= ones <= m else 0
+
+        ones, room = n, budget
+        while room > size(n, ones):
+            room -= size(n, ones)
+            ones -= 1
+        assert (size(n, ones), room) == (343_982_080, 177_691_304)
+
+        def unrank(rank, ones):
+            out = []
+            for m in range(n, 0, -1):
+                for v, left in ((1, ones - 1), (2, ones), (3, ones)):
+                    count = size(m - 1, left)
+                    if rank <= count:
+                        break
+                    rank -= count
+                out.append(v)
+                ones = left
+            return tuple(out)
+
+        last = unrank(room, ones)
+        assert last == (2, 1, 2, 1, 2, 1, 2, 1, 3, 2, 3, 2, 1, 2, 1, 1, 1, 2, 3, 1)
+        assert oracle._key == (-s.eigen_product(sorted(last)), last)
+        assert oracle.retained(last)
+        assert oracle.retained(unrank(room - 1, ones))
+        assert not oracle.retained(unrank(room + 1, ones))
 
     def test_large_cardinality_counts_stay_exact(self):
         # 21! passes int64, so arrangement counts are Python ints.  The
@@ -276,8 +359,9 @@ class TestRankOracle:
         s = build_spectrum(custom_kernel([0.9, 0.5]))
         oracle = _RankOracle(s, 21, 232)
         heap = oracles.HeapRank(s, 21, 232)
-        assert (oracle._cut, oracle._boundary) == (heap.cut, heap.boundary)
-        assert oracle._boundary is None
+        assert heap.boundary is None
+        _assert_key_matches(oracle, heap)
+        assert oracle._key[1] == (2, 2) + (1,) * 19
         assert oracle.retained((1,) * 19 + (2, 2))
         assert not oracle.retained((1,) * 18 + (2, 2, 2))
 
@@ -325,6 +409,57 @@ class TestApply:
         plan = build_plan(0.1, 4, korobov1)
         with pytest.raises(DimensionMismatchError):
             apply_plan(plan, AnovaFunction(d=5, constant=1.0), korobov1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=_tie_spectra, d=st.integers(1, 3), data=st.data())
+    def test_keeps_exactly_the_brute_force_ranking(self, values, d, data):
+        s = build_spectrum(custom_kernel(values))
+        plan = build_plan(
+            data.draw(st.floats(0.05, 0.95), label="eps"),
+            d,
+            s,
+            level=data.draw(st.integers(0, d), label="level"),
+        )
+        subsets = [u for l in range(1, d + 1) for u in combinations(range(1, d + 1), l)]
+        terms = {}
+        for u in data.draw(st.sets(st.sampled_from(subsets)), label="subsets"):
+            index = st.tuples(*[st.integers(1, s.n_eigenvalues)] * len(u))
+            terms[u] = data.draw(
+                st.dictionaries(index, st.floats(-1.0, 1.0), min_size=1, max_size=8),
+                label=f"coefficients on {u}",
+            )
+        orthogonal = data.draw(st.booleans(), label="orthogonal")
+        res = CdaApplier(plan, s, orthogonal).apply(AnovaFunction(d=d, terms=terms))
+        dropped_sq = []
+        for u, coeffs in terms.items():
+            if len(u) <= plan.level:
+                brute = _BruteRank(s, len(u), plan.row(len(u)).n_l)
+                kept = {k: c for k, c in coeffs.items() if brute.retained(k)}
+            else:
+                kept = {}
+            assert res.approx.terms.get(u, {}) == kept, u
+            dropped_sq.append(
+                math.fsum(
+                    c * c * oracles.direct_eigen_product(s, k)
+                    for k, c in coeffs.items()
+                    if k not in kept
+                )
+            )
+        if orthogonal:
+            want = math.sqrt(math.fsum(dropped_sq))
+        else:
+            want = math.fsum(map(math.sqrt, dropped_sq))
+        assert res.error_cert == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_index_past_a_custom_table_is_dropped_and_refused(self):
+        # The pair budget exhausts the 2 x 2 pairs of the table.  Index 3
+        # lies past it: dropped, with no eigenvalue to certify the drop.
+        s = build_spectrum(custom_kernel([0.5, 0.25]))
+        plan = build_plan(0.05, 2, s, level=2)
+        assert plan.row(2).n_l >= 4
+        f = AnovaFunction(d=2, terms={(1, 2): {(1, 1): 0.5, (3, 1): 0.25}})
+        with pytest.raises(InvalidArgumentError):
+            apply_plan(plan, f, s)
 
     def test_retained_coefficients_are_unchanged(self, custom_quad):
         plan = build_plan(0.2, 2, custom_quad, tau=1.0, level=2)

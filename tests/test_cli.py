@@ -1,11 +1,15 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from activevars import CostModel, build_spectrum, eval_cost, korobov_kernel, power_sum
 from activevars.cli import main
@@ -304,6 +308,41 @@ class TestUsageErrors:
         assert code == 1
         assert "orthogonal" in err
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('[0.5, "x"', "is not JSON"),
+            ("3", "must hold a JSON list of numbers"),
+            ('[0.5, "x"]', "must hold a JSON list of numbers"),
+            ("[0.5, true]", "must hold a JSON list of numbers"),
+            ('{"1": 0.5}', "must hold a JSON list of numbers"),
+            ("[]", "one or more positive finite values"),
+            ("[0.5, NaN]", "one or more positive finite values"),
+        ],
+    )
+    def test_malformed_custom_file_is_an_error_line(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "kernel.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "spectrum", "--kernel", f"custom:{path}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and reason in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc-check", "--kernel", "korobov:1", "--d", "2", "--trials", "0"],
+            ["mc-check", "--kernel", "korobov:1", "--d", "2", "--samples", "0"],
+            ["mc-check", "--kernel", "korobov:1", "--d", "2", "--samples", "1"],
+            ["optimal", "--kernel", "korobov:1", "--epsilon", "0.1", "--d", "2", "--top", "-1"],
+        ],
+    )
+    def test_counts_below_their_minimum_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"argument {argv[-2]}: must be at least" in err
+
     def test_invalid_cost_model_is_a_usage_error(self, capsys):
         code, out, err = run(
             capsys, "cda", "--epsilon", "0.01", "--d", "10", "--cost", "poly:-1"
@@ -353,3 +392,84 @@ def test_readme_cli_examples_run(capsys):
     }
     for argv in commands:
         assert run(capsys, *argv)[0] == 0, argv
+
+
+def _values(valid: str, invalid: str) -> st.SearchStrategy[str]:
+    """One flag value: usually from ``valid``, one draw in eight from ``invalid``."""
+    return st.sampled_from([False] * 7 + [True]).flatmap(
+        lambda bad: st.sampled_from((invalid if bad else valid).split())
+    )
+
+
+_EPS = _values("0.5 0.1 0.05", "0 1 2 -0.1 nan x")
+_DIM = _values("1 2 3 5", "0 -1 x")
+_POSITIVE = _values("1 1.5 2", "0 -1 nan x")
+_GRIDS = {
+    "--eps-grid": st.lists(_EPS, min_size=1, max_size=3).map(",".join),
+    "--d-grid": st.lists(_DIM, min_size=1, max_size=3).map(",".join),
+}
+_COSTS = _values("constant poly:2 exp:1 doubleexp:0.5 linfloor:2", "poly:-1 linfloor:0.5 x")
+_SUBCOMMANDS = {
+    "bounds": {**_GRIDS, "--c-const": _POSITIVE},
+    "spectrum": {},
+    "cda": {"--epsilon": _EPS, "--d": _DIM, "--tau": _POSITIVE, "--cost": _COSTS},
+    "optimal": {
+        "--epsilon": _EPS,
+        "--d": _DIM,
+        "--c-const": _POSITIVE,
+        "--tau": _POSITIVE,
+        "--top": _values("0 1 5", "-1 x"),
+    },
+    "complexity": {**_GRIDS, "--tau": _POSITIVE, "--cost": _COSTS, "--c-const": _POSITIVE},
+    "table": {},
+    "mc-check": {
+        "--d": _DIM,
+        "--seed": _values("0 1 7", "x"),
+        "--samples": _values("2 10 100", "1 0 x"),
+        "--trials": _values("1 3", "0 x"),
+    },
+}
+_REQUIRED = {"--eps-grid", "--d-grid", "--epsilon", "--d"}
+
+
+@pytest.fixture(scope="module")
+def kernel_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kernels")
+    files = {"good": "[0.6, 0.3, 0.3, 0.1]", "text": '[0.5, "x"]', "number": "3"}
+    for name, text in files.items():
+        (root / f"{name}.json").write_text(text)
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_generated_argv_exits_with_output_or_an_error_line(kernel_files, data):
+    """Every run exits 0 or 2 with output, or 1 with an `error:` line; none raises."""
+    name = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)), label="subcommand")
+    flags = dict(_SUBCOMMANDS[name])
+    if name != "table":
+        custom = f"custom:{kernel_files}/"
+        flags["--kernel"] = _values(
+            f"wiener korobov:1 korobov:2 {custom}good.json",
+            f"korobov:0 sobolev {custom}text.json {custom}number.json {custom}none.json",
+        )
+        flags["--c0sq-mode"] = _values("exact paper", "x")
+        flags["--n-eigenvalues"] = _values("50 200", "1 0 x")
+    if name != "spectrum":
+        flags["--format"] = _values("csv json", "xml")
+    argv = [name]
+    for flag, values in flags.items():
+        odds = [True] * 7 + [False] if flag in _REQUIRED else [True, False]
+        if data.draw(st.sampled_from(odds), label=f"{flag} given"):
+            argv += [flag, data.draw(values, label=flag)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{name} exits {code}")
+    if code == 1:
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines()), argv
+    else:
+        assert code in (0, 2), argv
+        assert out.getvalue().strip(), argv
+        if name == "spectrum" or "json" in argv:
+            json.loads(out.getvalue())

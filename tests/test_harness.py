@@ -96,6 +96,14 @@ class TestGenerators:
 
 
 class TestMonteCarlo:
+    def test_fewer_than_two_samples_are_refused(self, korobov1):
+        # One sample has no standard error; numpy warned and returned nan.
+        f = single_subset_function(3, (1, 2), (1, 1), value=0.4)
+        g = single_subset_function(3, (1, 2), (1, 1), value=0.0)
+        for samples in (0, 1):
+            with pytest.raises(InvalidArgumentError, match="at least 2"):
+                mc_l2_error(f, g, korobov1, samples=samples)
+
     def test_identical_functions_have_zero_error(self, korobov1):
         f = single_subset_function(3, (1, 2), (1, 1), value=0.4)
         est, se = mc_l2_error(f, f, korobov1, samples=10_000, seed=0)

@@ -77,6 +77,13 @@ class TestBuildSpectrum:
         with pytest.raises(InvalidConfigurationError):
             build_spectrum(korobov_kernel(1.0), 10, "paper_bound")
 
+    @pytest.mark.parametrize(
+        "values", [[], [math.nan], [0.5, math.nan], [math.inf, 0.5], [0.5, -math.inf]]
+    )
+    def test_custom_list_must_be_nonempty_positive_and_finite(self, values):
+        with pytest.raises(InvalidSpectrumError):
+            build_spectrum(custom_kernel(values))
+
     def test_density_validation(self):
         KernelSpec(kind="wiener", density=lambda x: np.full_like(x, 1.0))
         with pytest.raises(InvalidArgumentError):
@@ -150,6 +157,12 @@ class TestEigenvalueTable:
 
 
 class TestPowerSum:
+    def test_nan_exponent_is_refused(self, wiener, custom_pair):
+        # NaN passed `tau <= 0`, then failed inside the sum untyped.
+        for s in (wiener, custom_pair):
+            with pytest.raises(InvalidArgumentError):
+                power_sum(s, math.nan)
+
     def test_wiener_trace_is_half(self, wiener):
         # Trace identity: the kernel diagonal integrates to 1/2.
         assert power_sum(wiener, 1.0) == pytest.approx(0.5, abs=1e-14)

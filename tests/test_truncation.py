@@ -226,5 +226,6 @@ class TestTruncationCorrectness:
             truncation_level(1.0, 5, 0.5)
         with pytest.raises(InvalidArgumentError):
             binomial_tail(5, 6, 0.5)
-        with pytest.raises(InvalidArgumentError):
-            orthogonal_truncation_level(0.1, 5, 0.5, 0.5)
+        for c_const in (0.5, math.nan):
+            with pytest.raises(InvalidArgumentError):
+                orthogonal_truncation_level(0.1, 5, 0.5, c_const)
