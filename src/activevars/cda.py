@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cost import CostModel, eval_cost, log_eval_cost
 from .errors import (
@@ -102,6 +101,25 @@ def _log_comb(d: int, l: int) -> float:
     the demand-split identity and the priced cost would inherit.
     """
     return math.log(math.comb(d, l))
+
+
+def _logsumexp(terms: list[float]) -> float:
+    """``log(sum(exp(terms)))`` in the steps and numpy ufuncs of ``scipy.special.logsumexp``.
+
+    The maxima come out of the sum: with ``m`` terms equal to the maximum,
+    the rest are shifted, exponentiated and summed, and the result is
+    ``log1p(sum / m) + log(m) + max``.  This gives scipy 1.17's bits
+    (``test_logsumexp_matches_scipy`` in ``tests/test_cda.py``).  The
+    error state is scipy's too: a NaN term gives NaN without a warning.
+    """
+    a = np.array(terms, dtype=float)
+    a_max = a.max()
+    mask = a == a_max
+    m = float(np.count_nonzero(mask))
+    a[mask] = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.exp(a - a_max).sum() / m
+        return float(np.log1p(s) + np.log(m) + a_max)
 
 
 def _log_r_terms(d: int, level: int, tau: float) -> list[float]:
@@ -549,7 +567,7 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
             + math.log(row.n_l)
             + log_eval_cost(model, row.cardinality)
         )
-    log_exact = float(logsumexp(log_terms))
+    log_exact = _logsumexp(log_terms)
 
     log_bound_terms = [log_eval_cost(model, 0)]
     if m1 > 0 and plan.big_r > 0.0:
@@ -561,7 +579,7 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
             + (1.0 + tau) * math.log(plan.big_r)
             - 2.0 * tau * math.log(plan.epsilon)
         )
-    log_bound = float(logsumexp(log_bound_terms))
+    log_bound = _logsumexp(log_bound_terms)
 
     if log_exact < 709.0:
         exact = math.fsum(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -34,7 +35,6 @@ from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import polygamma, zeta
 
 from .errors import (
     DivergenceError,
@@ -67,13 +67,15 @@ class KernelSpec:
     kind : str
         One of ``"wiener"``, ``"korobov"``, ``"custom"``.
     r : float, optional
-        Smoothness of the korobov kernel; must satisfy ``r > 1/2`` so the
+        Smoothness of the korobov kernel: a finite real ``r > 1/2``, so the
         kernel trace is finite.
     eigenvalues : sequence of float, optional
         Explicit nonincreasing positive eigenvalue list for ``custom``.
+        Entries must be Python or numpy integers or floats; ``bool`` and
+        strings raise :class:`InvalidSpectrumError`.
     domain : (float, float)
-        Interval the kernel lives on.  Fixed to ``(0, 1)`` for the two
-        analytic kernels.
+        Interval ``lo < hi`` the kernel lives on, two finite reals.  Fixed
+        to ``(0, 1)`` for the two analytic kernels.
     density : callable, optional
         Probability density on the domain.  ``None`` means uniform.  A
         supplied density must integrate to 1 within relative 1e-10, and
@@ -90,17 +92,31 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("wiener", "korobov", "custom"):
             raise InvalidArgumentError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in ("wiener", "korobov") and tuple(self.domain) != (0.0, 1.0):
+        domain = _real_tuple(self.domain)
+        if domain is None or len(domain) != 2 or not all(map(math.isfinite, domain)):
+            raise InvalidArgumentError(f"domain must be two finite reals, not {self.domain!r}")
+        if not domain[0] < domain[1]:
+            raise InvalidArgumentError(f"domain {self.domain!r} needs lo < hi")
+        object.__setattr__(self, "domain", domain)
+        if self.kind in ("wiener", "korobov") and domain != (0.0, 1.0):
             raise InvalidArgumentError(f"{self.kind} kernel is defined on [0, 1]")
         if self.kind == "korobov":
-            if self.r is None or not self.r > 0.5:
+            if not (_is_real_type(type(self.r)) and 0.5 < self.r < math.inf):
                 raise InvalidArgumentError(
-                    "korobov smoothness r must satisfy r > 1/2 (finite trace)"
+                    "korobov smoothness r must be a finite real r > 1/2 (finite trace), "
+                    f"not {self.r!r}"
                 )
+            object.__setattr__(self, "r", float(self.r))
         if self.kind == "custom" and self.eigenvalues is None:
             raise InvalidArgumentError("custom kernel requires an explicit eigenvalue list")
         if self.eigenvalues is not None:
-            object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
+            values = _real_tuple(self.eigenvalues)
+            if values is None:
+                raise InvalidSpectrumError(
+                    "custom eigenvalues must be a sequence of integers or floats "
+                    "(bool and str are not)"
+                )
+            object.__setattr__(self, "eigenvalues", values)
         if self.density is not None:
             self._check_density()
 
@@ -123,6 +139,22 @@ class KernelSpec:
             )
 
 
+def _is_real_type(t: type) -> bool:
+    """Python and numpy integers and floats; ``bool`` and ``str`` are not reals here."""
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
+def _real_tuple(values) -> tuple[float, ...] | None:
+    """``values`` as a tuple of floats, or ``None`` unless it is a sequence of reals."""
+    try:
+        items = tuple(values)
+        if all(map(_is_real_type, set(map(type, items)))):
+            return tuple(map(float, items))
+    except (TypeError, OverflowError):
+        pass
+    return None
+
+
 def wiener_kernel() -> KernelSpec:
     """``K(x, y) = min(x, y)`` on ``[0, 1]`` with uniform density."""
     return KernelSpec(kind="wiener")
@@ -130,12 +162,12 @@ def wiener_kernel() -> KernelSpec:
 
 def korobov_kernel(r: float) -> KernelSpec:
     """Periodic zero-mean kernel of smoothness ``r`` on ``[0, 1]``."""
-    return KernelSpec(kind="korobov", r=float(r))
+    return KernelSpec(kind="korobov", r=r)
 
 
 def custom_kernel(eigenvalues: Sequence[float]) -> KernelSpec:
     """Finite spectrum supplied directly, with no eigenfunction data."""
-    return KernelSpec(kind="custom", eigenvalues=tuple(eigenvalues))
+    return KernelSpec(kind="custom", eigenvalues=eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -273,10 +305,14 @@ def build_spectrum(
     Raises
     ------
     InvalidArgumentError
-        If ``n_eigenvalues < 1`` or the mode/kernel pairing is invalid.
+        If ``n_eigenvalues`` is not an integer ``>= 1`` (``bool`` is not), or
+        the mode/kernel pairing is invalid.
     InvalidSpectrumError
         If a custom list is empty, or not positive, finite and nonincreasing.
     """
+    if not isinstance(n_eigenvalues, numbers.Integral) or isinstance(n_eigenvalues, bool):
+        raise InvalidArgumentError(f"n_eigenvalues must be an integer, not {n_eigenvalues!r}")
+    n_eigenvalues = int(n_eigenvalues)
     if n_eigenvalues < 1:
         raise InvalidArgumentError("n_eigenvalues must be >= 1")
     if c0sq_mode not in ("exact", "paper_bound"):
@@ -290,7 +326,7 @@ def build_spectrum(
         # Tail of sum 4/((2n-1)^2 pi^2) in closed form via the trigamma function:
         # sum_{n>N} (2n-1)^{-2} = psi'(N + 1/2) / 4.
         n = n_eigenvalues
-        tail = float(polygamma(1, n + 0.5)) / math.pi**2
+        tail = _hurwitz_zeta(2.0, n + 0.5) / math.pi**2
         lam1 = 4.0 / math.pi**2
         c0 = 0.5 if c0sq_mode == "paper_bound" else lam1
         return Spectrum(
@@ -332,18 +368,84 @@ def build_spectrum(
     )
 
 
+# Euler-Maclaurin coefficients (2k)! / B_2k of the cephes zeta routine.
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+_MACHEP = 2.0**-53
+
+
+def _hurwitz_zeta(s: float, q: float) -> float:
+    """Hurwitz zeta ``sum_{i >= 0} (q + i)^(-s)`` for ``s > 1`` and ``q >= 1``.
+
+    A port of the cephes ``zeta`` routine that ``scipy.special.zeta``
+    runs, in its operation order and with the C ``pow`` (``math.pow``),
+    so it returns the same bits; ``_hurwitz_zeta(2, x)`` is also
+    ``scipy.special.polygamma(1, x)``.  ``TestHurwitzZeta`` in
+    ``tests/test_spectrum.py`` pins both, and checks it against mpmath.
+    Beyond ``q = 1e8`` it takes the two-term asymptotic expansion
+    (DLMF 25.11.43); otherwise it sums at least nine terms directly, until
+    ``q + i > 9``, and adds the Euler-Maclaurin correction.  A sum that
+    underflows to zero stays zero, as in C, where ``0 / 0`` never stops
+    the loops early.
+    """
+    if q > 1e8:
+        return (1 / (s - 1) + 1 / (2 * q)) * math.pow(q, 1 - s)
+    total = math.pow(q, -s)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -s)
+        total += b
+        if total and b / total < _MACHEP:
+            return total
+    w = a
+    total += b * w / (s - 1.0)
+    total -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coeff in _ZETA_A:
+        a *= s + k
+        b /= w
+        t = a * b / coeff
+        total = total + t
+        if total and abs(t / total) < _MACHEP:
+            return total
+        k += 1.0
+        a *= s + k
+        b /= w
+        k += 1.0
+    return total
+
+
 def _korobov_power_tail(r: float, tau: float, n: int) -> float:
     """Closed-form ``sum_{m > n} lambda_m^tau`` for the flattened korobov sequence.
 
     The flattened sequence pairs up frequencies, so the tail after ``n``
     terms is a Hurwitz zeta value, plus half a pair when ``n`` is odd.
+    The zeta value comes from :func:`_hurwitz_zeta`, the same bits as
+    ``scipy.special.zeta`` (``TestHurwitzZeta`` in ``tests/test_spectrum.py``).
     """
     s = 2.0 * r * tau
     k, odd = divmod(n, 2)
     base = (2.0 * math.pi) ** (-s)
     if odd:
-        return (2.0 * math.pi * (k + 1)) ** (-s) + 2.0 * base * float(zeta(s, k + 2))
-    return 2.0 * base * float(zeta(s, k + 1))
+        return (2.0 * math.pi * (k + 1)) ** (-s) + 2.0 * base * _hurwitz_zeta(s, k + 2.0)
+    return 2.0 * base * _hurwitz_zeta(s, k + 1.0)
 
 
 def partial_power_sum(s: Spectrum, tau: float) -> float:
@@ -373,8 +475,11 @@ def power_sum(s: Spectrum, tau: float) -> float:
 
     For the analytic kernels the result is the compensated partial sum over
     the retained eigenvalues plus the exact closed-form tail, so it agrees
-    with the infinite series to machine precision.  For custom spectra it
-    is the plain (compensated) finite sum.
+    with the infinite series to machine precision.  The tail is a Hurwitz
+    zeta value from :func:`_hurwitz_zeta`, a port of the routine behind
+    ``scipy.special.zeta`` that gives its bits (``TestHurwitzZeta`` in
+    ``tests/test_spectrum.py``).  For custom spectra it is the plain
+    (compensated) finite sum.
 
     Raises
     ------
@@ -393,7 +498,7 @@ def power_sum(s: Spectrum, tau: float) -> float:
     if s.kind == "wiener":
         # lambda_n^tau = (4/pi^2)^tau (2n-1)^{-2 tau}; the tail collapses to
         # pi^{-2 tau} * zeta(2 tau, N + 1/2).
-        tail = math.pi ** (-2.0 * tau) * float(zeta(2.0 * tau, s.n_eigenvalues + 0.5))
+        tail = math.pi ** (-2.0 * tau) * _hurwitz_zeta(2.0 * tau, s.n_eigenvalues + 0.5)
         return partial + tail
     if s.kind == "korobov":
         return partial + _korobov_power_tail(s.r, tau, s.n_eigenvalues)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from activevars import (
     AnovaFunction,
@@ -473,6 +474,23 @@ class TestApply:
 
 
 class TestPrice:
+    # The spread is drawn first, so that many lists hold terms within a few
+    # e-folds of each other and the order of the sum shows.  Magnitudes up
+    # to 1e306 keep the shift by the maximum from overflowing, where numpy
+    # warns in both implementations.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.sampled_from([4.0, 40.0, 1e306]).flatmap(
+            lambda r: st.lists(st.floats(-r, r), min_size=1, max_size=40)
+        ),
+        data=st.data(),
+    )
+    def test_logsumexp_matches_scipy(self, terms, data):
+        ties = data.draw(st.sets(st.integers(0, len(terms) - 1)))
+        for i in ties:
+            terms[i] = max(terms)
+        assert cda._logsumexp(terms) == float(logsumexp(terms))
+
     def test_empty_plan_costs_base_evaluation(self, korobov1):
         plan = build_plan(0.3, 5, korobov1)
         assert plan.level == 0

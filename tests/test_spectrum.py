@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import polygamma, zeta
 
 from activevars import (
     KernelSpec,
@@ -19,7 +20,7 @@ from activevars import (
     spectrum_to_json,
     wiener_kernel,
 )
-from activevars.spectrum import EigenfunctionTable, partial_power_sum
+from activevars.spectrum import EigenfunctionTable, _hurwitz_zeta, partial_power_sum
 from activevars.errors import (
     DivergenceError,
     InvalidArgumentError,
@@ -83,6 +84,53 @@ class TestBuildSpectrum:
     def test_custom_list_must_be_nonempty_positive_and_finite(self, values):
         with pytest.raises(InvalidSpectrumError):
             build_spectrum(custom_kernel(values))
+
+    def test_custom_eigenvalues_must_be_numbers(self):
+        # float() turned True into 1.0 and "0.5" into 0.5.
+        with pytest.raises(InvalidSpectrumError):
+            build_spectrum(custom_kernel([True, "0.5"]))
+        with pytest.raises(InvalidSpectrumError):
+            custom_kernel([0.5, np.bool_(True)])
+        with pytest.raises(InvalidSpectrumError):
+            custom_kernel(0.5)
+        s = build_spectrum(custom_kernel([1, np.int64(1), 0.5, np.float32(0.25)]))
+        assert s.table().tolist() == [1.0, 1.0, 0.5, 0.25]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: KernelSpec(kind="korobov", r=math.inf),
+            lambda: KernelSpec(kind="korobov", r="2"),
+            lambda: korobov_kernel("2"),
+            lambda: korobov_kernel(True),
+            lambda: build_spectrum(wiener_kernel(), 5.5),
+            lambda: build_spectrum(wiener_kernel(), True),
+            lambda: build_spectrum(korobov_kernel(1.0), "10"),
+            lambda: KernelSpec(kind="custom", eigenvalues=(0.5,), domain=(math.nan, 1.0)),
+            lambda: KernelSpec(kind="custom", eigenvalues=(0.5,), domain=(0.0, math.inf)),
+            lambda: KernelSpec(kind="custom", eigenvalues=(0.5,), domain=(0.0, 1.0, 2.0)),
+            lambda: KernelSpec(kind="custom", eigenvalues=(0.5,), domain=(1.0, 0.0)),
+            lambda: KernelSpec(kind="custom", eigenvalues=(0.5,), domain=("0", "1")),
+            lambda: KernelSpec(kind="custom", eigenvalues=(0.5,), domain=1.0),
+        ],
+        ids=[
+            "r-inf", "r-str", "korobov-kernel-str", "korobov-kernel-bool", "n-float",
+            "n-bool", "n-str", "domain-nan", "domain-inf", "domain-3-tuple",
+            "domain-reversed", "domain-str", "domain-scalar",
+        ],
+    )
+    def test_malformed_kernel_inputs_raise_typed_errors(self, make):
+        # At the parent these built an all-zero spectrum (r = inf), accepted
+        # True as N = 1 or a NaN/3-tuple domain, or raised a raw TypeError.
+        with pytest.raises(InvalidArgumentError):
+            make()
+
+    def test_integer_like_inputs_are_accepted(self):
+        assert build_spectrum(wiener_kernel(), np.int64(7)).n_eigenvalues == 7
+        assert type(build_spectrum(wiener_kernel(), np.int64(7)).n_eigenvalues) is int
+        assert korobov_kernel(np.float64(1.5)).r == 1.5
+        assert korobov_kernel(2).r == 2.0
+        assert KernelSpec(kind="custom", eigenvalues=(0.5,), domain=[0, 2]).domain == (0.0, 2.0)
 
     def test_density_validation(self):
         KernelSpec(kind="wiener", density=lambda x: np.full_like(x, 1.0))
@@ -214,6 +262,58 @@ class TestPowerSum:
         partial = math.fsum(4.0 / ((2 * k - 1) ** 2 * math.pi**2) for k in range(1, n + 1))
         assert abs(partial - 0.5) <= 2e-6
         assert abs(partial - 0.5) <= 1.0 / (math.pi**2 * n) * 1.01
+
+
+def _shifts(lo: float, hi: float):
+    """Floats in ``[lo, hi]``, integers and half-integers among them drawn explicitly."""
+    whole = st.integers(math.ceil(lo), math.floor(hi) - 1)
+    return st.one_of(
+        st.floats(lo, hi),
+        whole.map(float),
+        whole.map(lambda n: n + 0.5),
+    )
+
+
+
+class TestHurwitzZeta:
+    """``_hurwitz_zeta`` gives the bits of ``scipy.special.zeta``, the routine it ports."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(s=st.floats(1.0, 64.0, exclude_min=True), q=_shifts(1.0, 1e10))
+    def test_matches_scipy(self, s, q):
+        assert _hurwitz_zeta(s, q) == float(zeta(s, q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_shifts(1.0, 1e10))
+    def test_trigamma_matches_scipy_polygamma(self, x):
+        assert _hurwitz_zeta(2.0, x) == float(polygamma(1, x))
+
+    def test_matches_scipy_on_every_caller_shape(self):
+        # power_sum's tails: (2 r tau, k + 1 | k + 2) for korobov after N or
+        # N + 1 terms, (2 tau, N + 1/2) for wiener; the trigamma tail of
+        # build_spectrum is (2, N + 1/2).
+        ns = list(range(1, 201)) + [10_000, 40_000, 2_000_000]
+        exponents = [2 * r * tau for r in (0.7, 1.0, 2.3) for tau in (0.75, 1.0, 1.5, 2.0, 7.3)]
+        exponents += [2 * tau for tau in (0.75, 1.0, 1.1, 2.0)]
+        shifts = sorted(
+            {n // 2 + 1.0 for n in ns} | {n // 2 + 2.0 for n in ns} | {n + 0.5 for n in ns}
+        )
+        s, q = (a.ravel() for a in np.meshgrid(exponents, shifts))
+        ours = np.array([_hurwitz_zeta(a, b) for a, b in zip(s.tolist(), q.tolist())])
+        assert np.array_equal(ours, zeta(s, q))
+
+    # Not on all of the domain above.  The ported routine's own error grows
+    # with s: up to 8.8e-16 for s <= 8, 1.5e-15 for s in (8, 16] and 4e-15
+    # near s = 64 (20,000 and 3,000 random samples).  Its q > 1e8 branch
+    # also truncates the asymptotic series, at relative error about
+    # s (s - 1) / (12 q^2).  s = 2 r tau <= 8 covers korobov r = 1 and the
+    # wiener kernel up to tau = 4.
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(1.0, 8.0, exclude_min=True), q=_shifts(1.0, 1e10))
+    def test_within_1e_15_of_mpmath(self, s, q):
+        truncation = s * (s - 1.0) / (12.0 * q * q) if q > 1e8 else 0.0
+        exact = oracles.mp_hurwitz_zeta(s, q)
+        assert abs(_hurwitz_zeta(s, q) - exact) <= (1e-15 + truncation) * exact
 
 
 class TestEigenfunctions:
