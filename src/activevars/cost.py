@@ -21,6 +21,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidModelError,
     TailCertificateError,
+    UnsupportedScaleError,
 )
 from .optimal import TensorEigenStream
 from .spectrum import Spectrum, power_sum
@@ -44,7 +45,7 @@ class CostModel:
 
     Families: ``constant`` (1), ``polynomial`` ``(k+1)^q``, ``exponential``
     ``e^{qk}``, ``double_exponential`` ``e^{e^{qk}}``, and ``linear_floor``
-    ``c (k+1)``.
+    ``c (k+1)``.  ``q`` and ``c`` must be finite.
     """
 
     family: str
@@ -54,6 +55,8 @@ class CostModel:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise InvalidModelError(f"unknown cost family {self.family!r}")
+        if not (math.isfinite(self.q) and math.isfinite(self.c)):
+            raise InvalidModelError(f"q and c must be finite, not q={self.q!r}, c={self.c!r}")
         if self.family in ("polynomial", "exponential", "double_exponential") and self.q < 0:
             raise InvalidModelError("q must be >= 0 to keep $ monotone")
         if eval_cost(self, 0) < 1.0:
@@ -68,22 +71,36 @@ class CostModel:
 
 
 def eval_cost(model: CostModel, k: int) -> float:
-    """Evaluate ``$(k)``; monotone in ``k`` by construction."""
+    """Evaluate ``$(k)``; monotone in ``k`` by construction.
+
+    Raises :class:`UnsupportedScaleError` where ``$(k)`` exceeds double range.
+    """
     if k < 0:
         raise InvalidArgumentError("active-variable count must be >= 0")
-    if model.family == "constant":
-        return 1.0
-    if model.family == "polynomial":
-        return float((k + 1) ** model.q)
-    if model.family == "exponential":
-        return math.exp(model.q * k)
-    if model.family == "double_exponential":
-        return math.exp(math.exp(model.q * k))
-    return model.c * (k + 1)
+    try:
+        if model.family == "constant":
+            value = 1.0
+        elif model.family == "polynomial":
+            value = float((k + 1) ** model.q)
+        elif model.family == "exponential":
+            value = math.exp(model.q * k)
+        elif model.family == "double_exponential":
+            value = math.exp(math.exp(model.q * k))
+        else:
+            value = model.c * (k + 1)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise UnsupportedScaleError(f"{model.describe()}: $({k}) exceeds double range")
+    return value
 
 
 def log_eval_cost(model: CostModel, k: int) -> float:
-    """``ln $(k)``, exact even where ``$(k)`` itself would overflow."""
+    """``ln $(k)``, exact even where ``$(k)`` itself would overflow.
+
+    Raises :class:`UnsupportedScaleError` where ``ln $(k)`` itself exceeds
+    double range (double-exponential costs).
+    """
     if k < 0:
         raise InvalidArgumentError("active-variable count must be >= 0")
     if model.family == "constant":
@@ -93,7 +110,12 @@ def log_eval_cost(model: CostModel, k: int) -> float:
     if model.family == "exponential":
         return model.q * k
     if model.family == "double_exponential":
-        return math.exp(model.q * k)
+        try:
+            return math.exp(model.q * k)
+        except OverflowError:
+            raise UnsupportedScaleError(
+                f"{model.describe()}: ln $({k}) exceeds double range"
+            ) from None
     return math.log(model.c) + math.log(k + 1)
 
 

@@ -46,7 +46,8 @@ class InsufficientDataError(ActiveVarsError, ValueError):
 
 
 class UnsupportedScaleError(ActiveVarsError, ValueError):
-    """The requested dimension is too large for pointwise evaluation."""
+    """A run exceeds a fixed scale limit: the Monte Carlo work budget, or a
+    cost ``$(k)`` or ``ln $(k)`` outside double range."""
 
 
 class CertificationError(ActiveVarsError, RuntimeError):

@@ -284,7 +284,7 @@ def optimal_algorithm(
     """
     if not (0.0 < epsilon <= 1.0):
         raise InvalidArgumentError("epsilon must lie in (0, 1]")
-    if c_const < 1.0:
+    if not c_const >= 1.0:
         raise InvalidArgumentError("orthogonality constant must be >= 1")
     if spectrum.kind == "wiener":
         raise InvalidConfigurationError(

@@ -32,7 +32,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,12 +55,9 @@ __all__ = [
     "spectrum_from_json",
 ]
 
-_DENSITY_RTOL = 1e-10
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Description of a univariate kernel and sampling density.
+    """Description of a univariate kernel on ``[0, 1]`` under the uniform density.
 
     Parameters
     ----------
@@ -73,33 +70,15 @@ class KernelSpec:
         Explicit nonincreasing positive eigenvalue list for ``custom``.
         Entries must be Python or numpy integers or floats; ``bool`` and
         strings raise :class:`InvalidSpectrumError`.
-    domain : (float, float)
-        Interval ``lo < hi`` the kernel lives on, two finite reals.  Fixed
-        to ``(0, 1)`` for the two analytic kernels.
-    density : callable, optional
-        Probability density on the domain.  ``None`` means uniform.  A
-        supplied density must integrate to 1 within relative 1e-10, and
-        must be the uniform one, because every eigenvalue and
-        eigenfunction here assumes it.
     """
 
     kind: str
     r: float | None = None
     eigenvalues: tuple[float, ...] | None = None
-    domain: tuple[float, float] = (0.0, 1.0)
-    density: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("wiener", "korobov", "custom"):
             raise InvalidArgumentError(f"unknown kernel kind {self.kind!r}")
-        domain = _real_tuple(self.domain)
-        if domain is None or len(domain) != 2 or not all(map(math.isfinite, domain)):
-            raise InvalidArgumentError(f"domain must be two finite reals, not {self.domain!r}")
-        if not domain[0] < domain[1]:
-            raise InvalidArgumentError(f"domain {self.domain!r} needs lo < hi")
-        object.__setattr__(self, "domain", domain)
-        if self.kind in ("wiener", "korobov") and domain != (0.0, 1.0):
-            raise InvalidArgumentError(f"{self.kind} kernel is defined on [0, 1]")
         if self.kind == "korobov":
             if not (_is_real_type(type(self.r)) and 0.5 < self.r < math.inf):
                 raise InvalidArgumentError(
@@ -117,26 +96,6 @@ class KernelSpec:
                     "(bool and str are not)"
                 )
             object.__setattr__(self, "eigenvalues", values)
-        if self.density is not None:
-            self._check_density()
-
-    def _check_density(self) -> None:
-        # 200-point Gauss-Legendre is far beyond 1e-10 for any smooth density.
-        lo, hi = self.domain
-        nodes, weights = np.polynomial.legendre.leggauss(200)
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        values = np.asarray(self.density(x), dtype=float)
-        total = float(np.sum(weights * values) * 0.5 * (hi - lo))
-        if not math.isclose(total, 1.0, rel_tol=_DENSITY_RTOL):
-            raise InvalidArgumentError(
-                f"density integrates to {total!r}, not 1 (rel tol {_DENSITY_RTOL})"
-            )
-        uniform = 1.0 / (hi - lo)
-        if not np.all(np.abs(values - uniform) <= _DENSITY_RTOL * uniform):
-            raise InvalidConfigurationError(
-                "only the uniform density is supported: the eigenvalues and "
-                "eigenfunctions assume it"
-            )
 
 
 def _is_real_type(t: type) -> bool:
@@ -156,7 +115,7 @@ def _real_tuple(values) -> tuple[float, ...] | None:
 
 
 def wiener_kernel() -> KernelSpec:
-    """``K(x, y) = min(x, y)`` on ``[0, 1]`` with uniform density."""
+    """``K(x, y) = min(x, y)`` on ``[0, 1]``."""
     return KernelSpec(kind="wiener")
 
 
@@ -178,13 +137,18 @@ class Spectrum:
     operation in this module is a pure function of its inputs.
 
     The ``N`` retained eigenvalues are tabulated once, at construction
-    (about 6-9 ms and 320 KB for korobov at ``N = 40,000``), so a scalar
-    lookup ``eigenvalue(n)`` with a Python ``int`` ``1 <= n <= N`` costs
-    O(1), and so does every factor of :meth:`eigen_product`.  The table
-    holds the scalar closed form.  Array lookups, and with them
-    :meth:`leading`, :func:`power_sum` and :func:`spectrum_to_json`, use
-    numpy's vectorized power, which can differ from it by one ulp for
-    korobov; those outputs keep the vectorized values.
+    (about 6-9 ms and 320 KB for korobov at ``N = 40,000``), and the table
+    is the only set of bits a lookup returns: ``eigenvalue(n)`` with a
+    Python ``int`` ``1 <= n <= N`` reads it in O(1), numpy integers and
+    integer arrays gather from it, so :meth:`eigen_product`,
+    :meth:`leading`, :func:`power_sum` and :func:`spectrum_to_json` all see
+    the same values.  Analytic kinds evaluate the same scalar closed form
+    past ``N``.
+
+    The constructor takes ``kind``, ``n_eigenvalues``, ``c0sq_mode``, ``r``
+    and the custom values (:func:`build_spectrum` validates them);
+    ``tail_bound``, ``alpha`` and ``c0sq`` are derived from those, so they
+    cannot contradict the kind.
 
     Attributes
     ----------
@@ -209,52 +173,75 @@ class Spectrum:
 
     kind: str
     n_eigenvalues: int
-    tail_bound: float
-    alpha: float
-    c0sq: float
+    tail_bound: float = field(init=False)
+    alpha: float = field(init=False)
+    c0sq: float = field(init=False)
     c0sq_mode: str = "exact"
     r: float | None = None
     _custom: tuple[float, ...] | None = field(default=None, repr=False)
     _table: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        indices = range(1, self.n_eigenvalues + 1)
-        if self.kind == "wiener":
-            values = [4.0 / ((2.0 * n - 1.0) ** 2 * math.pi**2) for n in indices]
-        elif self.kind == "korobov":
-            values = [(2.0 * math.pi * ((n + 1) // 2)) ** (-2.0 * self.r) for n in indices]
+        n = self.n_eigenvalues
+        if self.kind == "custom":
+            table, tail, alpha = array("d", self._custom), 0.0, math.inf
         else:
-            values = self._custom
-        object.__setattr__(self, "_table", array("d", values))
+            table = array("d", self._closed_form(range(1, n + 1)))
+        if self.kind == "wiener":
+            # Tail of sum 4/((2n-1)^2 pi^2) in closed form via the trigamma
+            # function: sum_{n>N} (2n-1)^{-2} = psi'(N + 1/2) / 4.
+            tail, alpha = _hurwitz_zeta(2.0, n + 0.5) / math.pi**2, 2.0
+        elif self.kind == "korobov":
+            tail, alpha = _korobov_power_tail(self.r, 1.0, n), 2.0 * self.r
+        c0sq = 0.5 if self.c0sq_mode == "paper_bound" else table[0]
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "tail_bound", tail)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "c0sq", c0sq)
+
+    def _closed_form(self, indices) -> list[float]:
+        """``lambda_n`` for each ``n`` in ``indices``, by the analytic kind's formula."""
+        if self.kind == "wiener":
+            pi_sq = math.pi**2
+            return [4.0 / ((2.0 * n - 1.0) ** 2 * pi_sq) for n in indices]
+        two_pi, power = 2.0 * math.pi, -2.0 * self.r
+        return [(two_pi * ((n + 1) // 2)) ** power for n in indices]
 
     # -- eigenvalue access -------------------------------------------------
 
     def eigenvalue(self, n):
-        """Return ``lambda_n`` (1-based).  Accepts scalars or integer arrays.
+        """Return ``lambda_n`` (1-based).  Accepts integers or integer arrays.
 
-        Analytic kinds evaluate their closed form for any ``n >= 1`` (also
-        beyond the truncation length, which is how tail certificates are
-        checked); custom spectra only know their stored values.
+        Indices ``1 <= n <= N`` read the table, whatever their integer type.
+        Analytic kinds evaluate their closed form for ``n > N`` (which is
+        how tail certificates are checked); custom spectra only know their
+        stored values.  Indices other than Python or numpy integers and
+        integer arrays (``bool``, floats, strings) raise
+        :class:`InvalidArgumentError`.
         """
         if type(n) is int and 1 <= n <= self.n_eigenvalues:
             return self._table[n - 1]
-        n_arr = np.asarray(n)
-        if np.any(n_arr < 1):
+        if type(n) is int:  # past the table or below 1; any size, so not via numpy
+            return self._closed_form(self._past_table([n]))[0]
+        idx = np.asarray(n)
+        if idx.dtype.kind not in "iu":
+            raise InvalidArgumentError(f"eigenvalue index must be an integer, not {n!r}")
+        flat = idx.reshape(-1)
+        out = np.frombuffer(self.table())[np.clip(flat, 1, self.n_eigenvalues) - 1]
+        off = (flat < 1) | (flat > self.n_eigenvalues)
+        if off.any():
+            out[off] = self._closed_form(self._past_table(flat[off].tolist()))
+        return float(out[0]) if idx.ndim == 0 else out.reshape(idx.shape)
+
+    def _past_table(self, indices: list[int]) -> list[int]:
+        """``indices``, all outside ``1..N``, once the closed form may take them."""
+        if min(indices) < 1:
             raise InvalidArgumentError("eigenvalue index is 1-based")
-        if self.kind == "wiener":
-            out = 4.0 / ((2.0 * n_arr - 1.0) ** 2 * math.pi**2)
-        elif self.kind == "korobov":
-            k = (n_arr + 1) // 2
-            out = (2.0 * math.pi * k) ** (-2.0 * self.r)
-        else:
-            if np.any(n_arr > self.n_eigenvalues):
-                raise InvalidArgumentError(
-                    f"custom spectrum has only {self.n_eigenvalues} eigenvalues"
-                )
-            out = np.frombuffer(self.table())[n_arr - 1]
-        if np.isscalar(n) or n_arr.ndim == 0:
-            return float(out)
-        return out
+        if self.kind == "custom":
+            raise InvalidArgumentError(
+                f"custom spectrum has only {self.n_eigenvalues} eigenvalues"
+            )
+        return indices
 
     def table(self) -> memoryview:
         """The ``N`` tabulated eigenvalues, as scalar lookups return them.
@@ -322,49 +309,21 @@ def build_spectrum(
             "paper_bound mode encodes the wiener closed-form constant 1/2"
         )
 
-    if spec.kind == "wiener":
-        # Tail of sum 4/((2n-1)^2 pi^2) in closed form via the trigamma function:
-        # sum_{n>N} (2n-1)^{-2} = psi'(N + 1/2) / 4.
-        n = n_eigenvalues
-        tail = _hurwitz_zeta(2.0, n + 0.5) / math.pi**2
-        lam1 = 4.0 / math.pi**2
-        c0 = 0.5 if c0sq_mode == "paper_bound" else lam1
-        return Spectrum(
-            kind="wiener",
-            n_eigenvalues=n,
-            tail_bound=tail,
-            alpha=2.0,
-            c0sq=c0,
-            c0sq_mode=c0sq_mode,
-        )
-
-    if spec.kind == "korobov":
-        r = float(spec.r)
-        tail = _korobov_power_tail(r, 1.0, n_eigenvalues)
-        lam1 = (2.0 * math.pi) ** (-2.0 * r)
-        return Spectrum(
-            kind="korobov",
-            n_eigenvalues=n_eigenvalues,
-            tail_bound=tail,
-            alpha=2.0 * r,
-            c0sq=lam1,
-            c0sq_mode="exact",
-            r=r,
-        )
-
-    values = spec.eigenvalues
-    if not values or not all(0.0 < v < math.inf for v in values):
-        raise InvalidSpectrumError("custom eigenvalues must be one or more positive finite values")
-    if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
-        raise InvalidSpectrumError("custom eigenvalues must be nonincreasing")
+    values = spec.eigenvalues if spec.kind == "custom" else None
+    if values is not None:
+        if not values or not all(0.0 < v < math.inf for v in values):
+            raise InvalidSpectrumError(
+                "custom eigenvalues must be one or more positive finite values"
+            )
+        if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
+            raise InvalidSpectrumError("custom eigenvalues must be nonincreasing")
+        n_eigenvalues = len(values)
     return Spectrum(
-        kind="custom",
-        n_eigenvalues=len(values),
-        tail_bound=0.0,
-        alpha=math.inf,
-        c0sq=values[0],
-        c0sq_mode="exact",
-        _custom=tuple(values),
+        kind=spec.kind,
+        n_eigenvalues=n_eigenvalues,
+        c0sq_mode=c0sq_mode,
+        r=spec.r if spec.kind == "korobov" else None,
+        _custom=values,
     )
 
 

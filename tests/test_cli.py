@@ -351,6 +351,28 @@ class TestUsageErrors:
         assert out == ""
         assert "q must be >= 0 to keep $ monotone" in err
 
+    @pytest.mark.parametrize("cost", ["poly:nan", "exp:inf", "linfloor:inf", "linfloor:nan"])
+    def test_non_finite_cost_parameters_are_usage_errors(self, capsys, cost):
+        code, out, err = run(capsys, "cda", "--epsilon", "0.01", "--d", "10", "--cost", cost)
+        assert code == 1
+        assert out == ""
+        assert "q and c must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cda", "--epsilon", "0.1", "--d", "4"],
+            ["complexity", "--eps-grid", "1e-1,1e-2", "--d-grid", "2,4"],
+        ],
+        ids=["cda", "complexity"],
+    )
+    def test_costs_beyond_double_range_are_error_lines(self, capsys, argv):
+        # Both ended in a raw OverflowError traceback from math.exp.
+        code, out, err = run(capsys, *argv, "--kernel", "korobov:1", "--cost", "doubleexp:1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "exceeds double range" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -408,7 +430,10 @@ _GRIDS = {
     "--eps-grid": st.lists(_EPS, min_size=1, max_size=3).map(",".join),
     "--d-grid": st.lists(_DIM, min_size=1, max_size=3).map(",".join),
 }
-_COSTS = _values("constant poly:2 exp:1 doubleexp:0.5 linfloor:2", "poly:-1 linfloor:0.5 x")
+_COSTS = _values(
+    "constant poly:2 exp:1 doubleexp:0.5 linfloor:2",
+    "poly:-1 linfloor:0.5 poly:nan linfloor:inf doubleexp:1000 x",
+)
 _SUBCOMMANDS = {
     "bounds": {**_GRIDS, "--c-const": _POSITIVE},
     "spectrum": {},

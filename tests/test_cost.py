@@ -11,8 +11,8 @@ from activevars import (
     eval_cost,
     tractability_classify,
 )
-from activevars.cost import GridPoint, _summarize
-from activevars.errors import InsufficientDataError, InvalidModelError
+from activevars.cost import GridPoint, _summarize, log_eval_cost
+from activevars.errors import InsufficientDataError, InvalidModelError, UnsupportedScaleError
 
 
 class TestCostModel:
@@ -53,6 +53,35 @@ class TestCostModel:
             CostModel(family="exponential", q=-1.0)
         with pytest.raises(InvalidModelError):
             CostModel(family="nonsense")
+
+
+    @pytest.mark.parametrize(
+        "family, param",
+        [
+            ("polynomial", "q"),
+            ("exponential", "q"),
+            ("double_exponential", "q"),
+            ("linear_floor", "c"),
+        ],
+    )
+    def test_non_finite_parameters_are_invalid_models(self, family, param):
+        # NaN passed both `q < 0` and `$(0) >= 1`, so pricing failed its own
+        # certificate on exp(nan); c = inf priced plans at inf "within bound".
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidModelError):
+                CostModel(family=family, **{param: value})
+
+    def test_costs_beyond_double_range_raise_typed_errors(self):
+        # math.exp and float power raised a raw OverflowError.
+        doubleexp = CostModel(family="double_exponential", q=1000.0)
+        with pytest.raises(UnsupportedScaleError):
+            log_eval_cost(doubleexp, 1)
+        with pytest.raises(UnsupportedScaleError):
+            eval_cost(doubleexp, 1)
+        with pytest.raises(UnsupportedScaleError):
+            eval_cost(CostModel(family="polynomial", q=1000.0), 2)
+        assert eval_cost(doubleexp, 0) == math.e
+        assert log_eval_cost(CostModel(family="exponential", q=1000.0), 1) == 1000.0
 
 
 @pytest.fixture(scope="module")

@@ -22,6 +22,7 @@ from activevars import (
 )
 from activevars import optimal
 from activevars.errors import (
+    InvalidArgumentError,
     InvalidConfigurationError,
     TailCertificateError,
 )
@@ -241,6 +242,13 @@ class TestOptimalAlgorithm:
             optimal_algorithm(0.5, 2, custom_pair, c_const=4.0).n_terms
             == optimal_algorithm(0.25, 2, custom_pair).n_terms
         )
+
+    def test_orthogonality_constant_below_one_or_nan_is_refused(self, custom_pair):
+        # NaN passed `c_const < 1` and gave a NaN demand: entries were still
+        # printed, and `optimal --tau` ended in a ValueError from math.ceil.
+        for c_const in (0.5, math.nan):
+            with pytest.raises(InvalidArgumentError):
+                optimal_algorithm(0.5, 2, custom_pair, c_const=c_const)
 
     def test_active_variable_ceiling(self, korobov1):
         for d in (2, 10, 100):
