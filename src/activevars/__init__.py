@@ -12,7 +12,6 @@ from .cda import (
     ApplyResult,
     CdaApplier,
     CdaPlan,
-    apply_plan,
     build_plan,
     price_plan,
     r_growth_bounds,
@@ -28,7 +27,6 @@ from .errors import ActiveVarsError, EnumerationCapError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
     majorant_table,
-    make_test_function,
     mc_l2_error,
     mean_function,
     random_function,
@@ -98,7 +96,6 @@ __all__ = [
     "act",
     "anova_from_json",
     "anova_to_json",
-    "apply_plan",
     "binomial_tail",
     "build_plan",
     "build_spectrum",
@@ -116,7 +113,6 @@ __all__ = [
     "h_norm",
     "korobov_kernel",
     "majorant_table",
-    "make_test_function",
     "mc_l2_error",
     "mean_function",
     "optimal_algorithm",

@@ -31,8 +31,9 @@ from .errors import (
     DimensionMismatchError,
     EnumerationCapError,
     InvalidArgumentError,
+    UnsupportedScaleError,
 )
-from .optimal import ENUMERATION_CAP, arrangement_count
+from .optimal import ENUMERATION_CAP
 from .space import AnovaFunction
 from .spectrum import Spectrum, power_sum
 from .truncation import truncation_level
@@ -46,7 +47,6 @@ __all__ = [
     "r_growth_bounds",
     "ApplyResult",
     "CdaApplier",
-    "apply_plan",
     "PriceResult",
     "price_plan",
 ]
@@ -142,7 +142,9 @@ def build_plan(
     minimal certified one for ``eps`` and the spectrum's ``C_0^2``.
 
     Identical inputs yield bit-identical plans: everything below is a pure
-    float computation with a fixed summation order.
+    float computation with a fixed summation order.  A term budget that
+    leaves double range (a large ``tau``: ``eps_l^(2 tau)`` underflows)
+    raises :class:`UnsupportedScaleError`.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidArgumentError("epsilon must lie in (0, 1)")
@@ -163,7 +165,11 @@ def build_plan(
         log_d = math.log(d)
         for l in range(1, level + 1):
             eps_l = epsilon * math.exp(l / (2.0 * (1.0 + tau)) * log_d) / sqrt_r
-            n_l = _dust_floor(ltau**l / eps_l ** (2.0 * tau))
+            try:
+                n_l = _dust_floor(ltau**l / eps_l ** (2.0 * tau))
+            except (ArithmeticError, ValueError) as exc:  # 0 / 0, overflow, NaN
+                msg = f"term budget n_{l} is outside double range at tau = {tau}"
+                raise UnsupportedScaleError(msg) from exc
             rows.append(PlanRow(cardinality=l, eps_l=eps_l, n_l=n_l))
     return CdaPlan(
         epsilon=epsilon,
@@ -312,7 +318,7 @@ class _RankOracle:
         order = np.argsort(-values, kind="stable")
         cut = values[order[int(np.searchsorted(np.cumsum(counts[order]), self.budget))]]
         room = self.budget - int(counts[values > cut].sum())
-        self._key = (-float(cut), _unrank(rows[values == cut].tolist(), room))
+        self._key = (-float(cut), _unrank(rows[values == cut], room))
         return int(np.count_nonzero(values >= cut))
 
     def retained(self, k: tuple[int, ...]) -> bool:
@@ -328,22 +334,34 @@ class _RankOracle:
         return (-v, tuple(k)) <= self._key
 
 
-def _unrank(rests: list[list[int]], rank: int) -> tuple[int, ...]:
+def _unrank(rows, rank: int) -> tuple[int, ...]:
     """The ``rank``-th (from 1) lexicographic ordering of distinct sorted multisets.
 
     Positions are fixed left to right; each candidate value, smallest first,
     skips the orderings that start with it until one holds the ``rank``-th.
+    Of the ``A(ms)`` orderings of an ``l``-multiset ``ms``, ``A(ms) m_v / l``
+    start with ``v`` (``m_v`` copies of it in ``ms``), which is also the
+    count of the tail left; one sort of the rows counts every candidate.
     """
+    rows = np.array(rows, dtype=np.int64, ndmin=2)
+    counts = _arrangement_counts(rows)
     prefix = []
-    while rests[0]:
-        for v in sorted({i for ms in rests for i in ms}):
-            tails = [ms[: ms.index(v)] + ms[ms.index(v) + 1 :] for ms in rests if v in ms]
-            count = sum(map(arrangement_count, tails))
-            if rank <= count:
-                break
-            rank -= count
+    for l in range(rows.shape[1], 0, -1):
+        flat = rows.ravel()
+        order = np.argsort(flat)  # any order within equal values: they are summed
+        values = flat[order]
+        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        starting = np.cumsum(np.add.reduceat(np.repeat(counts, l)[order], starts) // l)
+        pick = int(np.searchsorted(starting, rank))
+        rank -= int(starting[pick - 1]) if pick else 0
+        v = int(values[starts[pick]])
+        hit = rows == v
+        has = hit.any(axis=1)
+        rows, hit = rows[has], hit[has]
+        counts = counts[has] * hit.sum(axis=1) // l
+        first = hit & (np.cumsum(hit, axis=1) == 1)
+        rows = rows[~first].reshape(len(rows), l - 1)
         prefix.append(v)
-        rests = tails
     return tuple(prefix)
 
 
@@ -511,16 +529,6 @@ class CdaApplier:
             exact=self.orthogonal,
             max_act=max_act,
         )
-
-
-def apply_plan(
-    plan: CdaPlan,
-    f: AnovaFunction,
-    spectrum: Spectrum,
-    orthogonal: bool | None = None,
-) -> ApplyResult:
-    """One-shot :class:`CdaApplier` convenience wrapper."""
-    return CdaApplier(plan, spectrum, orthogonal).apply(f)
 
 
 # -- pricing ------------------------------------------------------------------

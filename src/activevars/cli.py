@@ -25,7 +25,7 @@ import sys
 
 from .cda import build_plan, price_plan
 from .cost import CostModel, complexity_curve, tractability_classify
-from .errors import ActiveVarsError, InvalidArgumentError, InvalidModelError
+from .errors import ActiveVarsError, InvalidArgumentError, InvalidModelError, UnsupportedScaleError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
     mc_l2_error,
@@ -212,12 +212,12 @@ def _run_optimal(args: argparse.Namespace) -> int:
     }
     if tau is not None:
         ltau = power_sum(s, tau)
-        summary["n_cap"] = (
-            math.ceil(
-                math.exp(ltau * d ** (1.0 - tau)) * alg.epsilon_effective ** (-2.0 * tau)
-            )
-            - 1
-        )
+        try:
+            cap = math.exp(ltau * d ** (1.0 - tau)) * alg.epsilon_effective ** (-2.0 * tau)
+            summary["n_cap"] = math.ceil(cap) - 1
+        except (ArithmeticError, ValueError) as exc:  # overflow, inf, NaN
+            msg = f"the term bound n_cap is outside double range at tau = {tau}"
+            raise UnsupportedScaleError(msg) from exc
     _emit(args, ["cardinality", "indices", "eigenvalue", "multiplicity"], rows, summary)
     return 0
 

@@ -47,7 +47,8 @@ class InsufficientDataError(ActiveVarsError, ValueError):
 
 class UnsupportedScaleError(ActiveVarsError, ValueError):
     """A run exceeds a fixed scale limit: the Monte Carlo work budget, or a
-    cost ``$(k)`` or ``ln $(k)`` outside double range."""
+    value outside double range (a cost ``$(k)`` or ``ln $(k)``, a term
+    budget or bound, an eigenvalue that underflows)."""
 
 
 class CertificationError(ActiveVarsError, RuntimeError):

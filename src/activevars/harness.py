@@ -23,7 +23,6 @@ __all__ = [
     "mean_function",
     "single_subset_function",
     "random_function",
-    "make_test_function",
     "mc_l2_error",
 ]
 
@@ -111,7 +110,6 @@ def random_function(
     sparsity: int = 6,
     max_card: int | None = None,
     max_index: int = 8,
-    with_constant: bool = True,
 ) -> AnovaFunction:
     """Seeded sparse function with unit weighted norm.
 
@@ -140,7 +138,7 @@ def random_function(
             k = tuple(int(i) for i in rng.integers(1, max_index + 1, size=len(u)))
             vec[k] = float(rng.normal())
         terms[u] = vec
-    constant = float(rng.normal()) * 0.2 if with_constant else 0.0
+    constant = float(rng.normal()) * 0.2
     f = AnovaFunction(d=d, constant=constant, terms=terms, max_index=max_index)
     scale = h_norm(f)
     if scale == 0.0:  # pragma: no cover - normal draws are a.s. nonzero
@@ -149,17 +147,6 @@ def random_function(
     return AnovaFunction(
         d=d, constant=constant / scale, terms=terms, max_index=max_index
     )
-
-
-def make_test_function(kind: str, d: int, spectrum: Spectrum, seed: int = 0, **kw):
-    """Build a test function by ``kind``: ``mean``, ``single_subset`` or ``random``."""
-    if kind == "mean":
-        return mean_function(d, spectrum, **kw)
-    if kind == "single_subset":
-        return single_subset_function(d, **kw)
-    if kind == "random":
-        return random_function(d, spectrum, seed, **kw)
-    raise InvalidArgumentError(f"unknown test-function kind {kind!r}")
 
 
 # -- Monte Carlo --------------------------------------------------------------

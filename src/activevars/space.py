@@ -140,10 +140,6 @@ class Functional:
         if len(dims) > 1:
             raise InvalidArgumentError("all component subsets must share one dimension")
 
-    @property
-    def active(self) -> int:
-        return act(self)
-
 
 def act(functional: Functional) -> int:
     """Number of active variables: the size of the union of component subsets."""

@@ -42,6 +42,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidSpectrumError,
     UnsupportedOperationError,
+    UnsupportedScaleError,
 )
 
 __all__ = [
@@ -59,17 +60,23 @@ __all__ = [
 class KernelSpec:
     """Description of a univariate kernel on ``[0, 1]`` under the uniform density.
 
+    The one place a kernel's parameters live and are checked; a
+    :class:`Spectrum` holds its ``KernelSpec``.
+
     Parameters
     ----------
     kind : str
         One of ``"wiener"``, ``"korobov"``, ``"custom"``.
     r : float, optional
-        Smoothness of the korobov kernel: a finite real ``r > 1/2``, so the
-        kernel trace is finite.
+        Korobov smoothness: a finite real ``r > 1/2``, so the kernel trace
+        is finite.
     eigenvalues : sequence of float, optional
-        Explicit nonincreasing positive eigenvalue list for ``custom``.
-        Entries must be Python or numpy integers or floats; ``bool`` and
-        strings raise :class:`InvalidSpectrumError`.
+        The custom list: one or more positive, finite, nonincreasing Python
+        or numpy integers or floats (``bool`` and strings are not).
+
+    Each parameter is required by its kind and refused by the others
+    (:class:`InvalidArgumentError`, as for a malformed ``r``); a malformed
+    custom list raises :class:`InvalidSpectrumError`.
     """
 
     kind: str
@@ -79,39 +86,55 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("wiener", "korobov", "custom"):
             raise InvalidArgumentError(f"unknown kernel kind {self.kind!r}")
+        for name, owner in (("r", "korobov"), ("eigenvalues", "custom")):
+            if (getattr(self, name) is None) == (self.kind == owner):
+                raise InvalidArgumentError(
+                    f"{name} is for the {owner} kernel only, and required there: got "
+                    f"{name}={getattr(self, name)!r} for {self.kind}"
+                )
         if self.kind == "korobov":
-            if not (_is_real_type(type(self.r)) and 0.5 < self.r < math.inf):
+            r = _real_tuple([self.r])
+            if r is None or not 0.5 < r[0] < math.inf:
                 raise InvalidArgumentError(
                     "korobov smoothness r must be a finite real r > 1/2 (finite trace), "
                     f"not {self.r!r}"
                 )
-            object.__setattr__(self, "r", float(self.r))
-        if self.kind == "custom" and self.eigenvalues is None:
-            raise InvalidArgumentError("custom kernel requires an explicit eigenvalue list")
-        if self.eigenvalues is not None:
+            object.__setattr__(self, "r", r[0])
+        if self.kind == "custom":
             values = _real_tuple(self.eigenvalues)
             if values is None:
                 raise InvalidSpectrumError(
                     "custom eigenvalues must be a sequence of integers or floats "
                     "(bool and str are not)"
                 )
+            if not values or not all(0.0 < v < math.inf for v in values):
+                raise InvalidSpectrumError(
+                    "custom eigenvalues must be one or more positive finite values"
+                )
+            if any(a < b for a, b in zip(values, values[1:])):
+                raise InvalidSpectrumError("custom eigenvalues must be nonincreasing")
             object.__setattr__(self, "eigenvalues", values)
 
 
-def _is_real_type(t: type) -> bool:
-    """Python and numpy integers and floats; ``bool`` and ``str`` are not reals here."""
-    return issubclass(t, numbers.Real) and not issubclass(t, bool)
-
-
 def _real_tuple(values) -> tuple[float, ...] | None:
-    """``values`` as a tuple of floats, or ``None`` unless it is a sequence of reals."""
+    """``values`` as floats; ``None`` unless each is a non-``bool`` Python or numpy real."""
     try:
         items = tuple(values)
-        if all(map(_is_real_type, set(map(type, items)))):
+        types = set(map(type, items))
+        if all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types):
             return tuple(map(float, items))
     except (TypeError, OverflowError):
         pass
     return None
+
+
+def _count(n) -> int:
+    """A truncation length ``N >= 1`` as an ``int``; ``bool`` is not an integer here."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise InvalidArgumentError(f"n_eigenvalues must be an integer, not {n!r}")
+    if n < 1:
+        raise InvalidArgumentError("n_eigenvalues must be >= 1")
+    return int(n)
 
 
 def wiener_kernel() -> KernelSpec:
@@ -145,19 +168,20 @@ class Spectrum:
     the same values.  Analytic kinds evaluate the same scalar closed form
     past ``N``.
 
-    The constructor takes ``kind``, ``n_eigenvalues``, ``c0sq_mode``, ``r``
-    and the custom values (:func:`build_spectrum` validates them);
-    ``tail_bound``, ``alpha`` and ``c0sq`` are derived from those, so they
-    cannot contradict the kind.
+    The constructor takes the :class:`KernelSpec`, ``N`` and the ``C_0^2``
+    mode and checks them together; ``kind`` and ``r`` are read from the
+    kernel, and ``tail_bound``, ``alpha`` and ``c0sq`` are derived, so
+    none can contradict it.  Every spectrum that constructs has a positive,
+    finite, nonincreasing table.
 
     Attributes
     ----------
-    kind : str
-        ``"wiener"``, ``"korobov"`` or ``"custom"``.
+    kernel : KernelSpec
+        The kernel the eigenvalues belong to.
     n_eigenvalues : int
-        Truncation length ``N``: the number of retained eigenvalues.
-        Sums over the spectrum use the first ``N`` terms plus an analytic
-        tail correction where one exists.
+        Truncation length ``N >= 1``, the number of retained eigenvalues
+        (a custom list's length).  Sums over the spectrum use the first
+        ``N`` terms plus an analytic tail correction where one exists.
     tail_bound : float
         Certified upper bound on ``sum_{n > N} lambda_n`` (0 for custom).
     alpha : float
@@ -169,35 +193,62 @@ class Spectrum:
         coarser closed-form value 1/2 via ``paper_bound`` mode.
     c0sq_mode : str
         ``"exact"`` or ``"paper_bound"``.
+
+    A kernel that is not a ``KernelSpec``, a bad ``N`` or an unknown mode
+    raise :class:`InvalidArgumentError`, ``paper_bound`` off wiener
+    :class:`InvalidConfigurationError`, and a ``lambda_N`` that underflows
+    to zero (korobov with large ``r``) :class:`UnsupportedScaleError`.
     """
 
-    kind: str
+    kernel: KernelSpec
     n_eigenvalues: int
     tail_bound: float = field(init=False)
     alpha: float = field(init=False)
     c0sq: float = field(init=False)
     c0sq_mode: str = "exact"
-    r: float | None = None
-    _custom: tuple[float, ...] | None = field(default=None, repr=False)
     _table: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n_eigenvalues
-        if self.kind == "custom":
-            table, tail, alpha = array("d", self._custom), 0.0, math.inf
+        spec = self.kernel
+        if not isinstance(spec, KernelSpec):
+            raise InvalidArgumentError(f"kernel must be a KernelSpec, not {spec!r}")
+        n = _count(self.n_eigenvalues)
+        if self.c0sq_mode not in ("exact", "paper_bound"):
+            raise InvalidArgumentError(f"unknown c0sq_mode {self.c0sq_mode!r}")
+        if self.c0sq_mode == "paper_bound" and spec.kind != "wiener":
+            raise InvalidConfigurationError(
+                "paper_bound mode encodes the wiener closed-form constant 1/2"
+            )
+        if spec.kind == "custom":
+            if n != len(spec.eigenvalues):
+                raise InvalidArgumentError(
+                    f"a custom spectrum's N is its length {len(spec.eigenvalues)}, not {n}"
+                )
+            table, tail, alpha = array("d", spec.eigenvalues), 0.0, math.inf
         else:
             table = array("d", self._closed_form(range(1, n + 1)))
-        if self.kind == "wiener":
+            if not table[-1] > 0.0:
+                raise UnsupportedScaleError(f"lambda_{n} underflows to zero; use a smaller N")
+        if spec.kind == "wiener":
             # Tail of sum 4/((2n-1)^2 pi^2) in closed form via the trigamma
             # function: sum_{n>N} (2n-1)^{-2} = psi'(N + 1/2) / 4.
             tail, alpha = _hurwitz_zeta(2.0, n + 0.5) / math.pi**2, 2.0
-        elif self.kind == "korobov":
-            tail, alpha = _korobov_power_tail(self.r, 1.0, n), 2.0 * self.r
+        elif spec.kind == "korobov":
+            tail, alpha = _korobov_power_tail(spec.r, 1.0, n), 2.0 * spec.r
         c0sq = 0.5 if self.c0sq_mode == "paper_bound" else table[0]
+        object.__setattr__(self, "n_eigenvalues", n)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "tail_bound", tail)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "c0sq", c0sq)
+
+    @property
+    def kind(self) -> str:
+        return self.kernel.kind
+
+    @property
+    def r(self) -> float | None:
+        return self.kernel.r
 
     def _closed_form(self, indices) -> list[float]:
         """``lambda_n`` for each ``n`` in ``indices``, by the analytic kind's formula."""
@@ -266,65 +317,25 @@ class Spectrum:
 
     @property
     def is_finite(self) -> bool:
+        """Custom spectra are finite and carry no eigenfunctions; analytic ones are infinite."""
         return self.kind == "custom"
-
-    def has_eigenfunctions(self) -> bool:
-        return self.kind in ("wiener", "korobov")
 
 
 def build_spectrum(
     spec: KernelSpec, n_eigenvalues: int = 10_000, c0sq_mode: str = "exact"
 ) -> Spectrum:
-    """Construct a :class:`Spectrum` from a kernel description.
+    """Construct a :class:`Spectrum` from a kernel description; ``Spectrum`` checks it.
 
-    Parameters
-    ----------
-    spec : KernelSpec
-        Kernel to take the eigenvalues from.
-    n_eigenvalues : int
-        Truncation length ``N >= 1`` for infinite spectra.  Custom
-        spectra ignore this in favor of their explicit length.
-    c0sq_mode : str
-        ``"exact"`` takes ``C_0^2 = lambda_1``.  ``"paper_bound"`` is only
-        meaningful for the wiener kernel and fixes ``C_0^2 = 1/2`` (the
-        Cauchy-Schwarz constant) while keeping the eigenvalues exact.
-
-    Raises
-    ------
-    InvalidArgumentError
-        If ``n_eigenvalues`` is not an integer ``>= 1`` (``bool`` is not), or
-        the mode/kernel pairing is invalid.
-    InvalidSpectrumError
-        If a custom list is empty, or not positive, finite and nonincreasing.
+    ``n_eigenvalues`` is the truncation length ``N`` of an infinite
+    spectrum.  A custom kernel sets its own ``N``, its length, though a
+    malformed value is still refused.  ``c0sq_mode="exact"`` takes
+    ``C_0^2 = lambda_1``; ``"paper_bound"`` (wiener only) fixes it at the
+    Cauchy-Schwarz constant 1/2, and the eigenvalues stay exact.
     """
-    if not isinstance(n_eigenvalues, numbers.Integral) or isinstance(n_eigenvalues, bool):
-        raise InvalidArgumentError(f"n_eigenvalues must be an integer, not {n_eigenvalues!r}")
-    n_eigenvalues = int(n_eigenvalues)
-    if n_eigenvalues < 1:
-        raise InvalidArgumentError("n_eigenvalues must be >= 1")
-    if c0sq_mode not in ("exact", "paper_bound"):
-        raise InvalidArgumentError(f"unknown c0sq_mode {c0sq_mode!r}")
-    if c0sq_mode == "paper_bound" and spec.kind != "wiener":
-        raise InvalidConfigurationError(
-            "paper_bound mode encodes the wiener closed-form constant 1/2"
-        )
-
-    values = spec.eigenvalues if spec.kind == "custom" else None
-    if values is not None:
-        if not values or not all(0.0 < v < math.inf for v in values):
-            raise InvalidSpectrumError(
-                "custom eigenvalues must be one or more positive finite values"
-            )
-        if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
-            raise InvalidSpectrumError("custom eigenvalues must be nonincreasing")
-        n_eigenvalues = len(values)
-    return Spectrum(
-        kind=spec.kind,
-        n_eigenvalues=n_eigenvalues,
-        c0sq_mode=c0sq_mode,
-        r=spec.r if spec.kind == "korobov" else None,
-        _custom=values,
-    )
+    if isinstance(spec, KernelSpec) and spec.kind == "custom":
+        _count(n_eigenvalues)
+        n_eigenvalues = len(spec.eigenvalues)
+    return Spectrum(spec, n_eigenvalues, c0sq_mode)
 
 
 # Euler-Maclaurin coefficients (2k)! / B_2k of the cephes zeta routine.
@@ -357,7 +368,7 @@ def _hurwitz_zeta(s: float, q: float) -> float:
     (DLMF 25.11.43); otherwise it sums at least nine terms directly, until
     ``q + i > 9``, and adds the Euler-Maclaurin correction.  A sum that
     underflows to zero stays zero, as in C, where ``0 / 0`` never stops
-    the loops early.
+    the loops early, and also where C's correction gives NaN (``s = inf``).
     """
     if q > 1e8:
         return (1 / (s - 1) + 1 / (2 * q)) * math.pow(q, 1 - s)
@@ -372,6 +383,8 @@ def _hurwitz_zeta(s: float, q: float) -> float:
         total += b
         if total and b / total < _MACHEP:
             return total
+    if b == 0.0:  # all underflowed: the correction adds b times factors that may be inf
+        return total
     w = a
     total += b * w / (s - 1.0)
     total -= 0.5 * b
@@ -485,7 +498,7 @@ def eval_eigenfunction(s: Spectrum, n, x):
         branch for odd ``n`` and the sine branch for even ``n`` of the
         frequency ``k = ceil(n/2)``, scaled by ``sqrt(2 lambda_n)``.
     """
-    if not s.has_eigenfunctions():
+    if s.is_finite:
         raise UnsupportedOperationError("custom spectra carry no eigenfunction data")
     if n < 1:
         raise InvalidArgumentError("eigenfunction index is 1-based")
@@ -540,7 +553,7 @@ class EigenfunctionTable:
     """
 
     def __init__(self, s: Spectrum, indices) -> None:
-        if not s.has_eigenfunctions():
+        if s.is_finite:
             raise UnsupportedOperationError("custom spectra carry no eigenfunction data")
         n = np.asarray(indices, dtype=np.int64)
         self._wiener = s.kind == "wiener"
@@ -642,10 +655,6 @@ def spectrum_to_json(s: Spectrum) -> str:
 def spectrum_from_json(text: str) -> Spectrum:
     """Rebuild a :class:`Spectrum` from :func:`spectrum_to_json` output."""
     doc = json.loads(text)
-    kind = doc["kind"]
-    mode = doc["params"].get("c0sq_mode", "exact")
-    if kind == "wiener":
-        return build_spectrum(wiener_kernel(), doc["N"], mode)
-    if kind == "korobov":
-        return build_spectrum(korobov_kernel(doc["params"]["r"]), doc["N"], mode)
-    return build_spectrum(custom_kernel(doc["eigenvalues"]))
+    values = doc["eigenvalues"] if doc["kind"] == "custom" else None
+    spec = KernelSpec(doc["kind"], doc["params"].get("r"), values)
+    return Spectrum(spec, doc["N"], doc["params"].get("c0sq_mode", "exact"))

@@ -15,7 +15,6 @@ from activevars import (
     CdaApplier,
     CostModel,
     EnumerationCapError,
-    apply_plan,
     build_plan,
     build_spectrum,
     custom_kernel,
@@ -298,6 +297,18 @@ class TestRankOracle:
         for rank, want in enumerate(ordered, start=1):
             assert cda._unrank([list(ms) for ms in multisets], rank) == want
 
+    def test_wide_class_unranks_from_its_rows(self):
+        # custom [0.5] * 30 at cardinality 6: all C(35, 6) = 1,623,160
+        # multisets form the one cut class, and ordered tuples rank in
+        # lexicographic order, so the key is the base-30 digits of
+        # budget - 1, each plus one.  Walking the class value by value in
+        # Python took about 15 s of a 17 s ranking.
+        budget = 30**6 // 2
+        oracle = _RankOracle(build_spectrum(custom_kernel([0.5] * 30)), 6, budget)
+        digits = tuple(int(c, 30) + 1 for c in np.base_repr(budget - 1, 30).zfill(6))
+        assert digits == (15, 30, 30, 30, 30, 30)
+        assert oracle._key == (-(0.5**6), digits)
+
     def test_split_class_generates_only_the_kept_orderings(self):
         # The cut class holds the five multisets 1^16 {2,3}^4, 77,520
         # orderings in all; listing the 20! permutations of each would
@@ -371,7 +382,7 @@ class TestApply:
     def test_constant_function_is_reproduced_exactly(self, korobov1):
         plan = build_plan(0.1, 5, korobov1)
         f = AnovaFunction(d=5, constant=0.7)
-        res = apply_plan(plan, f, korobov1)
+        res = CdaApplier(plan, korobov1).apply(f)
         assert res.approx == f
         assert res.error_cert == 0.0
         assert res.max_act == 0
@@ -383,7 +394,7 @@ class TestApply:
         u = (1, 2, 3)
         f = single_subset_function(d, u, (1, 1, 1), value=d ** (-1.5))
         assert h_norm(f) == pytest.approx(1.0, rel=1e-12)
-        res = apply_plan(plan, f, korobov1)
+        res = CdaApplier(plan, korobov1).apply(f)
         assert not res.approx.terms
         cap = korobov1.c0sq ** 1.5 * d ** (-1.5)
         assert res.error_cert <= cap * (1 + 1e-12)
@@ -402,14 +413,14 @@ class TestApply:
     def test_wiener_certificate_is_triangle_bound(self, wiener):
         plan = build_plan(0.05, 4, wiener)
         f = random_function(4, wiener, seed=3)
-        res = apply_plan(plan, f, wiener)
+        res = CdaApplier(plan, wiener).apply(f)
         assert not res.exact
         assert res.error_cert >= 0.0
 
     def test_dimension_mismatch(self, korobov1):
         plan = build_plan(0.1, 4, korobov1)
         with pytest.raises(DimensionMismatchError):
-            apply_plan(plan, AnovaFunction(d=5, constant=1.0), korobov1)
+            CdaApplier(plan, korobov1).apply(AnovaFunction(d=5, constant=1.0))
 
     @settings(max_examples=100, deadline=None)
     @given(values=_tie_spectra, d=st.integers(1, 3), data=st.data())
@@ -460,14 +471,14 @@ class TestApply:
         assert plan.row(2).n_l >= 4
         f = AnovaFunction(d=2, terms={(1, 2): {(1, 1): 0.5, (3, 1): 0.25}})
         with pytest.raises(InvalidArgumentError):
-            apply_plan(plan, f, s)
+            CdaApplier(plan, s).apply(f)
 
     def test_retained_coefficients_are_unchanged(self, custom_quad):
         plan = build_plan(0.2, 2, custom_quad, tau=1.0, level=2)
         f = AnovaFunction(
             d=2, terms={(1,): {(1,): 0.5, (4,): 0.25}, (1, 2): {(2, 3): 0.1}}
         )
-        res = apply_plan(plan, f, custom_quad, orthogonal=True)
+        res = CdaApplier(plan, custom_quad, orthogonal=True).apply(f)
         for u, coeffs in res.approx.terms.items():
             for k, c in coeffs.items():
                 assert f.terms[u][k] == c

@@ -373,6 +373,23 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and "exceeds double range" in err
 
+    @pytest.mark.parametrize("tau", ["400", "1e308", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cda", "--epsilon", "0.01", "--d", "10"],
+            ["optimal", "--epsilon", "0.1", "--d", "4"],
+        ],
+        ids=["cda", "optimal"],
+    )
+    def test_budgets_beyond_double_range_are_error_lines(self, capsys, argv, tau):
+        # cda ended in a ZeroDivisionError or ValueError traceback (L(inf) was
+        # NaN), optimal's n_cap in an OverflowError or ValueError traceback.
+        code, out, err = run(capsys, *argv, "--kernel", "korobov:1", "--tau", tau)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "outside double range" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -426,6 +443,7 @@ def _values(valid: str, invalid: str) -> st.SearchStrategy[str]:
 _EPS = _values("0.5 0.1 0.05", "0 1 2 -0.1 nan x")
 _DIM = _values("1 2 3 5", "0 -1 x")
 _POSITIVE = _values("1 1.5 2", "0 -1 nan x")
+_TAU = _values("1 1.5 2", "0 -1 nan x 400 1e308 inf")
 _GRIDS = {
     "--eps-grid": st.lists(_EPS, min_size=1, max_size=3).map(",".join),
     "--d-grid": st.lists(_DIM, min_size=1, max_size=3).map(",".join),
@@ -437,15 +455,15 @@ _COSTS = _values(
 _SUBCOMMANDS = {
     "bounds": {**_GRIDS, "--c-const": _POSITIVE},
     "spectrum": {},
-    "cda": {"--epsilon": _EPS, "--d": _DIM, "--tau": _POSITIVE, "--cost": _COSTS},
+    "cda": {"--epsilon": _EPS, "--d": _DIM, "--tau": _TAU, "--cost": _COSTS},
     "optimal": {
         "--epsilon": _EPS,
         "--d": _DIM,
         "--c-const": _POSITIVE,
-        "--tau": _POSITIVE,
+        "--tau": _TAU,
         "--top": _values("0 1 5", "-1 x"),
     },
-    "complexity": {**_GRIDS, "--tau": _POSITIVE, "--cost": _COSTS, "--c-const": _POSITIVE},
+    "complexity": {**_GRIDS, "--tau": _TAU, "--cost": _COSTS, "--c-const": _POSITIVE},
     "table": {},
     "mc-check": {
         "--d": _DIM,

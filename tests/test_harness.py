@@ -17,7 +17,6 @@ from activevars import (
     g_norm_exact,
     h_norm,
     majorant_table,
-    make_test_function,
     mc_l2_error,
     mean_function,
     random_function,
@@ -84,15 +83,13 @@ class TestGenerators:
             f = random_function(6, korobov1, seed=seed)
             assert h_norm(f) == pytest.approx(1.0, rel=1e-12)
 
-    def test_dispatcher(self, wiener):
-        f = make_test_function("mean", 2, wiener)
+    def test_each_generator_builds_its_kind(self, wiener):
+        f = mean_function(2, wiener)
         assert set(f.subsets()) == {(1,), (2,)}
-        g = make_test_function("single_subset", 3, wiener, u=(1, 2), k=(1, 1))
+        g = single_subset_function(3, u=(1, 2), k=(1, 1))
         assert (1, 2) in g.terms
-        h = make_test_function("random", 4, wiener, seed=9)
+        h = random_function(4, wiener, seed=9)
         assert h_norm(h) == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(InvalidArgumentError):
-            make_test_function("nope", 2, wiener)
 
 
 class TestMonteCarlo:

@@ -11,22 +11,26 @@ from scipy.special import polygamma, zeta
 
 from activevars import (
     KernelSpec,
+    Spectrum,
     build_spectrum,
     custom_kernel,
     eval_eigenfunction,
     korobov_kernel,
     power_sum,
+    power_sum_identity,
     spectrum_from_json,
     spectrum_to_json,
     wiener_kernel,
 )
 from activevars.spectrum import EigenfunctionTable, _hurwitz_zeta, partial_power_sum
 from activevars.errors import (
+    ActiveVarsError,
     DivergenceError,
     InvalidArgumentError,
     InvalidConfigurationError,
     InvalidSpectrumError,
     UnsupportedOperationError,
+    UnsupportedScaleError,
 )
 
 import oracles
@@ -117,6 +121,116 @@ class TestBuildSpectrum:
         # True as N = 1, or raised a raw TypeError.
         with pytest.raises(InvalidArgumentError):
             make()
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: Spectrum(custom_kernel([0.1, 0.5]), 2), InvalidSpectrumError),
+            (lambda: Spectrum(KernelSpec(kind="korobov", r=0.2), 10), InvalidArgumentError),
+            (lambda: Spectrum(wiener_kernel(), 10, "nonsense"), InvalidArgumentError),
+            (lambda: Spectrum(custom_kernel([0.5]), 3), InvalidArgumentError),
+            (lambda: Spectrum(KernelSpec(kind="korobov"), 10), InvalidArgumentError),
+            (lambda: Spectrum(korobov_kernel(1.0), 10, "paper_bound"), InvalidConfigurationError),
+            (lambda: Spectrum("wiener", 10), InvalidArgumentError),
+            (lambda: Spectrum(wiener_kernel(), np.True_), InvalidArgumentError),
+            (lambda: KernelSpec(kind="wiener", r=3), InvalidArgumentError),
+            (lambda: KernelSpec(kind="custom", r=1.0, eigenvalues=(0.5,)), InvalidArgumentError),
+            (lambda: KernelSpec(kind="wiener", eigenvalues=(0.5,)), InvalidArgumentError),
+            (lambda: KernelSpec(kind="korobov", r=1.0, eigenvalues=(0.5,)), InvalidArgumentError),
+            (lambda: korobov_kernel(10**400), InvalidArgumentError),
+            (lambda: build_spectrum(korobov_kernel(100.0), 10_000), UnsupportedScaleError),
+            (lambda: build_spectrum(custom_kernel([0.5]), "10"), InvalidArgumentError),
+            (lambda: build_spectrum(custom_kernel([0.5]), 0), InvalidArgumentError),
+        ],
+        ids=[
+            "increasing", "r-0.2", "mode", "custom-n", "korobov-no-r", "paper-korobov",
+            "kernel-str", "n-numpy-bool", "wiener-r", "custom-r", "wiener-values",
+            "korobov-values", "r-huge-int", "lambda-n-underflows", "custom-n-str",
+            "custom-n-0",
+        ],
+    )
+    def test_direct_constructions_are_refused(self, make, error):
+        # At the parent, Spectrum(kind, N, c0sq_mode, r, _custom) built an
+        # increasing spectrum, a negative korobov tail bound and a spectrum in
+        # mode "nonsense", and raised raw IndexError and TypeError; KernelSpec
+        # kept an unused r or list, build_spectrum built wiener from a kernel
+        # with eigenvalues, korobov_kernel(10**400) raised OverflowError and
+        # korobov r = 100 tabulated zeros from lambda_13 on.
+        with pytest.raises(error):
+            make()
+
+    def test_spectrum_holds_its_kernel(self):
+        spec = korobov_kernel(np.float64(1.5))
+        s = Spectrum(spec, np.int64(30))
+        assert s == build_spectrum(spec, 30)
+        assert (s.kernel, s.kind, s.r, s.n_eigenvalues) == (spec, "korobov", 1.5, 30)
+        assert type(s.n_eigenvalues) is int
+        custom = build_spectrum(custom_kernel([0.5, 0.25]), 7)
+        assert custom == Spectrum(custom_kernel([0.5, 0.25]), 2)
+        assert (custom.r, custom.kernel.eigenvalues) == (None, (0.5, 0.25))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["wiener", "korobov", "custom", "Wiener", "", None]),
+        r=st.one_of(
+            st.none(),
+            st.floats(0.5, 4.0),
+            st.floats(),
+            st.integers(-2, 300),
+            st.sampled_from([True, "2", np.float64(1.5), 10**400]),
+        ),
+        values=st.one_of(
+            st.none(),
+            st.lists(st.floats(1e-300, 4.0), min_size=1, max_size=6).map(
+                lambda v: sorted(v, reverse=True)
+            ),
+            st.lists(
+                st.one_of(st.floats(), st.integers(-1, 2), st.sampled_from([True, "0.5"])),
+                max_size=6,
+            ),
+            st.sampled_from([0.5, "0.5"]),
+        ),
+        n=st.one_of(
+            st.integers(-2, 300),
+            st.sampled_from([np.int64(7), True, 2.0, "10", None]),
+        ),
+        mode=st.sampled_from(["exact", "paper_bound", "paper", None]),
+        direct=st.booleans(),
+    )
+    @example(kind="custom", r=None, values=[0.1, 0.5], n=2, mode="exact", direct=True)
+    @example(kind="korobov", r=0.2, values=None, n=10, mode="exact", direct=True)
+    @example(kind="wiener", r=None, values=None, n=10, mode="nonsense", direct=True)
+    @example(kind="custom", r=None, values=[0.5], n=3, mode="exact", direct=True)
+    @example(kind="korobov", r=None, values=None, n=10, mode="exact", direct=True)
+    @example(kind="wiener", r=3, values=None, n=10, mode="exact", direct=False)
+    @example(kind="wiener", r=None, values=[0.5], n=5, mode="exact", direct=False)
+    @example(kind="korobov", r=150, values=None, n=300, mode="exact", direct=False)
+    def test_every_input_builds_a_valid_table_or_raises_typed(
+        self, kind, r, values, n, mode, direct
+    ):
+        try:
+            spec = KernelSpec(kind=kind, r=r, eigenvalues=values)
+            s = Spectrum(spec, n, mode) if direct else build_spectrum(spec, n, mode)
+        except ActiveVarsError:
+            return
+        table = s.table().tolist()
+        assert type(s.n_eigenvalues) is int and len(table) == s.n_eigenvalues >= 1
+        assert all(0.0 < v < math.inf for v in table)
+        assert all(a >= b for a, b in zip(table, table[1:]))
+        assert s.kernel is spec and s.kind == kind and s.c0sq_mode == mode
+        assert s.c0sq == (0.5 if mode == "paper_bound" else table[0])
+        assert mode == "exact" or kind == "wiener"
+        if kind == "custom":
+            assert r is None
+            assert table == [float(v) for v in values]
+            assert (s.tail_bound, s.alpha) == (0.0, math.inf)
+        else:
+            assert values is None and s.n_eigenvalues == n
+            assert 0.0 <= s.tail_bound < math.inf
+        if kind == "wiener":
+            assert r is None and s.alpha == 2.0
+        if kind == "korobov":
+            assert 0.5 < s.r < math.inf and s.r == float(r) and s.alpha == 2.0 * s.r
 
     def test_integer_like_inputs_are_accepted(self):
         assert build_spectrum(wiener_kernel(), np.int64(7)).n_eigenvalues == 7
@@ -271,6 +385,16 @@ class TestPowerSum:
                 spectrum, tau
             ), tau
 
+    @pytest.mark.parametrize("tau", [math.inf, 1e308])
+    def test_huge_exponents_give_the_limit(self, tau, wiener, korobov1):
+        # The Hurwitz zeta tail computed inf * 0 in its Euler-Maclaurin
+        # step, so both analytic kinds returned NaN.
+        assert power_sum(wiener, tau) == 0.0
+        assert power_sum(korobov1, tau) == 0.0
+        assert power_sum(build_spectrum(custom_kernel([1.0, 1.0, 0.5])), tau) == 2.0
+        identity = power_sum_identity(3, korobov1, tau)
+        assert (identity.lhs, identity.rhs, identity.log_rhs) == (1.0, 1.0, 0.0)
+
     def test_trace_partial_sum_convergence(self, wiener):
         n = 100_000
         partial = math.fsum(4.0 / ((2 * k - 1) ** 2 * math.pi**2) for k in range(1, n + 1))
@@ -301,6 +425,14 @@ class TestHurwitzZeta:
     @given(x=_shifts(1.0, 1e10))
     def test_trigamma_matches_scipy_polygamma(self, x):
         assert _hurwitz_zeta(2.0, x) == float(polygamma(1, x))
+
+    def test_exponents_past_overflow_give_the_limit(self):
+        # scipy (and the C routine) return NaN here: the rising factorials of
+        # s in the Euler-Maclaurin terms overflow, and inf * 0 is NaN.
+        for s in (1e13, 1e308, math.inf):
+            for q in (1.5, 2.0, 9.5, 1e6, 1e9):
+                assert _hurwitz_zeta(s, q) == 0.0, (s, q)
+            assert _hurwitz_zeta(s, 1.0) == 1.0
 
     def test_matches_scipy_on_every_caller_shape(self):
         # power_sum's tails: (2 r tau, k + 1 | k + 2) for korobov after N or
