@@ -327,11 +327,20 @@ class _RankOracle:
         ms = sorted(k)
         if ms[0] < 1 or ms[-1] > self.spectrum.n_eigenvalues:
             return False
-        # Spectrum.eigen_product(ms), minus a bounds-checked lookup per factor.
-        v = 1.0
-        for i in ms:
-            v *= self._table[i - 1]
-        return (-v, tuple(k)) <= self._key
+        return (-_table_product(self._table, ms), tuple(k)) <= self._key
+
+
+def _table_product(table: memoryview, indices) -> float:
+    """:meth:`Spectrum.eigen_product` of indices in ``1..N``, read from ``table``.
+
+    The same left-to-right product of the same table entries, without a
+    method call and a bounds check per factor.  An index past ``N`` raises
+    ``IndexError``; one below 1 would wrap around, so callers check it.
+    """
+    v = 1.0
+    for i in indices:
+        v *= table[i - 1]
+    return v
 
 
 def _unrank(rows, rank: int) -> tuple[int, ...]:
@@ -478,6 +487,7 @@ class CdaApplier:
         if orthogonal is None:
             orthogonal = spectrum.kind == "korobov"
         self.orthogonal = orthogonal
+        self._table = spectrum.table()
         self._oracles: dict[int, _RankOracle] = {}
 
     def _oracle(self, cardinality: int) -> _RankOracle:
@@ -489,44 +499,54 @@ class CdaApplier:
         return self._oracles[cardinality]
 
     def apply(self, f: AnovaFunction) -> ApplyResult:
+        """Keep each subset's leading coefficients; certify the error of the rest.
+
+        On a subset ``u`` of size at most the plan's level, a coefficient is
+        kept when its multi-index ranks within the first ``n_|u|`` of the
+        ``|u|``-fold tensor eigenbasis (see :class:`_RankOracle`); every
+        coefficient on larger subsets is dropped.  A dropped coefficient adds
+        ``c^2 lambda_{k_1} ... lambda_{k_l}`` to its subset's squared error,
+        one product read from the spectrum's table, left to right in ``k``'s
+        own order: the bits of :meth:`Spectrum.eigen_product`.  A multi-index
+        past ``N`` goes through ``eigen_product`` itself, which evaluates the
+        closed form of an analytic kernel and raises
+        :class:`InvalidArgumentError` for a custom one.
+
+        ``approx`` holds ``f``'s constant and its kept coefficients, in fresh
+        dicts that share nothing with ``f``, and is not checked again: its
+        subsets, indices and values are ``f``'s, which were checked when
+        ``f`` was built.
+        """
         if f.d != self.plan.d:
             raise DimensionMismatchError(
                 f"function has d={f.d}, plan was built for d={self.plan.d}"
             )
+        table, level, orthogonal = self._table, self.plan.level, self.orthogonal
         kept: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-        residual_sq: list[float] = []
-        residual_norms: list[float] = []
+        residuals: list[float] = []  # squared errors if orthogonal, else errors
         max_act = 0
         for u, coeffs in f.terms.items():
+            retained = self._oracle(len(u)).retained if len(u) <= level else None
+            kept_u: dict[tuple[int, ...], float] = {}
             drop_sq: list[float] = []
-            if len(u) > self.plan.level:
-                for k, c in coeffs.items():
+            for k, c in coeffs.items():
+                if retained is not None and retained(k):
+                    kept_u[k] = c
+                    continue
+                try:
+                    drop_sq.append(c * c * _table_product(table, k))
+                except IndexError:  # past N; f's indices are >= 1
                     drop_sq.append(c * c * self.spectrum.eigen_product(k))
-            else:
-                oracle = self._oracle(len(u))
-                kept_u: dict[tuple[int, ...], float] = {}
-                for k, c in coeffs.items():
-                    if oracle.retained(k):
-                        kept_u[k] = c
-                    else:
-                        drop_sq.append(c * c * self.spectrum.eigen_product(k))
-                if kept_u:
-                    kept[u] = kept_u
-                    max_act = max(max_act, len(u))
+            if kept_u:
+                kept[u] = kept_u
+                max_act = max(max_act, len(u))
             term_sq = math.fsum(drop_sq)
-            residual_sq.append(term_sq)
-            residual_norms.append(math.sqrt(term_sq))
-        if self.orthogonal:
-            cert = math.sqrt(math.fsum(residual_sq))
-        else:
-            cert = math.fsum(residual_norms)
-        approx = AnovaFunction(
-            d=f.d, constant=f.constant, terms=kept, max_index=f.max_index
-        )
+            residuals.append(term_sq if orthogonal else math.sqrt(term_sq))
+        cert = math.sqrt(math.fsum(residuals)) if orthogonal else math.fsum(residuals)
         return ApplyResult(
-            approx=approx,
+            approx=f._submap(kept, f.constant),
             error_cert=cert,
-            exact=self.orthogonal,
+            exact=orthogonal,
             max_act=max_act,
         )
 

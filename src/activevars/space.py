@@ -22,13 +22,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
+from collections import abc
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidConfigurationError
-from .spectrum import EigenfunctionTable, Spectrum
+from .spectrum import EigenfunctionTable, Spectrum, _outside_unit_interval, _real_tuple
 
 __all__ = [
     "SubsetIndex",
@@ -48,30 +52,86 @@ __all__ = [
 
 DEFAULT_MAX_INDEX = 64
 
+# Input checks pass values whose types all fall in these sets as they are.
+_INT, _FLOAT, _TUPLE = frozenset({int}), frozenset({float}), frozenset({tuple})
+
 # Points per eval_pointwise block are chosen so that one block's tables and
 # products hold about this many doubles (8 MB), whatever the point count.
 _BLOCK_DOUBLES = 1 << 20
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints: each a Python or numpy integer, ``bool`` not."""
+    if type(values) is tuple and set(map(type, values)) <= _INT:
+        return values
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or not all(
+        issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, items))
+    ):
+        raise InvalidArgumentError(f"{what} must be integers, not {values!r}")
+    return tuple(map(int, items))
+
+
+def _finite_floats(values) -> tuple[float, ...] | None:
+    """``values`` as floats; ``None`` unless each is a finite Python or numpy real.
+
+    ``bool`` and ``str`` are not reals here.
+    """
+    items = tuple(values)
+    if not set(map(type, items)) <= _FLOAT:
+        items = _real_tuple(items)
+    return items if items is not None and all(map(math.isfinite, items)) else None
+
+
+def _multi_indices(keys: list, u: tuple[int, ...], max_index: int) -> list[tuple[int, ...]]:
+    """The multi-indices of subset ``u``, as tuples of ``int``, checked together.
+
+    Keys that are all tuples of Python ints pass as they are, through a few
+    C-level passes over all of them; the others are converted one by one.
+    """
+    flat = list(chain.from_iterable(keys)) if set(map(type, keys)) <= _TUPLE else ()
+    if not (flat and set(map(type, flat)) <= _INT):
+        keys = [_integers(k, "multi-index entries") for k in keys]
+        flat = list(chain.from_iterable(keys))
+    if set(map(len, keys)) != {len(u)} or min(flat) < 1 or max(flat) > max_index:
+        bad = next(k for k in keys if len(k) != len(u) or min(k) < 1 or max(k) > max_index)
+        raise InvalidArgumentError(
+            f"multi-index {bad} of subset {u} needs {len(u)} entries in [1..{max_index}]"
+        )
+    return keys
+
+
 def _validate_coords(coords: tuple[int, ...], d: int) -> None:
-    if any(c < 1 or c > d for c in coords):
-        raise InvalidArgumentError(f"coordinates {coords} not within [1..{d}]")
-    if any(coords[i] >= coords[i + 1] for i in range(len(coords) - 1)):
-        raise InvalidArgumentError(f"coordinates {coords} must be strictly increasing")
+    if coords and not (
+        1 <= coords[0] and coords[-1] <= d and all(map(operator.lt, coords, coords[1:]))
+    ):
+        raise InvalidArgumentError(
+            f"coordinates {coords} must be strictly increasing within [1..{d}]"
+        )
 
 
 @dataclass(frozen=True, order=True)
 class SubsetIndex:
-    """A subset of the coordinates ``{1, ..., d}``, kept strictly increasing."""
+    """A subset of the coordinates ``{1, ..., d}``, kept strictly increasing.
+
+    ``d`` and the coordinates must be Python or numpy integers (``bool``
+    not); anything else raises :class:`InvalidArgumentError`.
+    """
 
     coords: tuple[int, ...]
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if self.d < 1:
+        (d,) = _integers((self.d,), "ambient dimension")
+        if d < 1:
             raise InvalidArgumentError("ambient dimension must be >= 1")
-        _validate_coords(self.coords, self.d)
+        coords = _integers(self.coords, "coordinates")
+        _validate_coords(coords, d)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "d", d)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -85,6 +145,21 @@ class AnovaFunction:
     from multi-indices (one eigenvalue index per subset coordinate) to
     coefficients.  Instances are treated as immutable; norm computations
     are pure and parallelize over subsets.
+
+    Construction checks every input and stores it in one form:
+
+    * ``d >= 1`` and ``max_index`` are Python or numpy integers, stored as
+      ``int``;
+    * coordinates lie in ``1..d``, strictly increasing, and indices in
+      ``1..max_index``, one per coordinate: Python or numpy integers,
+      stored as tuples of ``int``;
+    * the constant and the coefficients are finite Python or numpy reals,
+      stored as ``float``.
+
+    ``bool`` is not an integer or a real here, and strings are not numbers;
+    every refused input raises :class:`InvalidArgumentError`.  ``terms``
+    is copied into fresh dicts, and subsets without coefficients are
+    dropped.
     """
 
     d: int
@@ -95,38 +170,60 @@ class AnovaFunction:
     max_index: int = DEFAULT_MAX_INDEX
 
     def __post_init__(self) -> None:
-        if self.d < 1:
+        (d, max_index) = _integers((self.d, self.max_index), "d and max_index")
+        if d < 1:
             raise InvalidArgumentError("dimension must be >= 1")
+        constant = _finite_floats((self.constant,))
+        if constant is None:
+            raise InvalidArgumentError(f"the constant must be a finite real, not {self.constant!r}")
+        if not isinstance(self.terms, abc.Mapping):
+            raise InvalidArgumentError(f"terms must be a mapping, not {self.terms!r}")
         clean: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
         for u, coeffs in self.terms.items():
-            u = tuple(int(c) for c in u)
+            u = _integers(u, "coordinates")
             if not u:
                 raise InvalidArgumentError("store the empty subset via `constant`")
-            _validate_coords(u, self.d)
-            vec: dict[tuple[int, ...], float] = {}
-            for k, c in coeffs.items():
-                k = tuple(int(i) for i in k)
-                if len(k) != len(u):
+            _validate_coords(u, d)
+            if not isinstance(coeffs, abc.Mapping):
+                raise InvalidArgumentError(f"coefficients on {u} must be a mapping")
+            if coeffs:
+                keys = _multi_indices(list(coeffs), u, max_index)
+                values = _finite_floats(coeffs.values())
+                if values is None:
                     raise InvalidArgumentError(
-                        f"multi-index {k} has wrong length for subset {u}"
+                        f"coefficients on {u} must be finite reals, not {list(coeffs.values())}"
                     )
-                if any(i < 1 or i > self.max_index for i in k):
-                    raise InvalidArgumentError(
-                        f"multi-index {k} outside [1..{self.max_index}]"
-                    )
-                vec[k] = float(c)
-            if vec:
-                clean[u] = vec
+                clean[u] = dict(zip(keys, values))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "constant", constant[0])
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "max_index", max_index)
+
+    def _submap(
+        self, terms: dict[tuple[int, ...], dict[tuple[int, ...], float]], constant: float
+    ) -> "AnovaFunction":
+        """A function on part of this one's checked terms, not checked again.
+
+        ``terms`` must map some of this function's subsets to fresh,
+        nonempty dicts of some of their stored coefficients, and
+        ``constant`` be this function's constant or 0.0: all of it passed
+        :meth:`__post_init__` already.  ``d`` and ``max_index`` are this
+        function's.
+        """
+        g = object.__new__(type(self))
+        object.__setattr__(g, "d", self.d)
+        object.__setattr__(g, "constant", constant)
+        object.__setattr__(g, "terms", terms)
+        object.__setattr__(g, "max_index", self.max_index)
+        return g
 
     def subsets(self) -> Iterable[tuple[int, ...]]:
         return self.terms.keys()
 
     def restrict(self, u: tuple[int, ...]) -> "AnovaFunction":
         """The single-subset function consisting of the ``u`` term alone."""
-        return AnovaFunction(
-            d=self.d, constant=0.0, terms={u: dict(self.terms[u])}, max_index=self.max_index
-        )
+        u = _integers(u, "coordinates")
+        return self._submap({u: dict(self.terms[u])}, 0.0)
 
 
 @dataclass(frozen=True)
@@ -254,7 +351,7 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
 
     Requires an analytic kernel so the eigenfunctions can be evaluated.
     ``x`` has shape ``(n_points, d)``; the coordinates ``f`` uses must lie
-    in ``[0, 1]``, the others are not looked at.
+    in ``[0, 1]`` (NaN does not), the others are not looked at.
 
     Each used coordinate gets one :class:`EigenfunctionTable` of the
     indices ``f`` uses on it.  A subset's terms are its coordinates' table
@@ -275,7 +372,9 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
             used.setdefault(coord, set()).update(k[j] for k in coeffs)
     indices = {coord: np.array(sorted(idx)) for coord, idx in used.items()}
     tables = {coord: EigenfunctionTable(s, idx) for coord, idx in indices.items()}
-    if any(np.any(x[:, c - 1] < 0.0) or np.any(x[:, c - 1] > 1.0) for c in used):
+    # The used columns, gathered into one temporary that is freed before the
+    # block buffer is allocated.
+    if _outside_unit_interval(x[:, [c - 1 for c in used]]):
         raise InvalidArgumentError("evaluation points must lie in [0, 1]")
     offsets, n_rows = {}, 0
     for coord, table in tables.items():

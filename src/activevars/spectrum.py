@@ -477,6 +477,15 @@ def power_sum(s: Spectrum, tau: float) -> float:
     return partial
 
 
+def _outside_unit_interval(x: np.ndarray) -> bool:
+    """Whether an entry of ``x`` lies outside ``[0, 1]`` or is NaN.
+
+    ``0 <= min`` and ``max <= 1`` both fail for NaN, which ``min`` and
+    ``max`` carry through; ``x < 0 or x > 1`` would let it pass.
+    """
+    return x.size > 0 and not (0.0 <= x.min() and x.max() <= 1.0)
+
+
 def eval_eigenfunction(s: Spectrum, n, x):
     """Evaluate the ``n``-th eigenfunction, normalized to unit ``H``-norm.
 
@@ -488,7 +497,8 @@ def eval_eigenfunction(s: Spectrum, n, x):
     n : int
         1-based eigenvalue index.
     x : float or ndarray
-        Points in the kernel domain ``[0, 1]``.
+        Points in the kernel domain ``[0, 1]``; others, NaN included, raise
+        :class:`InvalidArgumentError`.
 
     Returns
     -------
@@ -503,7 +513,7 @@ def eval_eigenfunction(s: Spectrum, n, x):
     if n < 1:
         raise InvalidArgumentError("eigenfunction index is 1-based")
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
+    if _outside_unit_interval(x_arr):
         raise InvalidArgumentError("evaluation points must lie in [0, 1]")
     lam = s.eigenvalue(n)
     if s.kind == "wiener":

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from activevars import eval_eigenfunction
+from activevars import AnovaFunction, ApplyResult, eval_eigenfunction
+from activevars.errors import DimensionMismatchError
 
 
 def mp_binomial_tail(d: int, m: int, c0sq) -> float:
@@ -267,6 +268,51 @@ class HeapRank:
         return tuple(sorted(k)) in self.full or (
             self.boundary is not None and k in self.boundary
         )
+
+
+def reference_apply(applier, f) -> ApplyResult:
+    """``applier.apply(f)`` the plain way: one method call per step.
+
+    Each coefficient asks the applier's rank oracle; a dropped one adds
+    ``c^2 Spectrum.eigen_product(k)``, and the kept part is built and
+    validated as a new ``AnovaFunction``.  ``CdaApplier.apply`` reads the
+    products from the table and skips the validation; its result must be
+    bit-identical to this one.
+    """
+    plan, spectrum = applier.plan, applier.spectrum
+    if f.d != plan.d:
+        raise DimensionMismatchError(f"function has d={f.d}, plan was built for d={plan.d}")
+    kept = {}
+    residual_sq = []
+    residual_norms = []
+    max_act = 0
+    for u, coeffs in f.terms.items():
+        drop_sq = []
+        if len(u) > plan.level:
+            for k, c in coeffs.items():
+                drop_sq.append(c * c * spectrum.eigen_product(k))
+        else:
+            oracle = applier._oracle(len(u))
+            kept_u = {}
+            for k, c in coeffs.items():
+                if oracle.retained(k):
+                    kept_u[k] = c
+                else:
+                    drop_sq.append(c * c * spectrum.eigen_product(k))
+            if kept_u:
+                kept[u] = kept_u
+                max_act = max(max_act, len(u))
+        term_sq = math.fsum(drop_sq)
+        residual_sq.append(term_sq)
+        residual_norms.append(math.sqrt(term_sq))
+    if applier.orthogonal:
+        cert = math.sqrt(math.fsum(residual_sq))
+    else:
+        cert = math.fsum(residual_norms)
+    approx = AnovaFunction(d=f.d, constant=f.constant, terms=kept, max_index=f.max_index)
+    return ApplyResult(
+        approx=approx, error_cert=cert, exact=applier.orthogonal, max_act=max_act
+    )
 
 
 def genexpr_partial_power_sum(spectrum, tau) -> float:

@@ -24,6 +24,7 @@ from activevars import (
     r_growth_bounds,
     random_function,
     single_subset_function,
+    wiener_kernel,
 )
 from activevars import cda
 from activevars.cda import _RankOracle
@@ -139,6 +140,15 @@ class TestRGrowthBounds:
 _tie_spectra = st.lists(
     st.sampled_from([0.9, 0.6, 0.5, 0.3, 0.2, 0.1, 0.05]), min_size=1, max_size=5
 ).map(lambda v: sorted(v, reverse=True))
+
+
+# Spectra for the bit-identity property of `apply`: custom tie spectra, and
+# korobov (orthogonal) and wiener (triangle bound) cut at a small N.
+_apply_spectra = st.one_of(
+    _tie_spectra.map(lambda v: build_spectrum(custom_kernel(v))),
+    st.integers(1, 8).map(lambda n: build_spectrum(korobov_kernel(1.0), n)),
+    st.integers(1, 8).map(lambda n: build_spectrum(wiener_kernel(), n)),
+)
 
 
 class _BruteRank:
@@ -465,13 +475,79 @@ class TestApply:
 
     def test_index_past_a_custom_table_is_dropped_and_refused(self):
         # The pair budget exhausts the 2 x 2 pairs of the table.  Index 3
-        # lies past it: dropped, with no eigenvalue to certify the drop.
+        # lies past it: dropped, with no eigenvalue to certify the drop,
+        # whether the pair is ranked (level 2) or above the level (1).
         s = build_spectrum(custom_kernel([0.5, 0.25]))
-        plan = build_plan(0.05, 2, s, level=2)
-        assert plan.row(2).n_l >= 4
+        assert build_plan(0.05, 2, s, level=2).row(2).n_l >= 4
         f = AnovaFunction(d=2, terms={(1, 2): {(1, 1): 0.5, (3, 1): 0.25}})
-        with pytest.raises(InvalidArgumentError):
-            CdaApplier(plan, s).apply(f)
+        for level in (2, 1):
+            applier = CdaApplier(build_plan(0.05, 2, s, level=level), s)
+            with pytest.raises(InvalidArgumentError):
+                applier.apply(f)
+            with pytest.raises(InvalidArgumentError):
+                oracles.reference_apply(applier, f)
+
+    @pytest.mark.parametrize("level", [0, 3])
+    @pytest.mark.parametrize(
+        "kernel, n, k", [(wiener_kernel(), 8, (1, 5, 2)), (korobov_kernel(1.0), 4, (5, 6, 1))]
+    )
+    def test_dropped_products_keep_the_index_order(self, kernel, n, k, level):
+        # One dropped coefficient 1.0 certifies sqrt(lambda_k1 lambda_k2 lambda_k3),
+        # multiplied in k's order; in sorted order its last bit differs here.
+        # Korobov's (5, 6, 1) lies past N = 4, in the closed form.
+        s = build_spectrum(kernel, n)
+        plan = build_plan(0.5, 3, s, level=level)
+        f = AnovaFunction(d=3, terms={(1, 2, 3): {k: 1.0}}, max_index=8)
+        res = CdaApplier(plan, s).apply(f)
+        assert res.max_act == 0
+        assert res.error_cert == math.sqrt(s.eigen_product(k))
+        assert res.error_cert != math.sqrt(s.eigen_product(sorted(k)))
+        assert res == oracles.reference_apply(CdaApplier(plan, s), f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=_apply_spectra, d=st.integers(1, 3), data=st.data())
+    def test_matches_the_reference_apply_bit_for_bit(self, s, d, data):
+        plan = build_plan(
+            data.draw(st.floats(0.05, 0.95), label="eps"),
+            d,
+            s,
+            level=data.draw(st.integers(0, d), label="level"),
+        )
+        applier = CdaApplier(plan, s, data.draw(st.sampled_from([None, True, False])))
+        # Analytic indices run past N, into the closed form.
+        top = s.n_eigenvalues if s.is_finite else s.n_eigenvalues + 4
+        subsets = [u for l in range(1, d + 1) for u in combinations(range(1, d + 1), l)]
+        terms = {}
+        for u in data.draw(st.sets(st.sampled_from(subsets)), label="subsets"):
+            index = st.tuples(*[st.integers(1, top)] * len(u))
+            terms[u] = data.draw(
+                st.dictionaries(index, st.floats(-1.0, 1.0), min_size=1, max_size=8),
+                label=f"coefficients on {u}",
+            )
+        constant = data.draw(st.floats(-1.0, 1.0), label="constant")
+        for f in (
+            AnovaFunction(d=d, constant=constant, terms=terms, max_index=top),
+            AnovaFunction(d=d, constant=constant),
+        ):
+            got, want = applier.apply(f), oracles.reference_apply(applier, f)
+            assert got.error_cert == want.error_cert
+            assert (got.exact, got.max_act) == (want.exact, want.max_act)
+            assert got.approx == want.approx
+            # The same order at both levels, and the same stored types.
+            assert [(u, list(c.items())) for u, c in got.approx.terms.items()] == [
+                (u, list(c.items())) for u, c in want.approx.terms.items()
+            ]
+            revalidated = AnovaFunction(
+                d=got.approx.d,
+                constant=got.approx.constant,
+                terms=got.approx.terms,
+                max_index=got.approx.max_index,
+            )
+            assert revalidated == got.approx
+            assert type(got.approx.constant) is float and type(got.approx.d) is int
+            # Fresh dicts: nothing is shared with f.
+            assert got.approx.terms is not f.terms
+            assert all(c is not f.terms[u] for u, c in got.approx.terms.items())
 
     def test_retained_coefficients_are_unchanged(self, custom_quad):
         plan = build_plan(0.2, 2, custom_quad, tau=1.0, level=2)

@@ -43,6 +43,101 @@ class TestSubsetIndex:
             SubsetIndex((0,), 3)
         with pytest.raises(InvalidArgumentError):
             SubsetIndex((4,), 3)
+        # Truncated to (1,) and kept, or kept as given, before.
+        for coords, d in (((1.7,), 3), ((1,), 2.5), ((True,), 3), (("1",), 3)):
+            with pytest.raises(InvalidArgumentError):
+                SubsetIndex(coords, d)
+
+
+class TestAnovaFunctionInput:
+    # Each of these was accepted before: truncated, coerced or stored as given.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(d=2.5),
+            dict(d=True),
+            dict(d=2, max_index=2.5),
+            dict(d=2, terms={(1.7,): {(1,): 0.5}}),
+            dict(d=2, terms={(1,): {(1.9,): 0.5}}),
+            dict(d=2, constant=math.nan),
+            dict(d=2, terms={(1,): {(1,): math.inf}}),
+            dict(d=2, terms={(1,): {(1,): "0.5"}}),
+            dict(d=2, terms={(1,): {(1,): True}}),
+        ],
+        ids=repr,
+    )
+    def test_listed_inputs_are_refused(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            AnovaFunction(**kwargs)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        f = AnovaFunction(
+            d=np.int64(3),
+            constant=np.float32(0.5),
+            terms={
+                (np.int64(1), np.int32(3)): {(np.uint8(2), 5): np.float64(0.25)},
+                (2,): {(1,): 1},
+            },
+            max_index=np.int16(8),
+        )
+        want = AnovaFunction(
+            d=3, constant=0.5, terms={(1, 3): {(2, 5): 0.25}, (2,): {(1,): 1.0}}, max_index=8
+        )
+        assert f == want
+        assert type(f.d) is int and type(f.max_index) is int and type(f.constant) is float
+        for u, coeffs in f.terms.items():
+            assert set(map(type, u)) == {int}
+            for k, c in coeffs.items():
+                assert set(map(type, k)) == {int} and type(c) is float
+        assert SubsetIndex((np.int64(1), 2), np.int64(3)) == SubsetIndex((1, 2), 3)
+
+    def test_restrict_shares_nothing(self):
+        f = AnovaFunction(
+            d=3, constant=0.5, terms={(1, 3): {(2, 5): 0.25}, (2,): {(1,): 1.0}}
+        )
+        g = f.restrict((np.int64(1), 3))
+        assert g == AnovaFunction(d=3, terms={(1, 3): {(2, 5): 0.25}})
+        assert g.terms[(1, 3)] is not f.terms[(1, 3)]
+        assert set(map(type, next(iter(g.terms)))) == {int}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_each_bad_input_is_a_typed_error(self, data):
+        # A valid function with exactly one input spoiled.
+        d, max_index = 3, 8
+        terms = {(1,): {(2,): 0.5}, (1, 3): {(1, 4): -0.25, (8, 8): 1.0}}
+        kwargs = dict(d=d, constant=0.1, terms=terms, max_index=max_index)
+        not_an_integer = st.one_of(
+            st.floats().filter(lambda v: not math.isfinite(v) or v != int(v)),
+            st.booleans(),
+            st.sampled_from([np.bool_(True), np.float64(2.0), 2.0, "2", None, b"2", 1j, (1,)]),
+        )
+        not_a_finite_real = st.one_of(
+            st.sampled_from([math.nan, -math.inf, math.inf, np.float32("nan"), np.float64("inf")]),
+            st.booleans(),
+            st.sampled_from([np.bool_(False), "0.5", None, 1j, (0.5,), [0.5]]),
+        )
+        where = data.draw(
+            st.sampled_from(["d", "max_index", "coordinate", "index", "constant", "coefficient"])
+        )
+        if where in ("d", "max_index"):
+            kwargs[where] = data.draw(not_an_integer)
+        elif where == "constant":
+            kwargs[where] = data.draw(not_a_finite_real)
+        else:
+            bad = data.draw(not_an_integer if where != "coefficient" else not_a_finite_real)
+            u, k = (1, 3), (1, 4)
+            coeffs = dict(terms[u])
+            if where == "coefficient":
+                coeffs[k] = bad
+                kwargs["terms"] = {**terms, u: coeffs}
+            elif where == "index":
+                coeffs[(bad, 4)] = coeffs.pop(k)
+                kwargs["terms"] = {**terms, u: coeffs}
+            else:
+                kwargs["terms"] = {(1,): terms[(1,)], (1, bad): terms[u]}
+        with pytest.raises(InvalidArgumentError):
+            AnovaFunction(**kwargs)
 
 
 class TestWeight:
@@ -294,9 +389,26 @@ class TestPointwise:
         np.testing.assert_allclose(
             eval_pointwise(f, korobov1, x), oracles.direct_pointwise(f, korobov1, x), atol=1e-15
         )
-        for bad in ([1.5, 0.5, 0.5], [0.5, 0.5, -1e-300]):
+        for bad in ([1.5, 0.5, 0.5], [0.5, 0.5, -1e-300], [math.nan, 0.5, 0.5]):
             with pytest.raises(InvalidArgumentError):
                 eval_pointwise(f, korobov1, np.array([bad]))
+
+    def test_nan_points_are_refused(self, korobov1, wiener):
+        # NaN is neither below 0 nor above 1; it must still be refused.
+        f = AnovaFunction(d=2, terms={(1,): {(1,): 1.0}, (1, 2): {(2, 3): 0.5}})
+        for s in (korobov1, wiener):
+            for row in ([math.nan, 0.5], [0.5, math.nan]):
+                x = np.array([[0.25, 0.25], row, [0.75, 0.75]])
+                with pytest.raises(InvalidArgumentError):
+                    eval_pointwise(f, s, x)
+        # An unused coordinate is not looked at, NaN or not.
+        g = AnovaFunction(d=2, terms={(2,): {(1,): 1.0}})
+        np.testing.assert_allclose(
+            eval_pointwise(g, korobov1, np.array([[math.nan, 0.5]])),
+            oracles.direct_pointwise(g, korobov1, np.array([[0.0, 0.5]])),
+            atol=1e-15,
+        )
+        assert eval_pointwise(g, korobov1, np.empty((0, 2))).shape == (0,)
 
     def test_custom_spectra_and_shapes(self, custom_pair, korobov1):
         f = AnovaFunction(d=2, terms={(2,): {(1,): 1.0}})

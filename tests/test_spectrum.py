@@ -506,6 +506,12 @@ class TestEigenfunctions:
                 wiener.eigenvalue(n), rel=1e-10
             )
 
+    @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan], -0.1, 1.5, math.inf])
+    def test_points_outside_the_domain_raise(self, wiener, korobov1, x):
+        for s in (wiener, korobov1):
+            with pytest.raises(InvalidArgumentError):
+                eval_eigenfunction(s, 1, x)
+
     def test_custom_has_no_eigenfunctions(self, custom_pair):
         with pytest.raises(UnsupportedOperationError):
             eval_eigenfunction(custom_pair, 1, 0.5)
