@@ -42,17 +42,11 @@ from .optimal import (
 )
 from .space import (
     AnovaFunction,
-    Functional,
-    SubsetIndex,
-    act,
-    anova_from_json,
-    anova_to_json,
     embedding_norm_bound,
     embedding_norm_special,
     eval_pointwise,
     g_norm_exact,
     h_norm,
-    weight,
 )
 from .spectrum import (
     KernelSpec,
@@ -86,16 +80,11 @@ __all__ = [
     "ComplexityReport",
     "CostModel",
     "EnumerationCapError",
-    "Functional",
     "GOLDEN_MAJORANT_CEILINGS",
     "KernelSpec",
     "Spectrum",
-    "SubsetIndex",
     "TensorEigenStream",
     "TruncationReport",
-    "act",
-    "anova_from_json",
-    "anova_to_json",
     "binomial_tail",
     "build_plan",
     "build_spectrum",
@@ -129,6 +118,5 @@ __all__ = [
     "table_check",
     "tractability_classify",
     "truncation_level",
-    "weight",
     "wiener_kernel",
 ]

@@ -140,8 +140,9 @@ class ComplexityReport:
     """Complexity grid plus regression summaries.
 
     ``p_str_fit`` is the least-squares slope of ``ln comp`` against
-    ``ln(1/eps)`` over the three smallest demands at the largest dimension.
-    ``qpt_t_fit`` regresses ``ln comp`` on ``(1 + ln d)(1 + ln(1/eps))``
+    ``ln(1/eps)`` over the three smallest demands at the largest dimension;
+    ``strong_fit_residual`` is the residual of the same regression over the
+    whole priced grid.  ``qpt_t_fit`` regresses ``ln comp`` on ``(1 + ln d)(1 + ln(1/eps))``
     over the whole priced grid.  All residuals are root-mean-square in log
     space.  Flagged (unpriceable) points are excluded from every fit.
     """
@@ -154,7 +155,6 @@ class ComplexityReport:
     c_const: float
     p_str_fit: float
     p_str_residual: float
-    strong_fit_slope: float
     strong_fit_residual: float
     qpt_t_fit: float
     qpt_c_fit: float
@@ -313,7 +313,7 @@ def _summarize(
 
     x_all = np.array([math.log(1.0 / p.epsilon) for p in priced])
     y_all = np.array([math.log(p.comp) for p in priced])
-    strong_slope, _, strong_resid = _lsq(x_all, y_all)
+    _, _, strong_resid = _lsq(x_all, y_all)
 
     x_qpt = np.array(
         [(1.0 + math.log(p.d)) * (1.0 + math.log(1.0 / p.epsilon)) for p in priced]
@@ -335,7 +335,6 @@ def _summarize(
         c_const=c_const,
         p_str_fit=p_str_fit,
         p_str_residual=p_str_resid,
-        strong_fit_slope=strong_slope,
         strong_fit_residual=strong_resid,
         qpt_t_fit=qpt_t,
         qpt_c_fit=math.exp(qpt_log_c),

@@ -28,7 +28,7 @@ from .errors import (
     InvalidConfigurationError,
     TailCertificateError,
 )
-from .spectrum import Spectrum, partial_power_sum, power_sum
+from .spectrum import Spectrum, _count, partial_power_sum, power_sum
 from .truncation import orthogonal_truncation_level
 
 __all__ = [
@@ -105,7 +105,7 @@ class TensorEigenStream:
     Parameters
     ----------
     d : int
-        Ambient dimension.
+        Ambient dimension: a Python or numpy integer ``>= 1``, ``bool`` not.
     spectrum : Spectrum
         Univariate eigenvalue sequence; its largest eigenvalue must not
         exceed ``d`` (otherwise extending a multiset could increase the
@@ -113,8 +113,7 @@ class TensorEigenStream:
     """
 
     def __init__(self, d: int, spectrum: Spectrum) -> None:
-        if d < 1:
-            raise InvalidArgumentError("d must be >= 1")
+        d = _count(d, "d")
         if spectrum.eigenvalue(1) > d:
             raise InvalidConfigurationError(
                 "sorted enumeration requires lambda_1 <= d so that adding a "
@@ -293,6 +292,7 @@ def optimal_algorithm(
         )
     eps_eff = epsilon / math.sqrt(c_const)
     stream = TensorEigenStream(d, spectrum)
+    d = stream.d
     entries = tuple(stream.above(eps_eff))
     max_act = max((e.cardinality for e in entries), default=0)
     if eps_eff < 1.0:
@@ -339,8 +339,7 @@ def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdenti
     logarithm is reported alongside since the value itself can overflow for
     small ``tau`` and large ``d``.
     """
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
+    d = _count(d, "d")
     ltau = power_sum(spectrum, tau)
     log_rhs = d * math.log1p(ltau * d ** (-tau))
     rhs = math.exp(log_rhs) if log_rhs < 709.0 else math.inf
@@ -364,7 +363,6 @@ def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdenti
 
 def eigenvalue_decay_bound(d: int, k: int, spectrum: Spectrum, tau: float) -> float:
     """Upper bound ``e^{L(tau) d^{1-tau}/tau} k^{-1/tau}`` on the k-th tensor eigenvalue."""
-    if d < 1 or k < 1:
-        raise InvalidArgumentError("need d >= 1 and k >= 1")
+    d, k = _count(d, "d"), _count(k, "k")
     ltau = power_sum(spectrum, tau)
     return math.exp(ltau * d ** (1.0 - tau) / tau) * k ** (-1.0 / tau)

@@ -20,59 +20,45 @@ triangle-inequality upper bound).
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 import operator
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidConfigurationError
-from .spectrum import EigenfunctionTable, Spectrum, _outside_unit_interval, _real_tuple
+from .spectrum import (
+    _INT,
+    EigenfunctionTable,
+    Spectrum,
+    _count,
+    _finite_positive,
+    _integers,
+    _outside_unit_interval,
+    _real_tuple,
+)
 
 __all__ = [
-    "SubsetIndex",
     "AnovaFunction",
-    "Functional",
-    "weight",
     "h_norm",
     "g_norm_exact",
     "GNormResult",
     "embedding_norm_bound",
     "embedding_norm_special",
-    "act",
     "eval_pointwise",
-    "anova_to_json",
-    "anova_from_json",
 ]
 
 DEFAULT_MAX_INDEX = 64
 
 # Input checks pass values whose types all fall in these sets as they are.
-_INT, _FLOAT, _TUPLE = frozenset({int}), frozenset({float}), frozenset({tuple})
+_FLOAT, _TUPLE = frozenset({float}), frozenset({tuple})
 
 # Points per eval_pointwise block are chosen so that one block's tables and
 # products hold about this many doubles (8 MB), whatever the point count.
 _BLOCK_DOUBLES = 1 << 20
-
-
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as ints: each a Python or numpy integer, ``bool`` not."""
-    if type(values) is tuple and set(map(type, values)) <= _INT:
-        return values
-    try:
-        items = tuple(values)
-    except TypeError:
-        items = None
-    if items is None or not all(
-        issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, items))
-    ):
-        raise InvalidArgumentError(f"{what} must be integers, not {values!r}")
-    return tuple(map(int, items))
 
 
 def _finite_floats(values) -> tuple[float, ...] | None:
@@ -111,30 +97,6 @@ def _validate_coords(coords: tuple[int, ...], d: int) -> None:
         raise InvalidArgumentError(
             f"coordinates {coords} must be strictly increasing within [1..{d}]"
         )
-
-
-@dataclass(frozen=True, order=True)
-class SubsetIndex:
-    """A subset of the coordinates ``{1, ..., d}``, kept strictly increasing.
-
-    ``d`` and the coordinates must be Python or numpy integers (``bool``
-    not); anything else raises :class:`InvalidArgumentError`.
-    """
-
-    coords: tuple[int, ...]
-    d: int
-
-    def __post_init__(self) -> None:
-        (d,) = _integers((self.d,), "ambient dimension")
-        if d < 1:
-            raise InvalidArgumentError("ambient dimension must be >= 1")
-        coords = _integers(self.coords, "coordinates")
-        _validate_coords(coords, d)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "d", d)
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -217,51 +179,6 @@ class AnovaFunction:
         object.__setattr__(g, "max_index", self.max_index)
         return g
 
-    def subsets(self) -> Iterable[tuple[int, ...]]:
-        return self.terms.keys()
-
-    def restrict(self, u: tuple[int, ...]) -> "AnovaFunction":
-        """The single-subset function consisting of the ``u`` term alone."""
-        u = _integers(u, "coordinates")
-        return self._submap({u: dict(self.terms[u])}, 0.0)
-
-
-@dataclass(frozen=True)
-class Functional:
-    """A linear functional described by the subsets its generator touches."""
-
-    components: frozenset[SubsetIndex]
-
-    def __post_init__(self) -> None:
-        dims = {s.d for s in self.components}
-        if len(dims) > 1:
-            raise InvalidArgumentError("all component subsets must share one dimension")
-
-
-def act(functional: Functional) -> int:
-    """Number of active variables: the size of the union of component subsets."""
-    union: set[int] = set()
-    for s in functional.components:
-        union.update(s.coords)
-    return len(union)
-
-
-def weight(d: int, u: SubsetIndex | tuple[int, ...]) -> float:
-    """Product weight ``d^{-|u|}`` of a subset, evaluated in log space.
-
-    For very large ``d`` and ``|u|`` the weight underflows to the nearest
-    representable double (possibly 0.0) rather than overflowing anything.
-    """
-    coords = u.coords if isinstance(u, SubsetIndex) else tuple(u)
-    if isinstance(u, SubsetIndex):
-        if u.d != d:
-            raise InvalidArgumentError(f"subset built for d={u.d}, not d={d}")
-    else:
-        _validate_coords(coords, d)
-    if not coords:
-        return 1.0
-    return math.exp(-len(coords) * math.log(d))
-
 
 def h_norm(f: AnovaFunction) -> float:
     """Weighted-space norm ``sqrt(c_0^2 + sum_u d^{|u|} sum_k c_{u,k}^2)``."""
@@ -329,8 +246,7 @@ def g_norm_exact(f: AnovaFunction, s: Spectrum, orthogonal: bool) -> GNormResult
 
 def embedding_norm_bound(d: int, c0sq: float) -> float:
     """General upper bound ``(1 + C_0^2/d)^{d/2}`` on the embedding norm."""
-    if d < 1 or c0sq <= 0:
-        raise InvalidArgumentError("need d >= 1 and c0sq > 0")
+    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
     return math.exp(0.5 * d * math.log1p(c0sq / d))
 
 
@@ -340,8 +256,7 @@ def embedding_norm_special(d: int, c0sq: float) -> float:
     The k-th factor is geometric, so the maximum sits at an endpoint; both
     endpoints are evaluated in log space.
     """
-    if d < 1 or c0sq <= 0:
-        raise InvalidArgumentError("need d >= 1 and c0sq > 0")
+    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
     at_d = math.exp(0.5 * d * (math.log(c0sq) - math.log(d)))
     return max(1.0, at_d)
 
@@ -422,33 +337,3 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
             out[start : start + b] += weights @ p
     return out
 
-
-# -- serialization ----------------------------------------------------------
-
-
-def anova_to_json(f: AnovaFunction) -> str:
-    """Serialize as ``{d, constant, terms: [{u, coeffs: [{k, c}]}]}``."""
-    terms = []
-    for u in sorted(f.terms):
-        coeffs = [
-            {"k": list(k), "c": f.terms[u][k]} for k in sorted(f.terms[u])
-        ]
-        terms.append({"u": list(u), "coeffs": coeffs})
-    return json.dumps(
-        {"d": f.d, "constant": f.constant, "terms": terms, "max_index": f.max_index},
-        sort_keys=True,
-    )
-
-
-def anova_from_json(text: str) -> AnovaFunction:
-    doc = json.loads(text)
-    terms = {
-        tuple(entry["u"]): {tuple(c["k"]): c["c"] for c in entry["coeffs"]}
-        for entry in doc["terms"]
-    }
-    return AnovaFunction(
-        d=doc["d"],
-        constant=doc["constant"],
-        terms=terms,
-        max_index=doc.get("max_index", DEFAULT_MAX_INDEX),
-    )

@@ -116,6 +116,33 @@ class KernelSpec:
             object.__setattr__(self, "eigenvalues", values)
 
 
+# Input checks pass values whose types all fall in this set as they are.
+_INT = frozenset({int})
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints: each a Python or numpy integer, ``bool`` not."""
+    if type(values) is tuple and set(map(type, values)) <= _INT:
+        return values
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or not all(
+        issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, items))
+    ):
+        raise InvalidArgumentError(f"{what} must be integers, not {values!r}")
+    return tuple(map(int, items))
+
+
+def _count(n, what: str = "n_eigenvalues") -> int:
+    """A count ``>= 1``, such as ``N`` or ``d``, as an ``int``; ``bool`` is not an integer here."""
+    (n,) = _integers((n,), what)
+    if n < 1:
+        raise InvalidArgumentError(f"{what} must be >= 1")
+    return n
+
+
 def _real_tuple(values) -> tuple[float, ...] | None:
     """``values`` as floats; ``None`` unless each is a non-``bool`` Python or numpy real."""
     try:
@@ -128,13 +155,12 @@ def _real_tuple(values) -> tuple[float, ...] | None:
     return None
 
 
-def _count(n) -> int:
-    """A truncation length ``N >= 1`` as an ``int``; ``bool`` is not an integer here."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise InvalidArgumentError(f"n_eigenvalues must be an integer, not {n!r}")
-    if n < 1:
-        raise InvalidArgumentError("n_eigenvalues must be >= 1")
-    return int(n)
+def _finite_positive(value, what: str) -> float:
+    """``value`` as a ``float``: a finite positive Python or numpy real, ``bool`` not."""
+    (v,) = _real_tuple((value,)) or (math.nan,)
+    if not 0.0 < v < math.inf:
+        raise InvalidArgumentError(f"{what} must be a finite positive real, not {value!r}")
+    return v
 
 
 def wiener_kernel() -> KernelSpec:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidArgumentError
+from .spectrum import _count, _finite_positive, _integers, _real_tuple
 
 __all__ = [
     "TruncationReport",
@@ -47,26 +48,23 @@ def _tail_terms(d: int, c0sq: float) -> tuple[float, ...]:
     return tuple(terms)
 
 
-def _check_eps_d(epsilon: float, d: int) -> None:
+def _check_eps(epsilon: float) -> None:
     if not (0.0 < epsilon < 1.0):
         raise InvalidArgumentError("epsilon must lie in (0, 1)")
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
 
 
 def binomial_tail(d: int, m: int, c0sq: float) -> float:
     """Exact tail ``sum_{k=m+1}^{d} C(d,k) (c0sq/d)^k``, compensated.
 
-    Returns 0 for ``m = d`` (empty sum).
+    Returns 0 for ``m = d`` (empty sum).  ``d`` and ``m`` are Python or
+    numpy integers and ``c0sq`` a finite positive real; ``bool`` is
+    neither.
     """
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
+    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
+    (m,) = _integers((m,), "m")
     if not 0 <= m <= d:
         raise InvalidArgumentError(f"need 0 <= m <= d, got m={m}, d={d}")
-    if c0sq <= 0:
-        raise InvalidArgumentError("c0sq must be positive")
-    terms = _tail_terms(d, float(c0sq))
-    return math.fsum(terms[m:])
+    return math.fsum(_tail_terms(d, c0sq)[m:])
 
 
 @dataclass(frozen=True)
@@ -97,17 +95,21 @@ def truncation_level(
 
     Found by ascending scan, so the report carries both the certifying tail
     at the level and the tail one step above it.  When ``c_const`` is given
-    the orthogonal-case level is computed alongside.
+    the orthogonal-case level is computed alongside.  ``d`` and ``c0sq``
+    are checked as in :func:`binomial_tail` and stored as ``int`` and
+    ``float``.
     """
-    _check_eps_d(epsilon, d)
+    _check_eps(epsilon)
+    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
     eps_sq = epsilon * epsilon
+    terms = _tail_terms(d, c0sq)
     m = 0
-    tail = binomial_tail(d, 0, c0sq)
+    tail = math.fsum(terms)
     prev = None
     while tail > eps_sq:
         prev = tail
         m += 1
-        tail = binomial_tail(d, m, c0sq)
+        tail = math.fsum(terms[m:])
     big_m = factorial_majorant(epsilon, c0sq)
     return TruncationReport(
         epsilon=epsilon,
@@ -136,12 +138,11 @@ def factorial_majorant(epsilon: float, c0sq: float, refined: bool = False) -> fl
 
     Refined: the minimal integer ``M`` with ``c0sq/(M+1) < 1`` and
     ``(M+1)!/c0sq^{M+1} >= 1/(eps^2 (1 - c0sq/(M+1)))``, which sharpens the
-    exponential factor to a geometric-series factor.
+    exponential factor to a geometric-series factor.  ``c0sq`` must be a
+    finite positive real.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidArgumentError("epsilon must lie in (0, 1)")
-    if c0sq <= 0:
-        raise InvalidArgumentError("c0sq must be positive")
+    _check_eps(epsilon)
+    c0sq = _finite_positive(c0sq, "c0sq")
     log_c = math.log(c0sq)
     if refined:
         m = max(0, math.ceil(c0sq - 1.0))
@@ -181,10 +182,14 @@ def orthogonal_truncation_level(
     ``(c0sq/d)^d`` already meets ``eps^2 / C``; otherwise the level is
     ``min{k : (c0sq/d)^{k+1} <= eps^2/C}``, evaluated in closed form as
     ``ceil(ln(C/eps^2) / ln(d/c0sq)) - 1`` and clamped to ``[0, d]``.
+    ``d`` and ``c0sq`` are checked as in :func:`binomial_tail`, and
+    ``c_const`` must be a finite real ``>= 1``.
     """
-    _check_eps_d(epsilon, d)
-    if not c_const >= 1.0:
-        raise InvalidArgumentError("orthogonality constant must be >= 1")
+    _check_eps(epsilon)
+    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
+    (c_const,) = _real_tuple((c_const,)) or (math.nan,)
+    if not 1.0 <= c_const < math.inf:
+        raise InvalidArgumentError("orthogonality constant must be a finite real >= 1")
     log_thr = 2.0 * math.log(epsilon) - math.log(c_const)
     log_ratio = math.log(c0sq) - math.log(d)
     if d < c0sq:

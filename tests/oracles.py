@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import mpmath as mp
@@ -95,11 +96,22 @@ def derivative_inner_product(fa, fb, n_nodes: int = 4001, h: float = 1e-5) -> fl
     return float(simpson(deriv(fa) * deriv(fb), x=x))
 
 
+@lru_cache(maxsize=None)
+def unit_gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], solved once per ``n_nodes``.
+
+    Both arrays are read-only, since every caller shares them.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def l2_inner_product(fa, fb, n_nodes: int = 400) -> float:
     """Gauss-Legendre quadrature of ``integral fa(x) fb(x) dx`` on [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    x = 0.5 * (nodes + 1.0)
-    return float(0.5 * np.sum(weights * fa(x) * fb(x)))
+    x, w = unit_gauss_legendre(n_nodes)
+    return float(np.sum(w * fa(x) * fb(x)))
 
 
 def exhaustive_tensor_values(d: int, lams) -> list[tuple[float, int]]:
@@ -146,9 +158,7 @@ def exhaustive_label_multiplicities(
 
 def tensor_quadrature(fn, d: int, n_nodes: int = 12) -> float:
     """Tensorized Gauss-Legendre quadrature of ``fn`` over the unit cube."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    x1 = 0.5 * (nodes + 1.0)
-    w1 = 0.5 * weights
+    x1, w1 = unit_gauss_legendre(n_nodes)
     grids = np.meshgrid(*([x1] * d), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     wgrids = np.meshgrid(*([w1] * d), indexing="ij")

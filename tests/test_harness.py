@@ -85,7 +85,7 @@ class TestGenerators:
 
     def test_each_generator_builds_its_kind(self, wiener):
         f = mean_function(2, wiener)
-        assert set(f.subsets()) == {(1,), (2,)}
+        assert set(f.terms) == {(1,), (2,)}
         g = single_subset_function(3, u=(1, 2), k=(1, 1))
         assert (1, 2) in g.terms
         h = random_function(4, wiener, seed=9)

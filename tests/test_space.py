@@ -1,4 +1,4 @@
-"""Weighted-space norms, subsets, functionals, embedding bounds."""
+"""Function input checks, weighted-space norms, embedding bounds, pointwise evaluation."""
 
 import math
 
@@ -9,19 +9,14 @@ from hypothesis import strategies as st
 
 from activevars import (
     AnovaFunction,
-    Functional,
-    SubsetIndex,
-    act,
-    anova_from_json,
-    anova_to_json,
     embedding_norm_bound,
     embedding_norm_special,
+    eval_eigenfunction,
     eval_pointwise,
     g_norm_exact,
     h_norm,
     mc_l2_error,
     mean_function,
-    weight,
 )
 from activevars import build_spectrum, custom_kernel, korobov_kernel, space, wiener_kernel
 from activevars.errors import (
@@ -31,22 +26,6 @@ from activevars.errors import (
 )
 
 import oracles
-
-
-class TestSubsetIndex:
-    def test_validation(self):
-        SubsetIndex((), 3)
-        SubsetIndex((1, 3), 3)
-        with pytest.raises(InvalidArgumentError):
-            SubsetIndex((3, 1), 3)
-        with pytest.raises(InvalidArgumentError):
-            SubsetIndex((0,), 3)
-        with pytest.raises(InvalidArgumentError):
-            SubsetIndex((4,), 3)
-        # Truncated to (1,) and kept, or kept as given, before.
-        for coords, d in (((1.7,), 3), ((1,), 2.5), ((True,), 3), (("1",), 3)):
-            with pytest.raises(InvalidArgumentError):
-                SubsetIndex(coords, d)
 
 
 class TestAnovaFunctionInput:
@@ -89,16 +68,6 @@ class TestAnovaFunctionInput:
             assert set(map(type, u)) == {int}
             for k, c in coeffs.items():
                 assert set(map(type, k)) == {int} and type(c) is float
-        assert SubsetIndex((np.int64(1), 2), np.int64(3)) == SubsetIndex((1, 2), 3)
-
-    def test_restrict_shares_nothing(self):
-        f = AnovaFunction(
-            d=3, constant=0.5, terms={(1, 3): {(2, 5): 0.25}, (2,): {(1,): 1.0}}
-        )
-        g = f.restrict((np.int64(1), 3))
-        assert g == AnovaFunction(d=3, terms={(1, 3): {(2, 5): 0.25}})
-        assert g.terms[(1, 3)] is not f.terms[(1, 3)]
-        assert set(map(type, next(iter(g.terms)))) == {int}
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -140,35 +109,6 @@ class TestAnovaFunctionInput:
             AnovaFunction(**kwargs)
 
 
-class TestWeight:
-    def test_empty_subset_has_weight_one(self):
-        assert weight(17, ()) == 1.0
-
-    def test_direct_formula(self):
-        assert weight(4, (1, 3)) == 1.0 / 16.0
-        assert weight(1, (1,)) == 1.0
-
-    def test_no_overflow_at_extreme_sizes(self):
-        d = 10**6
-        w = weight(d, tuple(range(1, 61)))
-        assert 0.0 <= w < 1e-300
-
-    @given(
-        d=st.integers(min_value=2, max_value=40),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_product_rule_on_disjoint_unions(self, d, data):
-        coords = data.draw(
-            st.lists(st.integers(1, d), min_size=0, max_size=6, unique=True)
-        )
-        split = data.draw(st.integers(0, len(coords)))
-        u = tuple(sorted(coords))
-        v = tuple(sorted(coords[:split]))
-        w_ = tuple(sorted(coords[split:]))
-        assert weight(d, u) == pytest.approx(weight(d, v) * weight(d, w_), rel=1e-12)
-
-
 class TestHNorm:
     def test_constant_only(self):
         assert h_norm(AnovaFunction(d=3, constant=3.0)) == 3.0
@@ -208,7 +148,7 @@ class TestHNorm:
         f = AnovaFunction(d=d, constant=float(rng.normal()), terms=terms)
         total_sq = h_norm(f) ** 2
         parts = [h_norm(AnovaFunction(d=d, constant=f.constant)) ** 2]
-        parts += [h_norm(f.restrict(u)) ** 2 for u in f.subsets()]
+        parts += [h_norm(AnovaFunction(d=d, terms={u: c})) ** 2 for u, c in f.terms.items()]
         assert total_sq == pytest.approx(math.fsum(parts), rel=1e-12)
 
 
@@ -249,12 +189,12 @@ class TestGNorm:
         assert res.value == pytest.approx(expected, rel=1e-12)
 
     def test_single_term_embedding_consistency(self, korobov1):
-        # g <= c0sq^{|u|/2} * h * weight^{1/2}, equality at the top index.
+        # g <= c0sq^{|u|/2} * h * d^{-|u|/2}, equality at the top index.
         d = 6
         for k, expect_equality in (((1, 1), True), ((3, 5), False)):
             f = AnovaFunction(d=d, terms={(2, 4): {k: 0.7}})
             g = g_norm_exact(f, korobov1, orthogonal=True).value
-            cap = korobov1.c0sq * math.sqrt(weight(d, (2, 4))) * h_norm(f)
+            cap = korobov1.c0sq * math.sqrt(d**-2) * h_norm(f)
             assert g <= cap * (1 + 1e-12)
             if expect_equality:
                 assert g == pytest.approx(cap, rel=1e-12)
@@ -287,38 +227,6 @@ class TestEmbeddingNorms:
     def test_bound_at_least_one(self):
         for d in (1, 10, 1000):
             assert embedding_norm_bound(d, 0.25) >= 1.0
-
-
-class TestFunctional:
-    def test_empty_components(self):
-        assert act(Functional(frozenset({SubsetIndex((), 5)}))) == 0
-
-    def test_union(self):
-        comp = frozenset({SubsetIndex((1, 3), 5), SubsetIndex((2,), 5)})
-        assert act(Functional(comp)) == 3
-
-    def test_overlap(self):
-        comp = frozenset({SubsetIndex((1, 3), 5), SubsetIndex((3,), 5)})
-        assert act(Functional(comp)) == 2
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        f = AnovaFunction(
-            d=4, constant=0.25, terms={(1, 3): {(2, 1): -0.5}, (2,): {(4,): 1.5}}
-        )
-        back = anova_from_json(anova_to_json(f))
-        assert back == f
-
-    def test_pointwise_evaluation_matches_manual(self, wiener):
-        f = AnovaFunction(d=2, constant=0.1, terms={(1, 2): {(1, 2): 0.5}})
-        x = np.array([[0.3, 0.7]])
-        from activevars import eval_eigenfunction
-
-        manual = 0.1 + 0.5 * eval_eigenfunction(wiener, 1, 0.3) * eval_eigenfunction(
-            wiener, 2, 0.7
-        )
-        assert eval_pointwise(f, wiener, x)[0] == pytest.approx(manual, rel=1e-14)
 
 
 analytic = st.one_of(
@@ -356,6 +264,14 @@ EDGE_POINTS = [0.0, 1.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 
 
 
 class TestPointwise:
+    def test_pointwise_evaluation_matches_manual(self, wiener):
+        f = AnovaFunction(d=2, constant=0.1, terms={(1, 2): {(1, 2): 0.5}})
+        x = np.array([[0.3, 0.7]])
+        manual = 0.1 + 0.5 * eval_eigenfunction(wiener, 1, 0.3) * eval_eigenfunction(
+            wiener, 2, 0.7
+        )
+        assert eval_pointwise(f, wiener, x)[0] == pytest.approx(manual, rel=1e-14)
+
     @settings(max_examples=60, deadline=None)
     @given(analytic, sparse_functions(), st.integers(0, 2**31 - 1), st.integers(1, 40))
     def test_matches_direct_evaluation(self, s, f, seed, block):

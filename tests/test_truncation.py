@@ -210,9 +210,7 @@ class TestTruncationCorrectness:
                 d = 6
                 level = truncation_level(eps, d, korobov1.c0sq).level
                 f = random_function(d, korobov1, seed=seed, sparsity=8, max_card=d)
-                tail_terms = {
-                    u: dict(f.terms[u]) for u in f.subsets() if len(u) > level
-                }
+                tail_terms = {u: c for u, c in f.terms.items() if len(u) > level}
                 if not tail_terms:
                     continue
                 tail = AnovaFunction(d=d, terms=tail_terms, max_index=f.max_index)
