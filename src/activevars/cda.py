@@ -35,7 +35,7 @@ from .errors import (
 )
 from .optimal import ENUMERATION_CAP
 from .space import AnovaFunction
-from .spectrum import Spectrum, _count, _integers, power_sum
+from .spectrum import Spectrum, _count, _demand, _exponent, _integers, power_sum
 from .truncation import truncation_level
 
 __all__ = [
@@ -139,20 +139,19 @@ def build_plan(
     ``tau`` defaults to :func:`default_tau`; exponents at or below
     ``1/alpha`` are rejected by the underlying power sum (divergent).
     ``level`` overrides the truncation level, which is otherwise the
-    minimal certified one for ``eps`` and the spectrum's ``C_0^2``.  ``d``
-    and ``level`` are Python or numpy integers (``bool`` not), stored as
-    ``int``.
+    minimal certified one for ``eps`` and the spectrum's ``C_0^2``.
+    ``epsilon`` is a real in ``(0, 1)`` and ``tau`` a positive real, stored
+    as ``float``; ``d`` and ``level`` are Python or numpy integers (``bool``
+    not), stored as ``int``.
 
     Identical inputs yield bit-identical plans: everything below is a pure
     float computation with a fixed summation order.  A term budget that
     leaves double range (a large ``tau``: ``eps_l^(2 tau)`` underflows)
     raises :class:`UnsupportedScaleError`.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidArgumentError("epsilon must lie in (0, 1)")
+    epsilon = _demand(epsilon)
     d = _count(d, "d")
-    if tau is None:
-        tau = default_tau(spectrum)
+    tau = default_tau(spectrum) if tau is None else _exponent(tau)
     ltau = power_sum(spectrum, tau)  # validates tau > 1/alpha
     if level is None:
         level = truncation_level(epsilon, d, spectrum.c0sq).level

@@ -41,7 +41,7 @@ from .spectrum import (
     power_sum,
     spectrum_to_json,
 )
-from .truncation import truncation_level
+from .truncation import factorial_majorant, orthogonal_truncation_level, truncation_level
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
@@ -159,9 +159,16 @@ def _run_bounds(args: argparse.Namespace) -> int:
     rows = []
     for d in args.d_grid:
         for eps in args.eps_grid:
-            rep = truncation_level(eps, d, s.c0sq, c_const=args.c_const)
+            rep = truncation_level(eps, d, s.c0sq)
             rows.append(
-                [eps, d, rep.level, rep.tail_at_level, rep.majorant_ceil, rep.orthogonal_level]
+                [
+                    eps,
+                    d,
+                    rep.level,
+                    rep.tail_at_level,
+                    math.ceil(factorial_majorant(eps, s.c0sq)),
+                    orthogonal_truncation_level(eps, d, s.c0sq, args.c_const),
+                ]
             )
     _emit(args, ["epsilon", "d", "m1", "tail_at_m1", "ceil_big_m", "m2"], rows, {})
     return 0

@@ -24,7 +24,16 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .optimal import TensorEigenStream
-from .spectrum import Spectrum, power_sum
+from .spectrum import (
+    Spectrum,
+    _constant,
+    _count,
+    _demand,
+    _exponent,
+    _integers,
+    _real_tuple,
+    power_sum,
+)
 from .truncation import orthogonal_truncation_level
 
 __all__ = [
@@ -36,7 +45,14 @@ __all__ = [
     "tractability_classify",
 ]
 
-_FAMILIES = ("constant", "polynomial", "exponential", "double_exponential", "linear_floor")
+# The parameter each family reads (``None``: it reads none).
+_PARAMETER = {
+    "constant": None,
+    "polynomial": "q",
+    "exponential": "q",
+    "double_exponential": "q",
+    "linear_floor": "c",
+}
 
 
 @dataclass(frozen=True)
@@ -45,38 +61,58 @@ class CostModel:
 
     Families: ``constant`` (1), ``polynomial`` ``(k+1)^q``, ``exponential``
     ``e^{qk}``, ``double_exponential`` ``e^{e^{qk}}``, and ``linear_floor``
-    ``c (k+1)``.  ``q`` and ``c`` must be finite.
+    ``c (k+1)``.  Each of ``q`` and ``c`` is required by the families that
+    read it and refused by the others; it must be a finite Python or numpy
+    real (``bool`` not), and is stored as ``float``.
     """
 
     family: str
-    q: float = 0.0
-    c: float = 1.0
+    q: float | None = None
+    c: float | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in _PARAMETER:
             raise InvalidModelError(f"unknown cost family {self.family!r}")
-        if not (math.isfinite(self.q) and math.isfinite(self.c)):
-            raise InvalidModelError(f"q and c must be finite, not q={self.q!r}, c={self.c!r}")
-        if self.family in ("polynomial", "exponential", "double_exponential") and self.q < 0:
+        for name in ("q", "c"):
+            value = getattr(self, name)
+            if (value is None) == (_PARAMETER[self.family] == name):
+                owners = ", ".join(f for f, p in _PARAMETER.items() if p == name)
+                raise InvalidModelError(
+                    f"{name} is for the {owners} families only, and required there: "
+                    f"got {name}={value!r} for {self.family}"
+                )
+            if value is not None:
+                (v,) = _real_tuple((value,)) or (math.nan,)
+                if not -math.inf < v < math.inf:
+                    raise InvalidModelError(
+                        f"q and c must be finite, not q={self.q!r}, c={self.c!r}"
+                    )
+                object.__setattr__(self, name, v)
+        if self.q is not None and self.q < 0:
             raise InvalidModelError("q must be >= 0 to keep $ monotone")
         if eval_cost(self, 0) < 1.0:
             raise InvalidModelError("cost models must satisfy $(0) >= 1")
 
     def describe(self) -> str:
-        if self.family == "constant":
-            return "constant"
-        if self.family == "linear_floor":
-            return f"linear_floor(c={self.c})"
-        return f"{self.family}(q={self.q})"
+        name = _PARAMETER[self.family]
+        return self.family if name is None else f"{self.family}({name}={getattr(self, name)})"
+
+
+def _active_count(k) -> int:
+    """``k`` as an ``int``: a Python or numpy integer ``>= 0``, ``bool`` not."""
+    (k,) = _integers((k,), "active-variable count")
+    if k < 0:
+        raise InvalidArgumentError("active-variable count must be >= 0")
+    return k
 
 
 def eval_cost(model: CostModel, k: int) -> float:
-    """Evaluate ``$(k)``; monotone in ``k`` by construction.
+    """Evaluate ``$(k)`` for an integer ``k >= 0``; monotone in ``k`` by construction.
 
     Raises :class:`UnsupportedScaleError` where ``$(k)`` exceeds double range.
     """
-    if k < 0:
-        raise InvalidArgumentError("active-variable count must be >= 0")
+    if type(k) is not int or k < 0:  # an int >= 0 skips the call
+        k = _active_count(k)
     try:
         if model.family == "constant":
             value = 1.0
@@ -99,10 +135,11 @@ def log_eval_cost(model: CostModel, k: int) -> float:
     """``ln $(k)``, exact even where ``$(k)`` itself would overflow.
 
     Raises :class:`UnsupportedScaleError` where ``ln $(k)`` itself exceeds
-    double range (double-exponential costs).
+    double range (double-exponential costs).  ``k`` is checked as in
+    :func:`eval_cost`.
     """
-    if k < 0:
-        raise InvalidArgumentError("active-variable count must be >= 0")
+    if type(k) is not int or k < 0:
+        k = _active_count(k)
     if model.family == "constant":
         return 0.0
     if model.family == "polynomial":
@@ -196,11 +233,15 @@ def complexity_curve(
 
     Points whose demand falls below the spectrum's tail certificate are
     flagged and excluded from fits rather than failing the whole curve.
+
+    ``c_const`` is a finite real ``>= 1``, each demand a real in ``(0, 1)``,
+    each dimension an integer ``>= 1`` and ``tau`` a positive real; all are
+    stored as Python numbers.
     """
-    if not c_const >= 1.0:
-        raise InvalidArgumentError("orthogonality constant must be >= 1")
-    eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
-    d_grid = tuple(sorted(int(d) for d in d_grid))
+    c_const = _constant(c_const, terse=True)
+    eps_grid = tuple(sorted(map(_demand, eps_grid), reverse=True))
+    d_grid = tuple(sorted(_count(d, "d") for d in d_grid))
+    tau = _exponent(tau)
     ltau = power_sum(spectrum, tau)
     if spectrum.kind == "wiener":
         return _cda_bound_curve(spectrum, model, eps_grid, d_grid, tau, c_const)

@@ -13,7 +13,7 @@ from .errors import (
 )
 from . import space
 from .space import AnovaFunction, eval_pointwise, h_norm
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _count, _integers
 from .truncation import factorial_majorant
 
 __all__ = [
@@ -116,10 +116,13 @@ def random_function(
     Draws ``sparsity`` distinct subsets of size up to ``max_card`` (default
     ``min(d, 5)``), a handful of coefficients on each at indices up to
     ``max_index``, then rescales everything to ``h_norm == 1``.  The same
-    seed always reproduces the same coefficient map.
+    seed always reproduces the same coefficient map.  ``d``, ``sparsity``,
+    ``max_card`` and ``max_index`` are Python or numpy integers ``>= 1``
+    (``bool`` not).
     """
-    if max_card is None:
-        max_card = min(d, 5)
+    d = _count(d, "d")
+    sparsity, max_index = _count(sparsity, "sparsity"), _count(max_index, "max_index")
+    (max_card,) = _integers((min(d, 5) if max_card is None else max_card,), "max_card")
     if not 1 <= max_card <= d:
         raise InvalidArgumentError("max_card must lie in [1, d]")
     rng = np.random.default_rng(seed)
@@ -172,13 +175,15 @@ def mc_l2_error(
     the points drawn.  Its cost is
     ``sum_u |u| (coefficients on u) * samples`` term-point products, and
     runs above 10^9 of them are refused before any sample is drawn; the
-    dimension itself is not limited.  Runs of fewer than 2 samples are refused.
+    dimension itself is not limited.  ``samples`` is a Python or numpy
+    integer; runs of fewer than 2 samples are refused.
 
     Raises
     ------
     UnsupportedScaleError
         If the run would exceed 10^9 term-point products.
     """
+    (samples,) = _integers((samples,), "samples")
     if samples < 2:
         raise InvalidArgumentError("samples must be at least 2")
     if f.d != approx.d:

@@ -24,11 +24,18 @@ from typing import Iterator
 from .errors import (
     CertificationError,
     EnumerationCapError,
-    InvalidArgumentError,
     InvalidConfigurationError,
     TailCertificateError,
 )
-from .spectrum import Spectrum, _count, partial_power_sum, power_sum
+from .spectrum import (
+    Spectrum,
+    _constant,
+    _count,
+    _demand,
+    _finite_positive,
+    partial_power_sum,
+    power_sum,
+)
 from .truncation import orthogonal_truncation_level
 
 __all__ = [
@@ -139,7 +146,11 @@ class TensorEigenStream:
         return self.spectrum.eigenvalue(self._max_index + 1) * self._inv_d
 
     def require_certified(self, epsilon: float) -> None:
-        """Fail fast when counting down to ``epsilon^2`` is not certified."""
+        """Fail fast when counting down to ``epsilon^2`` is not certified.
+
+        ``epsilon`` is a finite positive real.
+        """
+        epsilon = _finite_positive(epsilon, "epsilon")
         thr = self.certified_above
         if epsilon * epsilon < thr:
             raise TailCertificateError(
@@ -199,11 +210,13 @@ class TensorEigenStream:
     def above(self, epsilon: float) -> Iterator[EigenEntry]:
         """Entries with value strictly above ``epsilon^2``, largest first.
 
-        The demand is certified (:meth:`require_certified`) before the
-        first entry.  The first entry at or below ``epsilon^2`` is popped
-        too, and its value kept as :attr:`first_excluded`; that attribute
-        stays 0 when the stream runs out first.
+        The demand, a finite positive real, is certified
+        (:meth:`require_certified`) before the first entry.  The first entry
+        at or below ``epsilon^2`` is popped too, and its value kept as
+        :attr:`first_excluded`; that attribute stays 0 when the stream runs
+        out first.
         """
+        epsilon = _finite_positive(epsilon, "epsilon")
         self.require_certified(epsilon)
         thr = epsilon * epsilon
         for entry in self:
@@ -237,10 +250,10 @@ def eigencount(epsilon: float, d: int, spectrum: Spectrum) -> int:
 
     Counts with multiplicity by streaming until the next value drops to
     ``epsilon^2`` or below.  The count is exact whenever the demand is
-    above the stream's tail certificate.
+    above the stream's tail certificate.  ``epsilon`` is a real in
+    ``(0, 1]``.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise InvalidArgumentError("epsilon must lie in (0, 1]")
+    epsilon = _demand(epsilon, closed=True)
     return sum(e.multiplicity for e in TensorEigenStream(d, spectrum).above(epsilon))
 
 
@@ -273,7 +286,9 @@ def optimal_algorithm(
     are only bounded by (rather than equal to) the orthogonal sum, and the
     first ``n(eps_eff, d)`` eigenpairs are retained.  Every retained
     functional touches at most the orthogonal truncation level of
-    variables; that ceiling is recomputed here and enforced.
+    variables; that ceiling is recomputed here and enforced.  ``epsilon``
+    is a real in ``(0, 1]`` and ``c_const`` a finite real ``>= 1``, both
+    stored as ``float``.
 
     Raises
     ------
@@ -281,10 +296,7 @@ def optimal_algorithm(
         For the wiener kernel, whose embedded norms are not orthogonal
         across subsets (the construction would not be optimal there).
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise InvalidArgumentError("epsilon must lie in (0, 1]")
-    if not c_const >= 1.0:
-        raise InvalidArgumentError("orthogonality constant must be >= 1")
+    epsilon, c_const = _demand(epsilon, closed=True), _constant(c_const, terse=True)
     if spectrum.kind == "wiener":
         raise InvalidConfigurationError(
             "the spectral algorithm is optimal only for kernels whose "

@@ -163,6 +163,38 @@ def _finite_positive(value, what: str) -> float:
     return v
 
 
+def _demand(epsilon, closed: bool = False) -> float:
+    """``epsilon`` as a ``float``: a Python or numpy real in ``(0, 1)``, ``bool`` not.
+
+    With ``closed`` the demand 1 is accepted too (the empty algorithm).
+    """
+    (e,) = _real_tuple((epsilon,)) or (math.nan,)
+    if not (0.0 < e < 1.0 or (closed and e == 1.0)):
+        raise InvalidArgumentError(f"epsilon must lie in (0, 1{']' if closed else ')'}")
+    return e
+
+
+def _constant(c_const, terse: bool = False) -> float:
+    """The orthogonality constant ``C`` as a ``float``: a finite real ``>= 1``, ``bool`` not.
+
+    ``terse`` words the error as ``optimal_algorithm`` and
+    ``complexity_curve`` always have, ``must be >= 1``, except for ``inf``.
+    """
+    (c,) = _real_tuple((c_const,)) or (math.nan,)
+    if not 1.0 <= c < math.inf:
+        rule = ">= 1" if terse and c != math.inf else "a finite real >= 1"
+        raise InvalidArgumentError(f"orthogonality constant must be {rule}")
+    return c
+
+
+def _exponent(tau) -> float:
+    """``tau`` as a ``float``: a positive Python or numpy real, ``inf`` included, ``bool`` not."""
+    (t,) = _real_tuple((tau,)) or (math.nan,)
+    if not t > 0.0:
+        raise InvalidArgumentError("tau must be positive")
+    return t
+
+
 def wiener_kernel() -> KernelSpec:
     """``K(x, y) = min(x, y)`` on ``[0, 1]``."""
     return KernelSpec(kind="wiener")
@@ -484,10 +516,10 @@ def power_sum(s: Spectrum, tau: float) -> float:
     DivergenceError
         If ``tau <= 1/alpha`` for an infinite spectrum (the series diverges).
     InvalidArgumentError
-        If ``tau`` is not positive (NaN included).
+        If ``tau`` is not a positive real (NaN and ``bool`` included;
+        ``inf`` is accepted).
     """
-    if not tau > 0:
-        raise InvalidArgumentError("tau must be positive")
+    tau = _exponent(tau)
     if not s.is_finite and tau <= 1.0 / s.alpha:
         raise DivergenceError(
             f"power sum diverges for tau={tau} <= 1/alpha={1.0 / s.alpha}"

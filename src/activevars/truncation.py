@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidArgumentError
-from .spectrum import _count, _finite_positive, _integers, _real_tuple
+from .spectrum import _constant, _count, _demand, _finite_positive, _integers
 
 __all__ = [
     "TruncationReport",
@@ -48,11 +48,6 @@ def _tail_terms(d: int, c0sq: float) -> tuple[float, ...]:
     return tuple(terms)
 
 
-def _check_eps(epsilon: float) -> None:
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidArgumentError("epsilon must lie in (0, 1)")
-
-
 def binomial_tail(d: int, m: int, c0sq: float) -> float:
     """Exact tail ``sum_{k=m+1}^{d} C(d,k) (c0sq/d)^k``, compensated.
 
@@ -69,11 +64,10 @@ def binomial_tail(d: int, m: int, c0sq: float) -> float:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Truncation levels for one ``(eps, d)`` pair plus their certificates.
+    """The truncation level for one ``(eps, d)`` pair plus its certificates.
 
     ``tail_at_level <= eps^2`` always, and ``tail_above_level > eps^2``
-    whenever ``level > 0`` (minimality).  ``orthogonal_level`` is populated
-    only when an orthogonality constant was supplied.
+    whenever ``level > 0`` (minimality).
     """
 
     epsilon: float
@@ -82,24 +76,17 @@ class TruncationReport:
     level: int
     tail_at_level: float
     tail_above_level: float | None
-    majorant: float
-    majorant_ceil: int
-    orthogonal_level: int | None = None
-    c_const: float | None = None
 
 
-def truncation_level(
-    epsilon: float, d: int, c0sq: float, c_const: float | None = None
-) -> TruncationReport:
+def truncation_level(epsilon: float, d: int, c0sq: float) -> TruncationReport:
     """Smallest ``m`` with ``binomial_tail(d, m, c0sq) <= eps^2``.
 
     Found by ascending scan, so the report carries both the certifying tail
-    at the level and the tail one step above it.  When ``c_const`` is given
-    the orthogonal-case level is computed alongside.  ``d`` and ``c0sq``
-    are checked as in :func:`binomial_tail` and stored as ``int`` and
-    ``float``.
+    at the level and the tail one step above it.  ``epsilon`` is a real in
+    ``(0, 1)``; ``d`` and ``c0sq`` are checked as in :func:`binomial_tail`.
+    All three are stored as Python numbers.
     """
-    _check_eps(epsilon)
+    epsilon = _demand(epsilon)
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
     eps_sq = epsilon * epsilon
     terms = _tail_terms(d, c0sq)
@@ -110,7 +97,6 @@ def truncation_level(
         prev = tail
         m += 1
         tail = math.fsum(terms[m:])
-    big_m = factorial_majorant(epsilon, c0sq)
     return TruncationReport(
         epsilon=epsilon,
         d=d,
@@ -118,14 +104,6 @@ def truncation_level(
         level=m,
         tail_at_level=tail,
         tail_above_level=prev,
-        majorant=big_m,
-        majorant_ceil=math.ceil(big_m),
-        orthogonal_level=(
-            None
-            if c_const is None
-            else orthogonal_truncation_level(epsilon, d, c0sq, c_const)
-        ),
-        c_const=c_const,
     )
 
 
@@ -136,24 +114,37 @@ def factorial_majorant(epsilon: float, c0sq: float, refined: bool = False) -> fl
     with the factorial extended through log-gamma, solved by bisection on
     ``[0, 400]`` to absolute 1e-9 (clamped at 0 when the root is negative).
 
-    Refined: the minimal integer ``M`` with ``c0sq/(M+1) < 1`` and
+    Refined: the minimal integer ``M`` with ``M + 1 > c0sq`` and
     ``(M+1)!/c0sq^{M+1} >= 1/(eps^2 (1 - c0sq/(M+1)))``, which sharpens the
-    exponential factor to a geometric-series factor.  ``c0sq`` must be a
-    finite positive real.
+    exponential factor to a geometric-series factor.  Past ``M + 1 > c0sq``
+    the left side grows and the right side falls with ``M``, so the minimum
+    is found by galloping, then bisecting, over the integers.
+    ``epsilon`` is a real in ``(0, 1)`` and ``c0sq`` a finite positive real.
     """
-    _check_eps(epsilon)
+    epsilon = _demand(epsilon)
     c0sq = _finite_positive(c0sq, "c0sq")
     log_c = math.log(c0sq)
     if refined:
-        m = max(0, math.ceil(c0sq - 1.0))
-        while True:
+        log_eps_sq = 2.0 * math.log(epsilon)
+
+        def holds(m: int) -> bool:
             ratio = c0sq / (m + 1)
-            if ratio < 1.0:
-                lhs = math.lgamma(m + 2) - (m + 1) * log_c
-                rhs = -2.0 * math.log(epsilon) - math.log1p(-ratio)
-                if lhs >= rhs:
-                    return float(m)
-            m += 1
+            if ratio >= 1.0:  # m + 1 within rounding of c0sq: 1 - ratio is not positive
+                return False
+            lhs = math.lgamma(m + 2) - (m + 1) * log_c
+            return lhs >= -log_eps_sq - math.log1p(-ratio)
+
+        hi, step = math.floor(c0sq), 1  # the least m >= 0 with m + 1 > c0sq
+        lo = hi - 1
+        while not holds(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+        while hi - lo > 1:  # holds(hi); lo fails or lies below the search range
+            mid = (lo + hi) // 2
+            if holds(mid):
+                hi = mid
+            else:
+                lo = mid
+        return float(hi)
 
     def g(m: float) -> float:
         return math.lgamma(m + 2.0) - (m + 1.0) * log_c - c0sq + 2.0 * math.log(epsilon)
@@ -182,14 +173,12 @@ def orthogonal_truncation_level(
     ``(c0sq/d)^d`` already meets ``eps^2 / C``; otherwise the level is
     ``min{k : (c0sq/d)^{k+1} <= eps^2/C}``, evaluated in closed form as
     ``ceil(ln(C/eps^2) / ln(d/c0sq)) - 1`` and clamped to ``[0, d]``.
-    ``d`` and ``c0sq`` are checked as in :func:`binomial_tail`, and
-    ``c_const`` must be a finite real ``>= 1``.
+    ``epsilon`` is a real in ``(0, 1)``, ``d`` and ``c0sq`` are checked as
+    in :func:`binomial_tail`, and ``c_const`` must be a finite real ``>= 1``.
     """
-    _check_eps(epsilon)
+    epsilon = _demand(epsilon)
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    (c_const,) = _real_tuple((c_const,)) or (math.nan,)
-    if not 1.0 <= c_const < math.inf:
-        raise InvalidArgumentError("orthogonality constant must be a finite real >= 1")
+    c_const = _constant(c_const)
     log_thr = 2.0 * math.log(epsilon) - math.log(c_const)
     log_ratio = math.log(c0sq) - math.log(d)
     if d < c0sq:
@@ -202,9 +191,11 @@ def orthogonal_truncation_level(
 
 
 def orthogonal_level_bound(epsilon: float, lambda11: float, delta: float) -> float:
-    """Dimension-free bound ``max(lambda_1 e^{1/delta}, delta ln(1/eps^2))``."""
-    if delta <= 0:
-        raise InvalidArgumentError("delta must be positive")
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidArgumentError("epsilon must lie in (0, 1)")
+    """Dimension-free bound ``max(lambda_1 e^{1/delta}, delta ln(1/eps^2))``.
+
+    ``epsilon`` is a real in ``(0, 1)``; ``lambda11`` and ``delta`` are
+    finite positive reals.
+    """
+    epsilon = _demand(epsilon)
+    lambda11, delta = _finite_positive(lambda11, "lambda11"), _finite_positive(delta, "delta")
     return max(lambda11 * math.exp(1.0 / delta), -2.0 * delta * math.log(epsilon))

@@ -328,3 +328,30 @@ def reference_apply(applier, f) -> ApplyResult:
 def genexpr_partial_power_sum(spectrum, tau) -> float:
     """``sum_n lambda_n^tau`` over the retained eigenvalues, one numpy scalar power each."""
     return math.fsum(v**tau for v in spectrum.leading())
+
+
+def refined_majorant_scan(epsilons, c0sq) -> list[float]:
+    """The refined majorant ``M(eps)`` for each demand, by a linear scan over ``m``.
+
+    The scan ``factorial_majorant(..., refined=True)`` ran before it
+    galloped: from ``m = ceil(c0sq - 1)`` up, the first ``m`` with
+    ``c0sq/(m+1) < 1`` and ``lgamma(m+2) - (m+1) ln c0sq >= -2 ln eps -
+    log1p(-c0sq/(m+1))``.  A smaller demand raises the right side, so it is
+    met no earlier than a larger one, and one pass serves every demand in
+    decreasing order.  The pass takes about ``1.7 c0sq`` steps.
+    """
+    log_c = math.log(c0sq)
+    order = sorted(set(epsilons), reverse=True)
+    found: dict[float, float] = {}
+    m = max(0, math.ceil(c0sq - 1.0))
+    while len(found) < len(order):
+        ratio = c0sq / (m + 1)
+        if ratio < 1.0:
+            lhs = math.lgamma(m + 2) - (m + 1) * log_c
+            while len(found) < len(order):
+                eps = order[len(found)]
+                if lhs < -2.0 * math.log(eps) - math.log1p(-ratio):
+                    break
+                found[eps] = float(m)
+        m += 1
+    return [found[eps] for eps in epsilons]

@@ -1,6 +1,9 @@
-"""The public surface: every exported name exists, and the package exports what it imports."""
+"""The public surface: every exported name exists, the package exports what it
+imports, and no module imports a name it neither uses nor exports."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -29,3 +32,19 @@ def test_package_exports_exactly_what_it_imports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(activevars.__all__) == imported
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_module_imports_a_name_it_does_not_use(module):
+    # A stand-in for a linter's unused-import rule: deleting code must not
+    # leave its imports behind.
+    tree = ast.parse(inspect.getsource(module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported - used - set(getattr(module, "__all__", ()))
+    assert not unused, f"{module.__name__} imports {sorted(unused)} and never uses them"

@@ -1,6 +1,7 @@
 """Truncation levels: exact tails, minimality, majorants, monotonicity."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,21 @@ class TestFactorialMajorant:
     def test_refined_reproduces_reference_row(self):
         got = [int(factorial_majorant(10.0**-q, 0.5, refined=True)) for q in range(1, 11)]
         assert got == [3, 5, 7, 8, 10, 11, 13, 14, 15, 17]
+
+    def test_refined_equals_the_linear_scan(self):
+        # 200 values of c0sq over seven decades, each at ten demands.
+        epsilons = [10.0**-q for q in range(1, 11)]
+        for i in range(200):
+            c0sq = 0.01 * 10.0 ** (7 * i / 199)
+            got = [factorial_majorant(eps, c0sq, refined=True) for eps in epsilons]
+            assert got == oracles.refined_majorant_scan(epsilons, c0sq), c0sq
+
+    def test_refined_returns_for_huge_c0sq(self):
+        # A linear scan from c0sq takes ~1.7 c0sq steps, and never ends at 1e17.
+        start = time.perf_counter()
+        big_m = factorial_majorant(0.1, 1e17, refined=True)
+        assert time.perf_counter() - start < 1.0
+        assert big_m + 1 > 1e17
 
 
 class TestOrthogonalLevel:
