@@ -56,7 +56,6 @@ from .spectrum import (
     eval_eigenfunction,
     korobov_kernel,
     power_sum,
-    spectrum_from_json,
     spectrum_to_json,
     wiener_kernel,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "r_growth_bounds",
     "random_function",
     "single_subset_function",
-    "spectrum_from_json",
     "spectrum_to_json",
     "table_check",
     "tractability_classify",

@@ -73,7 +73,6 @@ class CdaPlan:
     ell_star: int
     rows: tuple[PlanRow, ...]
     l_tau_value: float
-    c0sq: float
 
     def row(self, cardinality: int) -> PlanRow:
         return self.rows[cardinality - 1]
@@ -184,7 +183,6 @@ def build_plan(
         ell_star=ell_star,
         rows=tuple(rows),
         l_tau_value=ltau,
-        c0sq=spectrum.c0sq,
     )
 
 
@@ -459,10 +457,10 @@ class ApplyResult:
     """Outcome of applying a plan to a stored function.
 
     ``error_cert`` is the exact embedded-norm error of the discarded part
-    when the kernel's embedded norms are orthogonal across subsets, and a
-    certified triangle-inequality upper bound otherwise (``exact`` says
-    which).  ``max_act`` is the largest number of active variables of any
-    functional the algorithm evaluated.
+    for the korobov kernel, and a certified triangle-inequality upper bound
+    for wiener and custom spectra (``exact`` says which; see
+    :class:`CdaApplier`).  ``max_act`` is the largest number of active
+    variables of any functional the algorithm evaluated.
     """
 
     approx: AnovaFunction
@@ -474,23 +472,19 @@ class ApplyResult:
 class CdaApplier:
     """Applies one plan to many functions, caching the per-cardinality ranking.
 
-    ``orthogonal`` defaults by kernel: zero-mean kernels aggregate the error
-    orthogonally, the wiener kernel via the triangle inequality, and custom
-    spectra conservatively via the triangle inequality unless the caller
-    asserts orthogonality.
+    The kernel decides how subset errors add up: korobov, whose members have
+    zero mean, sums their squares; wiener, whose embedded norms are not
+    orthogonal across subsets, and custom spectra, which carry no
+    eigenfunctions to show orthogonality, add the norms (triangle bound).
 
     The ranking caches are built lazily on first use; share an applier
     across threads only after warming it up (or give each worker its own).
     """
 
-    def __init__(
-        self, plan: CdaPlan, spectrum: Spectrum, orthogonal: bool | None = None
-    ) -> None:
+    def __init__(self, plan: CdaPlan, spectrum: Spectrum) -> None:
         self.plan = plan
         self.spectrum = spectrum
-        if orthogonal is None:
-            orthogonal = spectrum.kind == "korobov"
-        self.orthogonal = orthogonal
+        self._orthogonal = spectrum.kind == "korobov"
         self._table = spectrum.table()
         self._oracles: dict[int, _RankOracle] = {}
 
@@ -525,7 +519,7 @@ class CdaApplier:
             raise DimensionMismatchError(
                 f"function has d={f.d}, plan was built for d={self.plan.d}"
             )
-        table, level, orthogonal = self._table, self.plan.level, self.orthogonal
+        table, level, orthogonal = self._table, self.plan.level, self._orthogonal
         kept: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
         residuals: list[float] = []  # squared errors if orthogonal, else errors
         max_act = 0
@@ -562,15 +556,14 @@ class CdaApplier:
 class PriceResult:
     """Exact priced cost of a plan next to its closed-form budget.
 
-    When the exact cost overflows double range, ``exact`` is ``inf``,
-    ``overflowed`` is set, and the log values remain meaningful.
+    When the exact cost overflows double range, ``exact`` is ``inf`` and
+    the log values remain meaningful.
     """
 
     exact: float
     bound: float
     log_exact: float
     log_bound: float
-    overflowed: bool
     within_bound: bool
 
 
@@ -636,6 +629,5 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
         bound=bound,
         log_exact=log_exact,
         log_bound=log_bound,
-        overflowed=log_exact >= 709.0,
         within_bound=within,
     )

@@ -24,7 +24,7 @@ import math
 import sys
 
 from .cda import build_plan, price_plan
-from .cost import CostModel, complexity_curve, tractability_classify
+from .cost import _FAMILIES, CostModel, complexity_curve, tractability_classify
 from .errors import ActiveVarsError, InvalidArgumentError, InvalidModelError, UnsupportedScaleError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
@@ -69,18 +69,13 @@ def _parse_kernel(text: str) -> tuple[str, float | None, str | None]:
 
 
 def _parse_cost(text: str) -> CostModel:
-    if text == "constant":
-        return CostModel(family="constant")
-    for prefix, family, param in (
-        ("poly:", "polynomial", "q"),
-        ("exp:", "exponential", "q"),
-        ("doubleexp:", "double_exponential", "q"),
-        ("linfloor:", "linear_floor", "c"),
-    ):
-        if text.startswith(prefix):
+    for family, row in _FAMILIES.items():
+        if row.parameter is None and text == row.prefix:
+            return CostModel(family=family)
+        if row.parameter is not None and text.startswith(row.prefix + ":"):
             value = float(text.split(":", 1)[1])
             try:
-                return CostModel(family=family, **{param: value})
+                return CostModel(family=family, **{row.parameter: value})
             except InvalidModelError as exc:
                 raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"unknown cost model {text!r}")

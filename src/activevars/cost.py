@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,13 +46,28 @@ __all__ = [
     "tractability_classify",
 ]
 
-# The parameter each family reads (``None``: it reads none).
-_PARAMETER = {
-    "constant": None,
-    "polynomial": "q",
-    "exponential": "q",
-    "double_exponential": "q",
-    "linear_floor": "c",
+
+class _Family(NamedTuple):
+    parameter: str | None  # "q", "c" or None
+    prefix: str  # the CLI spelling: "prefix:value", or the bare prefix without a parameter
+    cost: Callable[[CostModel, int], float]  # $(k)
+    log_cost: Callable[[CostModel, int], float]  # ln $(k)
+
+
+# Each cost family, written once: CostModel, eval_cost, log_eval_cost and
+# the CLI's --cost parser read this table.
+_FAMILIES = {
+    "constant": _Family(None, "constant", lambda m, k: 1.0, lambda m, k: 0.0),
+    "polynomial": _Family(
+        "q", "poly", lambda m, k: float((k + 1) ** m.q), lambda m, k: m.q * math.log(k + 1)
+    ),
+    "exponential": _Family("q", "exp", lambda m, k: math.exp(m.q * k), lambda m, k: m.q * k),
+    "double_exponential": _Family(
+        "q", "doubleexp", lambda m, k: math.exp(math.exp(m.q * k)), lambda m, k: math.exp(m.q * k)
+    ),
+    "linear_floor": _Family(
+        "c", "linfloor", lambda m, k: m.c * (k + 1), lambda m, k: math.log(m.c) + math.log(k + 1)
+    ),
 }
 
 
@@ -71,12 +87,12 @@ class CostModel:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _PARAMETER:
+        if self.family not in _FAMILIES:
             raise InvalidModelError(f"unknown cost family {self.family!r}")
         for name in ("q", "c"):
             value = getattr(self, name)
-            if (value is None) == (_PARAMETER[self.family] == name):
-                owners = ", ".join(f for f, p in _PARAMETER.items() if p == name)
+            if (value is None) == (_FAMILIES[self.family].parameter == name):
+                owners = ", ".join(f for f, row in _FAMILIES.items() if row.parameter == name)
                 raise InvalidModelError(
                     f"{name} is for the {owners} families only, and required there: "
                     f"got {name}={value!r} for {self.family}"
@@ -94,7 +110,7 @@ class CostModel:
             raise InvalidModelError("cost models must satisfy $(0) >= 1")
 
     def describe(self) -> str:
-        name = _PARAMETER[self.family]
+        name = _FAMILIES[self.family].parameter
         return self.family if name is None else f"{self.family}({name}={getattr(self, name)})"
 
 
@@ -114,16 +130,7 @@ def eval_cost(model: CostModel, k: int) -> float:
     if type(k) is not int or k < 0:  # an int >= 0 skips the call
         k = _active_count(k)
     try:
-        if model.family == "constant":
-            value = 1.0
-        elif model.family == "polynomial":
-            value = float((k + 1) ** model.q)
-        elif model.family == "exponential":
-            value = math.exp(model.q * k)
-        elif model.family == "double_exponential":
-            value = math.exp(math.exp(model.q * k))
-        else:
-            value = model.c * (k + 1)
+        value = _FAMILIES[model.family].cost(model, k)
     except OverflowError:
         value = math.inf
     if value == math.inf:
@@ -140,20 +147,10 @@ def log_eval_cost(model: CostModel, k: int) -> float:
     """
     if type(k) is not int or k < 0:
         k = _active_count(k)
-    if model.family == "constant":
-        return 0.0
-    if model.family == "polynomial":
-        return model.q * math.log(k + 1)
-    if model.family == "exponential":
-        return model.q * k
-    if model.family == "double_exponential":
-        try:
-            return math.exp(model.q * k)
-        except OverflowError:
-            raise UnsupportedScaleError(
-                f"{model.describe()}: ln $({k}) exceeds double range"
-            ) from None
-    return math.log(model.c) + math.log(k + 1)
+    try:
+        return _FAMILIES[model.family].log_cost(model, k)
+    except OverflowError:
+        raise UnsupportedScaleError(f"{model.describe()}: ln $({k}) exceeds double range") from None
 
 
 @dataclass(frozen=True)
@@ -187,9 +184,6 @@ class ComplexityReport:
     points: tuple[GridPoint, ...]
     eps_grid: tuple[float, ...]
     d_grid: tuple[int, ...]
-    cost: str
-    tau: float
-    c_const: float
     p_str_fit: float
     p_str_residual: float
     strong_fit_residual: float
@@ -228,23 +222,25 @@ def complexity_curve(
 
     For the wiener kernel, whose embedded norms are not orthogonal across
     subsets, the grid instead carries the exact priced cost of the
-    changing-dimension algorithm; that value upper-bounds the complexity
-    and every point is flagged ``cda-upper-bound``.
+    changing-dimension algorithm, whose ``n_terms`` is ``1 + sum_l C(d,l)
+    n_l`` (the constant included).  That cost upper-bounds the complexity:
+    the points carry ``flag_reason="cda-upper-bound"`` but are not
+    ``flagged``, so they stay in the fits.
 
     Points whose demand falls below the spectrum's tail certificate are
     flagged and excluded from fits rather than failing the whole curve.
 
     ``c_const`` is a finite real ``>= 1``, each demand a real in ``(0, 1)``,
-    each dimension an integer ``>= 1`` and ``tau`` a positive real; all are
-    stored as Python numbers.
+    each dimension an integer ``>= 1`` and ``tau`` a positive real; the
+    report's grids hold Python numbers.
     """
-    c_const = _constant(c_const, terse=True)
+    c_const = _constant(c_const)
     eps_grid = tuple(sorted(map(_demand, eps_grid), reverse=True))
     d_grid = tuple(sorted(_count(d, "d") for d in d_grid))
     tau = _exponent(tau)
     ltau = power_sum(spectrum, tau)
     if spectrum.kind == "wiener":
-        return _cda_bound_curve(spectrum, model, eps_grid, d_grid, tau, c_const)
+        return _cda_bound_curve(spectrum, model, eps_grid, d_grid, tau)
 
     points: list[GridPoint] = []
     flags: list[str] = []
@@ -292,7 +288,7 @@ def complexity_curve(
                 )
             )
 
-    return _summarize(points, eps_grid, d_grid, model, tau, c_const, flags)
+    return _summarize(points, eps_grid, d_grid, flags)
 
 
 def _cda_bound_curve(
@@ -301,9 +297,8 @@ def _cda_bound_curve(
     eps_grid: tuple[float, ...],
     d_grid: tuple[int, ...],
     tau: float,
-    c_const: float,
 ) -> ComplexityReport:
-    """Grid of changing-dimension costs: complexity upper bounds, flagged."""
+    """Grid of changing-dimension costs: complexity upper bounds, marked ``cda-upper-bound``."""
     from .cda import build_plan, price_plan  # local import to keep modules acyclic
 
     points: list[GridPoint] = []
@@ -311,7 +306,7 @@ def _cda_bound_curve(
         for eps in eps_grid:
             plan = build_plan(eps, d, spectrum, tau=tau)
             price = price_plan(plan, model)
-            n_terms = sum(math.comb(d, row.cardinality) * row.n_l for row in plan.rows)
+            n_terms = 1 + sum(math.comb(d, row.cardinality) * row.n_l for row in plan.rows)
             points.append(
                 GridPoint(
                     d=d,
@@ -326,18 +321,13 @@ def _cda_bound_curve(
                     flag_reason="cda-upper-bound",
                 )
             )
-    return _summarize(
-        points, eps_grid, d_grid, model, tau, c_const, ["comp values are cda upper bounds"]
-    )
+    return _summarize(points, eps_grid, d_grid, ["comp values are cda upper bounds"])
 
 
 def _summarize(
     points: list[GridPoint],
     eps_grid: tuple[float, ...],
     d_grid: tuple[int, ...],
-    model: CostModel,
-    tau: float,
-    c_const: float,
     flags: list[str],
 ) -> ComplexityReport:
     priced = [p for p in points if not p.flagged and math.isfinite(p.comp)]
@@ -371,9 +361,6 @@ def _summarize(
         points=tuple(points),
         eps_grid=eps_grid,
         d_grid=d_grid,
-        cost=model.describe(),
-        tau=tau,
-        c_const=c_const,
         p_str_fit=p_str_fit,
         p_str_residual=p_str_resid,
         strong_fit_residual=strong_resid,

@@ -42,22 +42,22 @@ MEAN_INDEX_BOUND = 768
 _MC_WORK_BUDGET = 10**9
 
 
-def majorant_table(c0sq: float = 0.5) -> list[tuple[int, int]]:
-    """``(q, ceil(M(10^-q)))`` rows for ``q = 1..10``.
+def majorant_table() -> list[tuple[int, int]]:
+    """``(q, ceil(M(10^-q)))`` rows for ``q = 1..10`` at ``C_0^2 = 1/2``.
 
     Uses the refined (geometric-factor) majorant, which is what the
     reference row was computed with; the plain factorial-equation root
     gives the same ceilings everywhere except ``q = 9`` (16 instead of 15).
     """
     return [
-        (q, math.ceil(factorial_majorant(10.0**-q, c0sq, refined=True)))
+        (q, math.ceil(factorial_majorant(10.0**-q, 0.5, refined=True)))
         for q in range(1, 11)
     ]
 
 
-def table_check(c0sq: float = 0.5) -> tuple[list[tuple[int, int]], list[str]]:
+def table_check() -> tuple[list[tuple[int, int]], list[str]]:
     """Recompute the majorant table and diff it against the golden row."""
-    rows = majorant_table(c0sq)
+    rows = majorant_table()
     diffs = [
         f"q={q}: computed {got}, expected {want}"
         for (q, got), want in zip(rows, GOLDEN_MAJORANT_CEILINGS)
@@ -69,38 +69,31 @@ def table_check(c0sq: float = 0.5) -> tuple[list[tuple[int, int]], list[str]]:
 # -- test functions -----------------------------------------------------------
 
 
-def mean_function(
-    d: int, spectrum: Spectrum, index_bound: int = MEAN_INDEX_BOUND
-) -> AnovaFunction:
+def mean_function(d: int, spectrum: Spectrum) -> AnovaFunction:
     """The coordinate average ``(x_1 + ... + x_d)/d`` as a stored expansion.
 
     Only available for the wiener kernel, where the identity map expands as
     ``x = sum_n (-1)^{n+1} sqrt(2 lambda_n) zeta_n(x)``.  Each singleton
-    gets that vector scaled by ``1/d``, truncated at ``index_bound``; the
-    full expansion has unit weighted norm, the truncation keeps it within
-    about ``1/index_bound`` of one.
+    gets that vector scaled by ``1/d``, truncated at ``MEAN_INDEX_BOUND``;
+    the full expansion has unit weighted norm, the truncation keeps it
+    within about ``1/MEAN_INDEX_BOUND`` of one.
     """
     if spectrum.kind != "wiener":
         raise InvalidConfigurationError("the mean expansion is wiener-specific")
-    n = np.arange(1, index_bound + 1)
+    n = np.arange(1, MEAN_INDEX_BOUND + 1)
     coeff = np.where(n % 2 == 1, 1.0, -1.0) * np.sqrt(2.0 * spectrum.eigenvalue(n)) / d
     vec = {(int(i),): float(c) for i, c in zip(n, coeff)}
     terms = {(j,): dict(vec) for j in range(1, d + 1)}
-    return AnovaFunction(d=d, constant=0.0, terms=terms, max_index=index_bound)
+    return AnovaFunction(d=d, constant=0.0, terms=terms, max_index=MEAN_INDEX_BOUND)
 
 
 def single_subset_function(
-    d: int,
-    u: tuple[int, ...],
-    k: tuple[int, ...] = (),
-    value: float = 1.0,
-    max_index: int | None = None,
+    d: int, u: tuple[int, ...], k: tuple[int, ...] = (), value: float = 1.0
 ) -> AnovaFunction:
     """A single eigenbasis coefficient on subset ``u`` (the constant for ``u=()``)."""
     if not u:
         return AnovaFunction(d=d, constant=value)
-    bound = max_index if max_index is not None else max(64, *k)
-    return AnovaFunction(d=d, terms={tuple(u): {tuple(k): value}}, max_index=bound)
+    return AnovaFunction(d=d, terms={tuple(u): {tuple(k): value}}, max_index=max(64, *k))
 
 
 def random_function(

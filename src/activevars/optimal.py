@@ -26,6 +26,7 @@ from .errors import (
     EnumerationCapError,
     InvalidConfigurationError,
     TailCertificateError,
+    UnsupportedScaleError,
 )
 from .spectrum import (
     Spectrum,
@@ -36,7 +37,7 @@ from .spectrum import (
     partial_power_sum,
     power_sum,
 )
-from .truncation import orthogonal_truncation_level
+from .truncation import _LOG_MAX, orthogonal_truncation_level
 
 __all__ = [
     "EigenEntry",
@@ -267,9 +268,7 @@ class OptimalAlgorithm:
     eigenvalue left out (0 when a finite spectrum is exhausted).
     """
 
-    epsilon: float
     epsilon_effective: float
-    d: int
     entries: tuple[EigenEntry, ...]
     n_terms: int
     worst_case_error: float
@@ -287,8 +286,7 @@ def optimal_algorithm(
     first ``n(eps_eff, d)`` eigenpairs are retained.  Every retained
     functional touches at most the orthogonal truncation level of
     variables; that ceiling is recomputed here and enforced.  ``epsilon``
-    is a real in ``(0, 1]`` and ``c_const`` a finite real ``>= 1``, both
-    stored as ``float``.
+    is a real in ``(0, 1]`` and ``c_const`` a finite real ``>= 1``.
 
     Raises
     ------
@@ -296,7 +294,7 @@ def optimal_algorithm(
         For the wiener kernel, whose embedded norms are not orthogonal
         across subsets (the construction would not be optimal there).
     """
-    epsilon, c_const = _demand(epsilon, closed=True), _constant(c_const, terse=True)
+    epsilon, c_const = _demand(epsilon, closed=True), _constant(c_const)
     if spectrum.kind == "wiener":
         raise InvalidConfigurationError(
             "the spectral algorithm is optimal only for kernels whose "
@@ -316,9 +314,7 @@ def optimal_algorithm(
             f"retained labels touch {max_act} variables, above the ceiling {m2}"
         )
     return OptimalAlgorithm(
-        epsilon=epsilon,
         epsilon_effective=eps_eff,
-        d=d,
         entries=entries,
         n_terms=sum(e.multiplicity for e in entries),
         worst_case_error=math.sqrt(stream.first_excluded),
@@ -374,7 +370,13 @@ def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdenti
 
 
 def eigenvalue_decay_bound(d: int, k: int, spectrum: Spectrum, tau: float) -> float:
-    """Upper bound ``e^{L(tau) d^{1-tau}/tau} k^{-1/tau}`` on the k-th tensor eigenvalue."""
+    """Upper bound ``e^{L(tau) d^{1-tau}/tau} k^{-1/tau}`` on the k-th tensor eigenvalue.
+
+    Taken in log space; a bound beyond double range raises
+    :class:`UnsupportedScaleError`.
+    """
     d, k = _count(d, "d"), _count(k, "k")
-    ltau = power_sum(spectrum, tau)
-    return math.exp(ltau * d ** (1.0 - tau) / tau) * k ** (-1.0 / tau)
+    log_bound = (power_sum(spectrum, tau) * d ** (1.0 - tau) - math.log(k)) / tau
+    if not log_bound <= _LOG_MAX:
+        raise UnsupportedScaleError(f"the decay bound exceeds double range at tau = {tau}")
+    return math.exp(log_bound)

@@ -201,15 +201,11 @@ class GNormResult:
     """Embedded-norm computation outcome.
 
     ``value`` is exact when ``is_upper_bound`` is False and a certified
-    triangle-inequality upper bound otherwise.  ``per_subset`` holds the
-    exact embedded norm of each stored interaction term (those are exact
-    for every kernel, since eigenfunctions of one subset are mutually
-    orthogonal in L2).
+    triangle-inequality upper bound otherwise.
     """
 
     value: float
     is_upper_bound: bool
-    per_subset: dict[tuple[int, ...], float]
 
 
 def g_norm_exact(f: AnovaFunction, s: Spectrum, orthogonal: bool) -> GNormResult:
@@ -234,14 +230,11 @@ def g_norm_exact(f: AnovaFunction, s: Spectrum, orthogonal: bool) -> GNormResult
             "wiener eigenfunctions are not mean-free; cross-subset terms are "
             "not orthogonal in L2"
         )
-    per_subset = {u: math.sqrt(_term_g_sq(coeffs, s)) for u, coeffs in f.terms.items()}
+    norms = [math.sqrt(_term_g_sq(coeffs, s)) for coeffs in f.terms.values()]
     if orthogonal:
-        total = math.sqrt(
-            math.fsum([f.constant * f.constant] + [v * v for v in per_subset.values()])
-        )
-        return GNormResult(value=total, is_upper_bound=False, per_subset=per_subset)
-    total = math.fsum([abs(f.constant)] + list(per_subset.values()))
-    return GNormResult(value=total, is_upper_bound=True, per_subset=per_subset)
+        total = math.sqrt(math.fsum([f.constant * f.constant] + [v * v for v in norms]))
+        return GNormResult(value=total, is_upper_bound=False)
+    return GNormResult(value=math.fsum([abs(f.constant)] + norms), is_upper_bound=True)
 
 
 def embedding_norm_bound(d: int, c0sq: float) -> float:

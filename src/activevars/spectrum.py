@@ -53,7 +53,6 @@ __all__ = [
     "eval_eigenfunction",
     "EigenfunctionTable",
     "spectrum_to_json",
-    "spectrum_from_json",
 ]
 
 @dataclass(frozen=True)
@@ -174,16 +173,11 @@ def _demand(epsilon, closed: bool = False) -> float:
     return e
 
 
-def _constant(c_const, terse: bool = False) -> float:
-    """The orthogonality constant ``C`` as a ``float``: a finite real ``>= 1``, ``bool`` not.
-
-    ``terse`` words the error as ``optimal_algorithm`` and
-    ``complexity_curve`` always have, ``must be >= 1``, except for ``inf``.
-    """
+def _constant(c_const) -> float:
+    """The orthogonality constant ``C`` as a ``float``: a finite real ``>= 1``, ``bool`` not."""
     (c,) = _real_tuple((c_const,)) or (math.nan,)
     if not 1.0 <= c < math.inf:
-        rule = ">= 1" if terse and c != math.inf else "a finite real >= 1"
-        raise InvalidArgumentError(f"orthogonality constant must be {rule}")
+        raise InvalidArgumentError("orthogonality constant must be a finite real >= 1")
     return c
 
 
@@ -704,7 +698,10 @@ class EigenfunctionTable:
 
 
 def spectrum_to_json(s: Spectrum) -> str:
-    """Serialize to the cache/golden-file JSON document."""
+    """Serialize to a JSON document: the kernel, ``N``, the table and the derived constants.
+
+    The document is output only; nothing reads it back into a :class:`Spectrum`.
+    """
     params: dict = {"c0sq_mode": s.c0sq_mode}
     if s.r is not None:
         params["r"] = s.r
@@ -719,10 +716,3 @@ def spectrum_to_json(s: Spectrum) -> str:
     }
     return json.dumps(doc, sort_keys=True)
 
-
-def spectrum_from_json(text: str) -> Spectrum:
-    """Rebuild a :class:`Spectrum` from :func:`spectrum_to_json` output."""
-    doc = json.loads(text)
-    values = doc["eigenvalues"] if doc["kind"] == "custom" else None
-    spec = KernelSpec(doc["kind"], doc["params"].get("r"), values)
-    return Spectrum(spec, doc["N"], doc["params"].get("c0sq_mode", "exact"))

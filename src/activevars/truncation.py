@@ -12,10 +12,11 @@ ratio ``C_0^2/d``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, UnsupportedScaleError
 from .spectrum import _constant, _count, _demand, _finite_positive, _integers
 
 __all__ = [
@@ -27,6 +28,9 @@ __all__ = [
     "orthogonal_level_bound",
 ]
 
+# e^x is finite exactly for x <= _LOG_MAX, the log of the largest double.
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 @lru_cache(maxsize=256)
 def _tail_terms(d: int, c0sq: float) -> tuple[float, ...]:
@@ -34,32 +38,41 @@ def _tail_terms(d: int, c0sq: float) -> tuple[float, ...]:
 
     Generation stops once terms underflow to 0.0 past the peak (the term
     ratio ``(d-k)/(k+1) * c0sq/d`` is < 1 for ``k + 1 > c0sq``, so every
-    later term underflows as well).
+    later term underflows as well).  A term beyond double range (``C_0^2``
+    above ~709) is ``inf``: it exceeds every ``eps^2``, so levels stay exact.
     """
     log_ratio = math.log(c0sq) - math.log(d)
     lg_d1 = math.lgamma(d + 1)
     terms: list[float] = []
     for k in range(1, d + 1):
         log_t = lg_d1 - math.lgamma(k + 1) - math.lgamma(d - k + 1) + k * log_ratio
-        t = math.exp(log_t) if log_t > -745.0 else 0.0
+        t = math.inf if log_t > _LOG_MAX else math.exp(log_t) if log_t > -745.0 else 0.0
         terms.append(t)
         if t == 0.0 and k > c0sq:
             break
     return tuple(terms)
 
 
+def _tail_sum(terms: tuple[float, ...], m: int) -> float:
+    """``fsum(terms[m:])``; ``inf`` where the sum leaves double range."""
+    try:
+        return math.fsum(terms[m:])
+    except OverflowError:  # fsum's intermediate overflow of finite terms
+        return math.inf
+
+
 def binomial_tail(d: int, m: int, c0sq: float) -> float:
     """Exact tail ``sum_{k=m+1}^{d} C(d,k) (c0sq/d)^k``, compensated.
 
-    Returns 0 for ``m = d`` (empty sum).  ``d`` and ``m`` are Python or
-    numpy integers and ``c0sq`` a finite positive real; ``bool`` is
-    neither.
+    Returns 0 for ``m = d`` (empty sum) and ``inf`` beyond double range.
+    ``d`` and ``m`` are Python or numpy integers and ``c0sq`` a finite
+    positive real; ``bool`` is neither.
     """
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
     (m,) = _integers((m,), "m")
     if not 0 <= m <= d:
         raise InvalidArgumentError(f"need 0 <= m <= d, got m={m}, d={d}")
-    return math.fsum(_tail_terms(d, c0sq)[m:])
+    return _tail_sum(_tail_terms(d, c0sq), m)
 
 
 @dataclass(frozen=True)
@@ -70,9 +83,6 @@ class TruncationReport:
     whenever ``level > 0`` (minimality).
     """
 
-    epsilon: float
-    d: int
-    c0sq: float
     level: int
     tail_at_level: float
     tail_above_level: float | None
@@ -84,27 +94,19 @@ def truncation_level(epsilon: float, d: int, c0sq: float) -> TruncationReport:
     Found by ascending scan, so the report carries both the certifying tail
     at the level and the tail one step above it.  ``epsilon`` is a real in
     ``(0, 1)``; ``d`` and ``c0sq`` are checked as in :func:`binomial_tail`.
-    All three are stored as Python numbers.
     """
     epsilon = _demand(epsilon)
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
     eps_sq = epsilon * epsilon
     terms = _tail_terms(d, c0sq)
     m = 0
-    tail = math.fsum(terms)
+    tail = _tail_sum(terms, 0)
     prev = None
     while tail > eps_sq:
         prev = tail
         m += 1
-        tail = math.fsum(terms[m:])
-    return TruncationReport(
-        epsilon=epsilon,
-        d=d,
-        c0sq=c0sq,
-        level=m,
-        tail_at_level=tail,
-        tail_above_level=prev,
-    )
+        tail = _tail_sum(terms, m)
+    return TruncationReport(level=m, tail_at_level=tail, tail_above_level=prev)
 
 
 def factorial_majorant(epsilon: float, c0sq: float, refined: bool = False) -> float:
@@ -194,8 +196,12 @@ def orthogonal_level_bound(epsilon: float, lambda11: float, delta: float) -> flo
     """Dimension-free bound ``max(lambda_1 e^{1/delta}, delta ln(1/eps^2))``.
 
     ``epsilon`` is a real in ``(0, 1)``; ``lambda11`` and ``delta`` are
-    finite positive reals.
+    finite positive reals.  ``lambda_1 e^{1/delta}`` is taken in log space;
+    a bound beyond double range raises :class:`UnsupportedScaleError`.
     """
     epsilon = _demand(epsilon)
     lambda11, delta = _finite_positive(lambda11, "lambda11"), _finite_positive(delta, "delta")
-    return max(lambda11 * math.exp(1.0 / delta), -2.0 * delta * math.log(epsilon))
+    log_first, second = math.log(lambda11) + 1.0 / delta, -2.0 * delta * math.log(epsilon)
+    if not (log_first <= _LOG_MAX and second < math.inf):
+        raise UnsupportedScaleError(f"the level bound exceeds double range at delta = {delta}")
+    return max(math.exp(log_first), second)

@@ -315,14 +315,14 @@ def reference_apply(applier, f) -> ApplyResult:
         term_sq = math.fsum(drop_sq)
         residual_sq.append(term_sq)
         residual_norms.append(math.sqrt(term_sq))
-    if applier.orthogonal:
+    # Only korobov's zero-mean members make the subset errors orthogonal.
+    orthogonal = spectrum.kind == "korobov"
+    if orthogonal:
         cert = math.sqrt(math.fsum(residual_sq))
     else:
         cert = math.fsum(residual_norms)
     approx = AnovaFunction(d=f.d, constant=f.constant, terms=kept, max_index=f.max_index)
-    return ApplyResult(
-        approx=approx, error_cert=cert, exact=applier.orthogonal, max_act=max_act
-    )
+    return ApplyResult(approx=approx, error_cert=cert, exact=orthogonal, max_act=max_act)
 
 
 def genexpr_partial_power_sum(spectrum, tau) -> float:

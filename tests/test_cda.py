@@ -151,6 +151,25 @@ _apply_spectra = st.one_of(
 )
 
 
+# Kernels with eigenfunctions, for certificates checked by quadrature.
+_EIGENFUNCTION_SPECTRA = [
+    build_spectrum(wiener_kernel(), 64),
+    build_spectrum(korobov_kernel(1.0), 64),
+]
+
+
+def _l2_norm(f, s) -> float:
+    """``||f||_L2`` on the unit cube by tensor Gauss-Legendre quadrature.
+
+    32 nodes per coordinate integrate the squares of eigenfunctions up to
+    index 8 (frequencies up to 16 pi) to about machine precision.
+    """
+    def square(x):
+        return oracles.direct_pointwise(f, s, x) ** 2
+
+    return math.sqrt(oracles.tensor_quadrature(square, f.d, n_nodes=32))
+
+
 class _BruteRank:
     """Reference ranking over a finite index space, ties lexicographic.
 
@@ -427,6 +446,39 @@ class TestApply:
         assert not res.exact
         assert res.error_cert >= 0.0
 
+    def test_the_kernel_decides_the_certificate(self, wiener):
+        # Two pair terms that share coordinate 1: their wiener eigenfunctions
+        # have nonzero means, so the pair errors are not orthogonal.  Summing
+        # squares certified 0.573 against a true L2 error of 0.771.
+        f = AnovaFunction(d=3, terms={(1, 2): {(1, 1): 1.0}, (1, 3): {(1, 1): 1.0}})
+        plan = build_plan(0.3, 3, wiener)
+        res = CdaApplier(plan, wiener).apply(f)
+        assert not res.approx.terms
+        assert not res.exact
+        assert res.error_cert >= _l2_norm(f, wiener)
+        with pytest.raises(TypeError):
+            CdaApplier(plan, wiener, orthogonal=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.sampled_from(_EIGENFUNCTION_SPECTRA),
+        d=st.integers(1, 3),
+        eps=st.sampled_from([0.5, 0.3, 0.1, 0.05]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_certificate_covers_the_quadrature_error(self, s, d, eps, seed):
+        f = random_function(d, s, seed=seed)
+        res = CdaApplier(build_plan(eps, d, s), s).apply(f)
+        dropped = {
+            u: {k: c for k, c in coeffs.items() if k not in res.approx.terms.get(u, {})}
+            for u, coeffs in f.terms.items()
+        }
+        l2 = _l2_norm(AnovaFunction(d=d, terms=dropped, max_index=f.max_index), s)
+        assert res.error_cert >= l2 * (1.0 - 1e-9)
+        assert res.exact == (s.kind == "korobov")
+        if res.exact:
+            assert res.error_cert == pytest.approx(l2, rel=1e-9, abs=1e-300)
+
     def test_dimension_mismatch(self, korobov1):
         plan = build_plan(0.1, 4, korobov1)
         with pytest.raises(DimensionMismatchError):
@@ -450,8 +502,7 @@ class TestApply:
                 st.dictionaries(index, st.floats(-1.0, 1.0), min_size=1, max_size=8),
                 label=f"coefficients on {u}",
             )
-        orthogonal = data.draw(st.booleans(), label="orthogonal")
-        res = CdaApplier(plan, s, orthogonal).apply(AnovaFunction(d=d, terms=terms))
+        res = CdaApplier(plan, s).apply(AnovaFunction(d=d, terms=terms))
         dropped_sq = []
         for u, coeffs in terms.items():
             if len(u) <= plan.level:
@@ -467,10 +518,9 @@ class TestApply:
                     if k not in kept
                 )
             )
-        if orthogonal:
-            want = math.sqrt(math.fsum(dropped_sq))
-        else:
-            want = math.fsum(map(math.sqrt, dropped_sq))
+        # Custom spectra carry no eigenfunctions: always the triangle bound.
+        assert not res.exact
+        want = math.fsum(map(math.sqrt, dropped_sq))
         assert res.error_cert == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_index_past_a_custom_table_is_dropped_and_refused(self):
@@ -513,7 +563,7 @@ class TestApply:
             s,
             level=data.draw(st.integers(0, d), label="level"),
         )
-        applier = CdaApplier(plan, s, data.draw(st.sampled_from([None, True, False])))
+        applier = CdaApplier(plan, s)
         # Analytic indices run past N, into the closed form.
         top = s.n_eigenvalues if s.is_finite else s.n_eigenvalues + 4
         subsets = [u for l in range(1, d + 1) for u in combinations(range(1, d + 1), l)]
@@ -554,7 +604,7 @@ class TestApply:
         f = AnovaFunction(
             d=2, terms={(1,): {(1,): 0.5, (4,): 0.25}, (1, 2): {(2, 3): 0.1}}
         )
-        res = CdaApplier(plan, custom_quad, orthogonal=True).apply(f)
+        res = CdaApplier(plan, custom_quad).apply(f)
         for u, coeffs in res.approx.terms.items():
             for k, c in coeffs.items():
                 assert f.terms[u][k] == c
@@ -639,7 +689,6 @@ class TestPrice:
     def test_double_exponential_overflow_reports_logs(self, korobov1):
         plan = build_plan(0.001, 50, korobov1, tau=1.0)
         pr = price_plan(plan, CostModel(family="double_exponential", q=2.5))
-        assert pr.overflowed
         assert pr.exact == math.inf
         assert math.isfinite(pr.log_exact)
         assert pr.log_exact <= pr.log_bound

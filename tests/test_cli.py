@@ -211,7 +211,7 @@ class TestComplexity:
             )
             assert code == 0
             assert row["comp"] == json.loads(cda_out)["summary"]["exact_cost"]
-            assert row["comp"] == row["n_terms"] + 1  # constant cost: one per term
+            assert row["comp"] == row["n_terms"]  # constant cost: one per functional
             assert row["within_bound"] == 1
 
     def test_points_below_the_tail_certificate_are_flagged(self, capsys):

@@ -140,6 +140,13 @@ class TestComplexityCurve:
         for p in rep.points:
             assert p.comp == eigencount(p.epsilon, 1, korobov1_deep)
 
+    def test_wiener_points_count_every_priced_functional(self, wiener):
+        # The changing-dimension cost prices the constant term too.
+        rep = complexity_curve(wiener, 1.0, CostModel(family="constant"), [0.1], [3])
+        (p,) = rep.points
+        assert (p.comp, p.n_terms) == (301.0, 301)
+        assert not p.flagged and p.flag_reason == "cda-upper-bound"
+
     def test_flagged_points_are_reported_not_fatal(self):
         from activevars import build_spectrum, korobov_kernel
 
@@ -187,9 +194,7 @@ class TestClassification:
             for d in d_grid
             for e in eps_grid
         ]
-        rep = _summarize(
-            points, eps_grid, d_grid, CostModel(family="constant"), 1.0, 1.0, []
-        )
+        rep = _summarize(points, eps_grid, d_grid, [])
         assert set(tractability_classify(rep)) == {
             "strong-poly fit OK",
             "quasi-poly fit OK",

@@ -206,7 +206,7 @@ def test_each_spoiled_input_is_a_typed_error(data):
 def test_numpy_scalars_are_accepted_and_stored_as_python_numbers():
     rep = truncation_level(0.1, np.int64(5), np.float32(0.5))
     assert rep == truncation_level(0.1, 5, 0.5)
-    assert type(rep.d) is int and type(rep.c0sq) is float
+    assert type(rep.level) is int and type(rep.tail_at_level) is float
     assert binomial_tail(np.int32(5), np.int8(2), np.float64(0.5)) == binomial_tail(5, 2, 0.5)
     assert orthogonal_truncation_level(0.1, np.int64(5), 0.5, np.float64(1.0)) == (
         orthogonal_truncation_level(0.1, 5, 0.5)
@@ -215,7 +215,7 @@ def test_numpy_scalars_are_accepted_and_stored_as_python_numbers():
     assert plan == build_plan(0.3, 3, S, level=1) and type(plan.d) is int
     assert type(plan.level) is int
     assert type(TensorEigenStream(np.uint8(3), S).d) is int
-    assert type(optimal_algorithm(0.3, np.int64(3), S).d) is int
+    assert type(optimal_algorithm(0.3, np.int64(3), S).m2_ceiling) is int
 
 
 # Each entry point with valid scalar arguments; the named ones are the
@@ -328,13 +328,13 @@ def test_each_spoiled_scalar_is_a_typed_error(data):
 
 def test_numpy_demands_constants_and_costs_are_stored_as_python_numbers():
     rep = truncation_level(np.float64(0.25), 5, 0.5)
-    assert rep == truncation_level(0.25, 5, 0.5) and type(rep.epsilon) is float
+    assert rep == truncation_level(0.25, 5, 0.5)
     plan = build_plan(np.float64(0.25), 3, S, tau=np.float32(1.5))
     assert plan == build_plan(0.25, 3, S, tau=1.5)
     assert type(plan.epsilon) is float and type(plan.tau) is float
     alg = optimal_algorithm(np.float32(0.5), 3, S, c_const=np.int64(2))
     assert alg == optimal_algorithm(0.5, 3, S, c_const=2.0)
-    assert type(alg.epsilon) is float and type(alg.epsilon_effective) is float
+    assert type(alg.epsilon_effective) is float
     assert eigencount(np.float16(0.25), 3, S) == eigencount(0.25, 3, S)
     assert orthogonal_level_bound(np.float64(0.1), np.float32(0.5), np.int64(1)) == (
         orthogonal_level_bound(0.1, 0.5, 1.0)
@@ -344,7 +344,7 @@ def test_numpy_demands_constants_and_costs_are_stored_as_python_numbers():
         S, np.int64(1), EXP, [np.float64(0.1), np.float32(0.25)], [np.int64(2), np.uint8(3)]
     )
     assert report == complexity_curve(S, 1.0, EXP, [0.1, 0.25], [2, 3])
-    assert {type(v) for v in report.eps_grid + (report.c_const, report.tau)} == {float}
+    assert {type(v) for v in report.eps_grid} == {float}
     assert {type(d) for d in report.d_grid} == {int}
     model = CostModel(family="exponential", q=np.int64(1))
     assert model == EXP and type(model.q) is float and model.describe() == EXP.describe()

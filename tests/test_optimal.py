@@ -25,6 +25,7 @@ from activevars.errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
     TailCertificateError,
+    UnsupportedScaleError,
 )
 
 import oracles
@@ -322,6 +323,17 @@ class TestDecayBound:
         for s in (custom_pair, korobov1):
             for tau in (1.0, 2.0):
                 assert eigenvalue_decay_bound(5, 1, s, tau) >= 1.0
+
+    def test_overflow_only_where_the_bound_leaves_double_range(self):
+        s = build_spectrum(korobov_kernel(1.0), 200)
+        with pytest.raises(UnsupportedScaleError):
+            eigenvalue_decay_bound(10**7, 2, s, 0.6)
+        # The prefactor alone overflows; divided by k^(1/tau) it does not.
+        k = 10**400
+        log_want = power_sum(s, 0.6) * (10**7) ** 0.4 / 0.6 - math.log(k) / 0.6
+        assert log_want < 0.0
+        got = eigenvalue_decay_bound(10**7, k, s, 0.6)
+        assert math.log(got) == pytest.approx(log_want, rel=1e-12)
 
     def test_dominates_streamed_values(self, custom_pair):
         bound_stream = TensorEigenStream(2, custom_pair)

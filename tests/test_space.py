@@ -170,7 +170,8 @@ class TestGNorm:
         f = AnovaFunction(d=2, terms={(1,): {(1,): 1.0}, (2,): {(1,): 1.0}})
         res = g_norm_exact(f, s, orthogonal=True)
         assert res.value == pytest.approx(1.0, rel=1e-14)
-        assert res.per_subset[(1,)] == pytest.approx(math.sqrt(0.5), rel=1e-14)
+        one = g_norm_exact(AnovaFunction(d=2, terms={(1,): {(1,): 1.0}}), s, orthogonal=True)
+        assert one.value == pytest.approx(math.sqrt(0.5), rel=1e-14)
 
     def test_wiener_rejects_orthogonal_flag(self, wiener):
         f = AnovaFunction(d=2, terms={(1,): {(1,): 1.0}})
@@ -201,7 +202,8 @@ class TestGNorm:
 
     def test_mc_agreement_single_subset_wiener(self, wiener):
         f = AnovaFunction(d=3, terms={(1, 3): {(1, 1): 0.8, (2, 1): -0.3}})
-        exact = g_norm_exact(f, wiener, orthogonal=False).per_subset[(1, 3)]
+        # One subset and no constant: the triangle aggregate is that subset's exact norm.
+        exact = g_norm_exact(f, wiener, orthogonal=False).value
         zero = AnovaFunction(d=3)
         est, se = mc_l2_error(f, zero, wiener, samples=200_000, seed=11)
         assert abs(est - exact) <= 3.0 * se

@@ -18,7 +18,6 @@ from activevars import (
     korobov_kernel,
     power_sum,
     power_sum_identity,
-    spectrum_from_json,
     spectrum_to_json,
     wiener_kernel,
 )
@@ -303,7 +302,6 @@ class TestEigenvalueTable:
         assert [s.eigenvalue(np.int64(k)) for k in range(1, n + 1)] == table
         document = spectrum_to_json(s)
         assert json.loads(document)["eigenvalues"] == table
-        assert spectrum_from_json(document).leading().tolist() == table
         if not s.is_finite:
             past = np.arange(max(1, n - 2), n + 40)
             assert s.eigenvalue(past).tolist() == [s.eigenvalue(int(k)) for k in past]
@@ -581,14 +579,27 @@ class TestEigenfunctionTable:
 
 
 class TestSerialization:
-    def test_round_trip_custom(self, custom_pair):
-        text = spectrum_to_json(custom_pair)
-        back = spectrum_from_json(text)
-        assert back == custom_pair
+    def test_document_holds_the_custom_list(self):
+        values = [0.9, 0.6, 0.6, 0.1]
+        doc = json.loads(spectrum_to_json(build_spectrum(custom_kernel(values))))
+        assert doc["eigenvalues"] == values
+        assert (doc["kind"], doc["N"], doc["params"]) == ("custom", 4, {"c0sq_mode": "exact"})
 
-    def test_round_trip_analytic(self, korobov1):
-        back = spectrum_from_json(spectrum_to_json(korobov1))
-        assert back == korobov1
+    def test_document_holds_the_analytic_table(self, korobov1):
+        wiener_half = build_spectrum(wiener_kernel(), 50, "paper_bound")
+        for s, params in (
+            (korobov1, {"c0sq_mode": "exact", "r": 1.0}),
+            (wiener_half, {"c0sq_mode": "paper_bound"}),
+        ):
+            doc = json.loads(spectrum_to_json(s))
+            assert doc["eigenvalues"] == s.table().tolist()
+            assert len(doc["eigenvalues"]) == doc["N"] == s.n_eigenvalues
+            assert (doc["kind"], doc["params"]) == (s.kind, params)
+            assert (doc["c0sq"], doc["alpha"], doc["tail_bound"]) == (
+                s.c0sq,
+                s.alpha,
+                s.tail_bound,
+            )
 
     def test_document_fields(self, custom_pair):
         doc = json.loads(spectrum_to_json(custom_pair))

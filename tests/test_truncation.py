@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from activevars import (
     AnovaFunction,
     binomial_tail,
+    build_plan,
+    build_spectrum,
+    custom_kernel,
     factorial_majorant,
     g_norm_exact,
     h_norm,
@@ -18,7 +21,7 @@ from activevars import (
     random_function,
     truncation_level,
 )
-from activevars.errors import InvalidArgumentError
+from activevars.errors import InvalidArgumentError, UnsupportedScaleError
 
 import oracles
 
@@ -54,6 +57,35 @@ class TestBinomialTail:
         assert binomial_tail(d, m, c0sq) == pytest.approx(
             oracles.mp_binomial_tail(d, m, c0sq), rel=1e-11, abs=1e-300
         )
+
+
+class TestLargeC0sq:
+    # Above C_0^2 ~ 709 the largest tail terms leave double range.  Each
+    # such term exceeds every eps^2, so levels stay exact.
+
+    def test_tails_beyond_double_range_are_inf(self):
+        assert binomial_tail(2000, 10, 1000.0) == math.inf
+        assert oracles.mp_binomial_tail(2000, 10, 1000.0) == math.inf
+        # Every term is finite here, but their sum is not.
+        assert binomial_tail(10**6, 0, 712.0) == math.inf
+
+    def test_level_matches_the_oracle(self):
+        rep = truncation_level(0.1, 5000, 800.0)
+        assert rep.level == 1775
+        assert oracles.mp_binomial_tail(5000, rep.level, 800.0) <= 0.01
+        assert oracles.mp_binomial_tail(5000, rep.level - 1, 800.0) > 0.01
+        assert rep.tail_at_level == pytest.approx(
+            oracles.mp_binomial_tail(5000, rep.level, 800.0), rel=1e-9
+        )
+
+    def test_level_at_large_dimension_is_certified(self):
+        rep = truncation_level(0.1, 10**6, 1000.0)
+        assert rep.tail_at_level <= 0.01 < rep.tail_above_level
+        assert binomial_tail(10**6, rep.level, 1000.0) == rep.tail_at_level
+
+    def test_plan_refuses_a_budget_beyond_double_range(self):
+        with pytest.raises(UnsupportedScaleError):
+            build_plan(0.1, 5000, build_spectrum(custom_kernel([800.0, 1.0])))
 
 
 class TestTruncationLevel:
@@ -207,6 +239,16 @@ class TestOrthogonalLevelBound:
         assert orthogonal_level_bound(1.0 - 1e-12, 0.5, 1.0) == pytest.approx(
             0.5 * math.e, rel=1e-9
         )
+
+    def test_bound_in_range_with_an_out_of_range_factor(self):
+        # e^(1/delta) = e^750 leaves double range, the bound does not.
+        got = orthogonal_level_bound(0.1, 1e-300, 1.0 / 750.0)
+        assert got == pytest.approx(math.exp(math.log(1e-300) + 750.0), rel=1e-12)
+        assert got == pytest.approx(5.258494541454928e25, rel=1e-12)
+
+    def test_bound_beyond_double_range_is_refused(self):
+        with pytest.raises(UnsupportedScaleError):
+            orthogonal_level_bound(0.1, 0.5, 1e-3)
 
     def test_dominates_level_on_grid(self):
         lam = 0.5
