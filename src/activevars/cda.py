@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostModel, eval_cost, log_eval_cost
+from .cost import CostModel, _price, log_eval_cost
 from .errors import (
     CertificationError,
     DimensionMismatchError,
@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .optimal import ENUMERATION_CAP
-from .space import AnovaFunction
+from .space import AnovaFunction, _combine_errors
 from .spectrum import Spectrum, _count, _demand, _exponent, _integers, power_sum
 from .truncation import truncation_level
 
@@ -476,6 +476,8 @@ class CdaApplier:
     zero mean, sums their squares; wiener, whose embedded norms are not
     orthogonal across subsets, and custom spectra, which carry no
     eigenfunctions to show orthogonality, add the norms (triangle bound).
+    Either way the certificate is :func:`activevars.g_norm_exact` of the
+    dropped part, by the same rule (``space._combine_errors``).
 
     The ranking caches are built lazily on first use; share an applier
     across threads only after warming it up (or give each worker its own).
@@ -519,9 +521,9 @@ class CdaApplier:
             raise DimensionMismatchError(
                 f"function has d={f.d}, plan was built for d={self.plan.d}"
             )
-        table, level, orthogonal = self._table, self.plan.level, self._orthogonal
+        table, level = self._table, self.plan.level
         kept: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-        residuals: list[float] = []  # squared errors if orthogonal, else errors
+        subset_sq: list[float] = []  # each subset's squared error
         max_act = 0
         for u, coeffs in f.terms.items():
             retained = self._oracle(len(u)).retained if len(u) <= level else None
@@ -538,13 +540,11 @@ class CdaApplier:
             if kept_u:
                 kept[u] = kept_u
                 max_act = max(max_act, len(u))
-            term_sq = math.fsum(drop_sq)
-            residuals.append(term_sq if orthogonal else math.sqrt(term_sq))
-        cert = math.sqrt(math.fsum(residuals)) if orthogonal else math.fsum(residuals)
+            subset_sq.append(math.fsum(drop_sq))
         return ApplyResult(
             approx=f._submap(kept, f.constant),
-            error_cert=cert,
-            exact=orthogonal,
+            error_cert=_combine_errors(0.0, subset_sq, self._orthogonal),
+            exact=self._orthogonal,
             max_act=max_act,
         )
 
@@ -567,14 +567,19 @@ class PriceResult:
     within_bound: bool
 
 
+def _plan_counts(plan: CdaPlan) -> list[int]:
+    """Functionals the plan evaluates per cardinality: ``[1, C(d,1) n_1, C(d,2) n_2, ...]``."""
+    return [1] + [math.comb(plan.d, row.cardinality) * row.n_l for row in plan.rows]
+
+
 def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
     """Price ``$(0) + sum_l C(d,l) n_l $(l)`` and check the closed-form budget.
 
     The budget is ``$(0) + $(m1) max(L, L^{m1}) R^{1+tau} / eps^{2 tau}``.
     Both sides are compared in log space, so cardinality strata whose cost
     exceeds double range still compare correctly.  Within double range
-    ``exact`` is the compensated sum of the terms themselves, with exact
-    integer binomials, so an integer cost is reproduced exactly.
+    ``exact`` is :func:`activevars.cost._price` of the plan's counts, with
+    exact integer binomials, so an integer cost is reproduced exactly.
 
     Raises
     ------
@@ -606,17 +611,7 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
         )
     log_bound = _logsumexp(log_bound_terms)
 
-    if log_exact < 709.0:
-        exact = math.fsum(
-            [eval_cost(model, 0)]
-            + [
-                math.comb(d, row.cardinality) * row.n_l * eval_cost(model, row.cardinality)
-                for row in plan.rows
-                if row.n_l > 0
-            ]
-        )
-    else:
-        exact = math.inf
+    exact = _price(model, _plan_counts(plan)) if log_exact < 709.0 else math.inf
     bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
     within = log_exact <= log_bound + 1e-12
     if not within:

@@ -20,11 +20,12 @@ import numpy as np
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
+    InvalidConfigurationError,
     InvalidModelError,
     TailCertificateError,
     UnsupportedScaleError,
 )
-from .optimal import TensorEigenStream
+from .optimal import _cardinality_counts
 from .spectrum import (
     Spectrum,
     _constant,
@@ -153,6 +154,15 @@ def log_eval_cost(model: CostModel, k: int) -> float:
         raise UnsupportedScaleError(f"{model.describe()}: ln $({k}) exceeds double range") from None
 
 
+def _price(model: CostModel, counts) -> float:
+    """Price of an algorithm that evaluates ``counts[l]`` functionals of ``l`` variables.
+
+    The compensated sum ``sum_l counts[l] $(l)`` over the nonzero counts:
+    ``price_plan`` and ``complexity_curve`` price every algorithm by it.
+    """
+    return math.fsum([n * eval_cost(model, l) for l, n in enumerate(counts) if n])
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One priced configuration of the complexity grid."""
@@ -215,113 +225,86 @@ def complexity_curve(
     """Price the spectral-truncation algorithm over an ``(eps, d)`` grid.
 
     For each grid point the algorithm keeping every tensor eigenvalue above
-    ``(eps/sqrt(C))^2`` is priced term by term with ``$(active count)``;
-    under embedded-norm orthogonality this priced cost *is* the information
-    complexity.  Each value is checked against the closed-form bound
-    ``$(m2) e^{L(tau) d^{1-tau}} / (eps/sqrt(C))^{2 tau}``.
+    ``(eps/sqrt(C))^2`` is priced with ``$(active count)`` per term: the
+    terms are counted per cardinality and the counts priced by
+    :func:`_price`.  Under embedded-norm orthogonality this priced cost *is*
+    the information complexity.  Each value is checked against the
+    closed-form bound ``$(m2) e^{L(tau) d^{1-tau}} / (eps/sqrt(C))^{2 tau}``.
 
     For the wiener kernel, whose embedded norms are not orthogonal across
     subsets, the grid instead carries the exact priced cost of the
-    changing-dimension algorithm, whose ``n_terms`` is ``1 + sum_l C(d,l)
-    n_l`` (the constant included).  That cost upper-bounds the complexity:
-    the points carry ``flag_reason="cda-upper-bound"`` but are not
-    ``flagged``, so they stay in the fits.
+    changing-dimension algorithm (:func:`activevars.cda.price_plan`), whose
+    counts are ``1`` and ``C(d,l) n_l``, the constant included.  That cost
+    upper-bounds the complexity: the points carry
+    ``flag_reason="cda-upper-bound"`` but are not ``flagged``, so they stay
+    in the fits.  The plan splits ``eps`` itself, so wiener refuses a
+    ``c_const`` other than 1 with :class:`InvalidConfigurationError`.
 
-    Points whose demand falls below the spectrum's tail certificate are
-    flagged and excluded from fits rather than failing the whole curve.
+    Every point's ``n_terms`` is the sum of its counts and ``max_act`` the
+    largest cardinality counted.  Points whose demand falls below the
+    spectrum's tail certificate are flagged and excluded from fits rather
+    than failing the whole curve.
 
     ``c_const`` is a finite real ``>= 1``, each demand a real in ``(0, 1)``,
     each dimension an integer ``>= 1`` and ``tau`` a positive real; the
     report's grids hold Python numbers.
     """
+    from .cda import _plan_counts, build_plan, price_plan  # local: keeps modules acyclic
+
     c_const = _constant(c_const)
     eps_grid = tuple(sorted(map(_demand, eps_grid), reverse=True))
     d_grid = tuple(sorted(_count(d, "d") for d in d_grid))
     tau = _exponent(tau)
     ltau = power_sum(spectrum, tau)
-    if spectrum.kind == "wiener":
-        return _cda_bound_curve(spectrum, model, eps_grid, d_grid, tau)
+    wiener = spectrum.kind == "wiener"
+    if wiener and c_const != 1.0:
+        raise InvalidConfigurationError(
+            "the wiener grid prices the changing-dimension plan, which splits eps "
+            f"itself: c_const must be 1, not {c_const}"
+        )
 
     points: list[GridPoint] = []
-    flags: list[str] = []
+    flags: list[str] = ["comp values are cda upper bounds"] if wiener else []
     for d in d_grid:
         for eps in eps_grid:
-            eps_eff = eps / math.sqrt(c_const)
-            try:
-                comp, n_terms, max_act = _price_spectral_algorithm(
-                    spectrum, d, eps_eff, model
+            if wiener:
+                plan = build_plan(eps, d, spectrum, tau=tau)
+                price = price_plan(plan, model)
+                counts = _plan_counts(plan)
+                comp, bound, within, m2 = price.exact, price.bound, price.within_bound, -1
+            else:
+                eps_eff = eps / math.sqrt(c_const)
+                try:
+                    counts = _cardinality_counts(eps_eff, d, spectrum)
+                except TailCertificateError as exc:
+                    flags.append(f"d={d} eps={eps}: {exc}")
+                    nan = math.nan
+                    points.append(GridPoint(d, eps, nan, nan, -1, -1, -1, False, True, str(exc)))
+                    continue
+                comp = _price(model, counts)
+                m2 = orthogonal_truncation_level(eps_eff, d, spectrum.c0sq, 1.0)
+                log_bound = (
+                    log_eval_cost(model, m2)
+                    + ltau * d ** (1.0 - tau)
+                    - 2.0 * tau * math.log(eps_eff)
                 )
-            except TailCertificateError as exc:
-                flags.append(f"d={d} eps={eps}: {exc}")
-                points.append(
-                    GridPoint(
-                        d=d,
-                        epsilon=eps,
-                        comp=math.nan,
-                        bound=math.nan,
-                        n_terms=-1,
-                        max_act=-1,
-                        m2_ceiling=-1,
-                        within_bound=False,
-                        flagged=True,
-                        flag_reason=str(exc),
-                    )
-                )
-                continue
-            m2 = orthogonal_truncation_level(eps_eff, d, spectrum.c0sq, 1.0)
-            log_bound = (
-                log_eval_cost(model, m2)
-                + ltau * d ** (1.0 - tau)
-                - 2.0 * tau * math.log(eps_eff)
-            )
-            bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
+                bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
+                within = comp <= bound
             points.append(
                 GridPoint(
                     d=d,
                     epsilon=eps,
                     comp=comp,
                     bound=bound,
-                    n_terms=n_terms,
-                    max_act=max_act,
+                    n_terms=sum(counts),
+                    max_act=max((l for l, n in enumerate(counts) if n), default=0),
                     m2_ceiling=m2,
-                    within_bound=comp <= bound,
+                    within_bound=within,
+                    flag_reason="cda-upper-bound" if wiener else "",
                 )
             )
 
     return _summarize(points, eps_grid, d_grid, flags)
-
-
-def _cda_bound_curve(
-    spectrum: Spectrum,
-    model: CostModel,
-    eps_grid: tuple[float, ...],
-    d_grid: tuple[int, ...],
-    tau: float,
-) -> ComplexityReport:
-    """Grid of changing-dimension costs: complexity upper bounds, marked ``cda-upper-bound``."""
-    from .cda import build_plan, price_plan  # local import to keep modules acyclic
-
-    points: list[GridPoint] = []
-    for d in d_grid:
-        for eps in eps_grid:
-            plan = build_plan(eps, d, spectrum, tau=tau)
-            price = price_plan(plan, model)
-            n_terms = 1 + sum(math.comb(d, row.cardinality) * row.n_l for row in plan.rows)
-            points.append(
-                GridPoint(
-                    d=d,
-                    epsilon=eps,
-                    comp=price.exact,
-                    bound=price.bound,
-                    n_terms=n_terms,
-                    max_act=plan.level,
-                    m2_ceiling=-1,
-                    within_bound=price.within_bound,
-                    flagged=False,
-                    flag_reason="cda-upper-bound",
-                )
-            )
-    return _summarize(points, eps_grid, d_grid, ["comp values are cda upper bounds"])
 
 
 def _summarize(
@@ -371,20 +354,6 @@ def _summarize(
         weak_trend_ok=tail_mean <= head_mean + 1e-9,
         flags=tuple(flags),
     )
-
-
-def _price_spectral_algorithm(
-    spectrum: Spectrum, d: int, eps: float, model: CostModel
-) -> tuple[float, int, int]:
-    """Exact priced cost ``sum $(|u|)`` over all tensor eigenvalues above ``eps^2``."""
-    cost_terms: list[float] = []
-    n_terms = 0
-    max_act = 0
-    for entry in TensorEigenStream(d, spectrum).above(eps):
-        cost_terms.append(entry.multiplicity * eval_cost(model, entry.cardinality))
-        n_terms += entry.multiplicity
-        max_act = max(max_act, entry.cardinality)
-    return math.fsum(cost_terms), n_terms, max_act
 
 
 _STRONG_RMS = 1.0

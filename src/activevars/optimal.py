@@ -255,7 +255,23 @@ def eigencount(epsilon: float, d: int, spectrum: Spectrum) -> int:
     ``(0, 1]``.
     """
     epsilon = _demand(epsilon, closed=True)
-    return sum(e.multiplicity for e in TensorEigenStream(d, spectrum).above(epsilon))
+    return sum(_cardinality_counts(epsilon, d, spectrum))
+
+
+def _cardinality_counts(epsilon: float, d: int, spectrum: Spectrum) -> list[int]:
+    """Tensor eigenvalues above ``epsilon^2``, counted per cardinality.
+
+    ``counts[l]`` sums the multiplicities of the labels of cardinality
+    ``l``; ``counts[0]`` is 1, the constant, unless ``epsilon`` is 1.  One
+    pass of the stream, holding no label.  ``epsilon`` is a finite
+    positive real.
+    """
+    counts = [0]
+    for entry in TensorEigenStream(d, spectrum).above(epsilon):
+        while entry.cardinality >= len(counts):
+            counts.append(0)
+        counts[entry.cardinality] += entry.multiplicity
+    return counts
 
 
 @dataclass(frozen=True)

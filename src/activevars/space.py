@@ -230,11 +230,22 @@ def g_norm_exact(f: AnovaFunction, s: Spectrum, orthogonal: bool) -> GNormResult
             "wiener eigenfunctions are not mean-free; cross-subset terms are "
             "not orthogonal in L2"
         )
-    norms = [math.sqrt(_term_g_sq(coeffs, s)) for coeffs in f.terms.values()]
+    sq = [_term_g_sq(coeffs, s) for coeffs in f.terms.values()]
+    value = _combine_errors(f.constant, sq, orthogonal)
+    return GNormResult(value=value, is_upper_bound=not orthogonal)
+
+
+def _combine_errors(c0: float, sq: list[float], orthogonal: bool) -> float:
+    """L2 norm, or its triangle bound, of ``c0`` plus parts with squared norms ``sq``.
+
+    Orthogonal parts give the exact ``sqrt(c0^2 + sum sq)``; otherwise the
+    norms add: ``|c0| + sum sqrt(sq)``.  Both sums are compensated.  The
+    certificates of :func:`g_norm_exact` and ``CdaApplier.apply`` are this
+    one rule.
+    """
     if orthogonal:
-        total = math.sqrt(math.fsum([f.constant * f.constant] + [v * v for v in norms]))
-        return GNormResult(value=total, is_upper_bound=False)
-    return GNormResult(value=math.fsum([abs(f.constant)] + norms), is_upper_bound=True)
+        return math.sqrt(math.fsum([c0 * c0] + sq))
+    return math.fsum([abs(c0)] + list(map(math.sqrt, sq)))
 
 
 def embedding_norm_bound(d: int, c0sq: float) -> float:

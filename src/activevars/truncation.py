@@ -92,16 +92,19 @@ def truncation_level(epsilon: float, d: int, c0sq: float) -> TruncationReport:
     """Smallest ``m`` with ``binomial_tail(d, m, c0sq) <= eps^2``.
 
     Found by ascending scan, so the report carries both the certifying tail
-    at the level and the tail one step above it.  ``epsilon`` is a real in
-    ``(0, 1)``; ``d`` and ``c0sq`` are checked as in :func:`binomial_tail`.
+    at the level and the tail one step above it.  The scan starts at the
+    largest ``k`` with ``T_k > eps^2`` (or 0): the tail of every lower level
+    holds ``T_k``, and a compensated sum is never below one of its
+    nonnegative terms.  ``epsilon`` is a real in ``(0, 1)``; ``d`` and
+    ``c0sq`` are checked as in :func:`binomial_tail`.
     """
     epsilon = _demand(epsilon)
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
     eps_sq = epsilon * epsilon
     terms = _tail_terms(d, c0sq)
-    m = 0
-    tail = _tail_sum(terms, 0)
-    prev = None
+    m = next((k for k in range(len(terms), 0, -1) if terms[k - 1] > eps_sq), 0)
+    tail = _tail_sum(terms, m)
+    prev = _tail_sum(terms, m - 1) if m else None
     while tail > eps_sq:
         prev = tail
         m += 1

@@ -19,8 +19,11 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from activevars import AnovaFunction, ApplyResult, eval_eigenfunction
-from activevars.errors import DimensionMismatchError
+from activevars import AnovaFunction, ApplyResult, eval_cost, eval_eigenfunction
+from activevars.cda import PriceResult, _log_comb, _logsumexp
+from activevars.cost import log_eval_cost
+from activevars.errors import CertificationError, DimensionMismatchError
+from activevars.truncation import TruncationReport, _tail_sum, _tail_terms
 
 
 def mp_binomial_tail(d: int, m: int, c0sq) -> float:
@@ -114,17 +117,15 @@ def l2_inner_product(fa, fb, n_nodes: int = 400) -> float:
     return float(np.sum(w * fa(x) * fb(x)))
 
 
-def exhaustive_tensor_values(d: int, lams) -> list[tuple[float, int]]:
-    """All weighted eigenvalue products by brute force, grouped by value.
+def _tensor_values(d: int, lams):
+    """``(cardinality, value)`` of every weighted eigenvalue product, by brute force.
 
     Enumerates every coordinate subset and every ordered index assignment,
     computing each value with the same canonical multiplication order the
-    stream uses (eigenvalues first, weight factors after), and returns the
-    distinct values in decreasing order with total multiplicities.
+    stream uses (eigenvalues first, weight factors after).
     """
     lams = [float(v) for v in lams]
     inv_d = 1.0 / d
-    values: list[float] = []
     for card in range(d + 1):
         for _subset in combinations(range(d), card):
             for assignment in product(range(len(lams)), repeat=card):
@@ -133,7 +134,16 @@ def exhaustive_tensor_values(d: int, lams) -> list[tuple[float, int]]:
                     v *= lams[idx]
                 for _ in range(card):
                     v *= inv_d
-                values.append(v)
+                yield card, v
+
+
+def exhaustive_tensor_values(d: int, lams) -> list[tuple[float, int]]:
+    """All weighted eigenvalue products by brute force, grouped by value.
+
+    Returns the distinct values of :func:`_tensor_values` in decreasing
+    order with total multiplicities.
+    """
+    values = [v for _card, v in _tensor_values(d, lams)]
     grouped: list[tuple[float, int]] = []
     for v in sorted(values, reverse=True):
         if grouped and grouped[-1][0] == v:
@@ -141,6 +151,20 @@ def exhaustive_tensor_values(d: int, lams) -> list[tuple[float, int]]:
         else:
             grouped.append((v, 1))
     return grouped
+
+
+def exhaustive_cardinality_counts(d: int, lams, threshold: float) -> list[int]:
+    """Weighted eigenvalue products above ``threshold``, counted per cardinality by brute force.
+
+    ``counts[l]`` is the number of products over ``l`` coordinates; the list
+    ends at the largest cardinality with a product above ``threshold``.
+    """
+    counts = [0] * (d + 1)
+    for card, v in _tensor_values(d, lams):
+        counts[card] += v > threshold
+    while len(counts) > 1 and not counts[-1]:
+        counts.pop()
+    return counts
 
 
 def exhaustive_label_multiplicities(
@@ -355,3 +379,81 @@ def refined_majorant_scan(epsilons, c0sq) -> list[float]:
                 found[eps] = float(m)
         m += 1
     return [found[eps] for eps in epsilons]
+
+
+def ascending_truncation_level(epsilon, d, c0sq) -> TruncationReport:
+    """``truncation_level`` by the plain ascending scan from ``m = 0``.
+
+    Every step re-sums the remaining tail with ``fsum``, so a level ``m``
+    costs ``m`` sums over all the terms; the library starts its scan at the
+    last term above ``eps^2`` and must agree with this one bit for bit.
+    """
+    eps_sq = epsilon * epsilon
+    terms = _tail_terms(d, c0sq)
+    m = 0
+    tail = _tail_sum(terms, 0)
+    prev = None
+    while tail > eps_sq:
+        prev = tail
+        m += 1
+        tail = _tail_sum(terms, m)
+    return TruncationReport(level=m, tail_at_level=tail, tail_above_level=prev)
+
+
+def reference_price_plan(plan, model) -> PriceResult:
+    """``price_plan`` with its exact cost summed term by term, stratum by stratum.
+
+    The exact cost is ``fsum($(0), C(d,l) n_l $(l), ...)`` over the rows with
+    ``n_l > 0``, written out here rather than through the library's one
+    pricing sum; every other field follows the same log-space steps.
+    """
+    d, tau, m1 = plan.d, plan.tau, plan.level
+    rows = [row for row in plan.rows if row.n_l > 0]
+    log_terms = [log_eval_cost(model, 0)] + [
+        _log_comb(d, row.cardinality) + math.log(row.n_l) + log_eval_cost(model, row.cardinality)
+        for row in rows
+    ]
+    log_exact = _logsumexp(log_terms)
+    log_bound_terms = [log_eval_cost(model, 0)]
+    if m1 > 0 and plan.big_r > 0.0:
+        log_l = math.log(plan.l_tau_value)
+        log_bound_terms.append(
+            log_eval_cost(model, m1)
+            + max(log_l, m1 * log_l)
+            + (1.0 + tau) * math.log(plan.big_r)
+            - 2.0 * tau * math.log(plan.epsilon)
+        )
+    log_bound = _logsumexp(log_bound_terms)
+    exact = math.inf
+    if log_exact < 709.0:
+        exact = math.fsum(
+            [eval_cost(model, 0)]
+            + [
+                math.comb(d, row.cardinality) * row.n_l * eval_cost(model, row.cardinality)
+                for row in rows
+            ]
+        )
+    within = log_exact <= log_bound + 1e-12
+    if not within:
+        raise CertificationError("exact plan cost exceeds its closed-form budget")
+    return PriceResult(
+        exact=exact,
+        bound=math.exp(log_bound) if log_bound < 709.0 else math.inf,
+        log_exact=log_exact,
+        log_bound=log_bound,
+        within_bound=within,
+    )
+
+
+def dropped_part(f, approx):
+    """``f - approx`` for ``approx`` keeping some of ``f``'s coefficients: what was dropped.
+
+    The constant is 0, and each subset keeps ``f``'s coefficient order.
+    """
+    terms = {}
+    for u, coeffs in f.terms.items():
+        kept = approx.terms.get(u, {})
+        rest = {k: c for k, c in coeffs.items() if k not in kept}
+        if rest:
+            terms[u] = rest
+    return AnovaFunction(d=f.d, terms=terms, max_index=f.max_index)

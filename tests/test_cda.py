@@ -18,6 +18,7 @@ from activevars import (
     build_plan,
     build_spectrum,
     custom_kernel,
+    g_norm_exact,
     h_norm,
     korobov_kernel,
     price_plan,
@@ -33,6 +34,7 @@ from activevars.errors import (
     DimensionMismatchError,
     DivergenceError,
     InvalidArgumentError,
+    UnsupportedScaleError,
 )
 
 import oracles
@@ -599,6 +601,27 @@ class TestApply:
             assert got.approx.terms is not f.terms
             assert all(c is not f.terms[u] for u, c in got.approx.terms.items())
 
+    @pytest.mark.parametrize("kind", ["korobov", "wiener", "custom"])
+    def test_certificate_is_the_norm_of_the_dropped_part(self, kind, korobov1, wiener):
+        # One rule combines subset errors: apply certifies exactly what
+        # g_norm_exact reports for f - approx, bit for bit.
+        s = {
+            "korobov": korobov1,
+            "wiener": wiener,
+            "custom": build_spectrum(custom_kernel([0.9, 0.6, 0.5, 0.3, 0.2, 0.1])),
+        }[kind]
+        for d in (2, 3, 5):
+            for eps in (0.2, 0.05):
+                applier = CdaApplier(build_plan(eps, d, s), s)
+                for seed in range(20):
+                    f = random_function(d, s, seed=seed, max_index=min(8, s.n_eigenvalues))
+                    res = applier.apply(f)
+                    want = g_norm_exact(
+                        oracles.dropped_part(f, res.approx), s, orthogonal=kind == "korobov"
+                    )
+                    assert res.error_cert == want.value, (d, eps, seed)
+                    assert res.exact is not want.is_upper_bound
+
     def test_retained_coefficients_are_unchanged(self, custom_quad):
         plan = build_plan(0.2, 2, custom_quad, tau=1.0, level=2)
         f = AnovaFunction(
@@ -627,6 +650,37 @@ class TestPrice:
         for i in ties:
             terms[i] = max(terms)
         assert cda._logsumexp(terms) == float(logsumexp(terms))
+
+    def test_matches_the_reference_price_bit_for_bit(self, korobov1, wiener):
+        # The exact cost is one pricing sum over the plan's counts; it must
+        # keep the bits of the stratum-by-stratum sum, and every other field.
+        models = (
+            CostModel(family="constant"),
+            CostModel(family="polynomial", q=1.5),
+            CostModel(family="exponential", q=1.0),
+            CostModel(family="double_exponential", q=0.3),
+            CostModel(family="linear_floor", c=2.5),
+        )
+        custom = build_spectrum(custom_kernel([0.9, 0.6, 0.5, 0.3, 0.2, 0.1]))
+        compared = 0
+        for s, dims in (
+            (wiener, (2, 3, 5, 10, 100, 10**3, 10**4, 10**5, 10**6)),
+            (korobov1, (2, 5, 10, 100)),
+            (custom, (2, 3, 4)),
+        ):
+            for d in dims:
+                for q in range(1, 9):
+                    plan = build_plan(10.0**-q, d, s)
+                    for model in models:
+                        try:
+                            want = oracles.reference_price_plan(plan, model)
+                        except UnsupportedScaleError:
+                            with pytest.raises(UnsupportedScaleError):
+                                price_plan(plan, model)
+                            continue
+                        assert price_plan(plan, model) == want, (s.kind, d, q, model)
+                        compared += 1
+        assert compared > 500
 
     def test_empty_plan_costs_base_evaluation(self, korobov1):
         plan = build_plan(0.3, 5, korobov1)

@@ -182,6 +182,14 @@ class TestOptimal:
 
 
 class TestComplexity:
+    def test_wiener_refuses_an_orthogonality_constant(self, capsys):
+        # --c-const 4 used to print the grid of --c-const 1, byte for byte.
+        grid = ["--kernel", "wiener", "--eps-grid", "0.1,0.01", "--d-grid", "3,5"]
+        code, out, err = run(capsys, "complexity", *grid, "--c-const", "4")
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "c_const" in err
+        assert run(capsys, "complexity", *grid, "--c-const", "1")[0] == 0
+
     def test_wiener_grid_carries_cda_upper_bounds(self, capsys):
         code, out, _ = run(
             capsys,

@@ -11,8 +11,25 @@ from activevars import (
     eval_cost,
     tractability_classify,
 )
+from activevars import build_plan, build_spectrum, custom_kernel, korobov_kernel, price_plan
 from activevars.cost import GridPoint, _summarize, log_eval_cost
-from activevars.errors import InsufficientDataError, InvalidModelError, UnsupportedScaleError
+from activevars.errors import (
+    InsufficientDataError,
+    InvalidConfigurationError,
+    InvalidModelError,
+    UnsupportedScaleError,
+)
+
+import oracles
+
+# One model per cost family.
+FAMILY_MODELS = (
+    CostModel(family="constant"),
+    CostModel(family="polynomial", q=1.5),
+    CostModel(family="exponential", q=1.0),
+    CostModel(family="double_exponential", q=0.3),
+    CostModel(family="linear_floor", c=2.5),
+)
 
 
 class TestCostModel:
@@ -157,6 +174,54 @@ class TestComplexityCurve:
         flagged = [p for p in rep.points if p.flagged]
         assert len(flagged) == 1
         assert rep.flags
+
+
+class TestOnePricingPath:
+    """Every grid point is one count per cardinality, priced by one sum."""
+
+    @pytest.mark.parametrize("model", FAMILY_MODELS, ids=CostModel.describe)
+    @pytest.mark.parametrize(
+        "kernel, eps_grid, d_grid",
+        [
+            # At N = 40, korobov demands down to 0.0115 / sqrt(2) stay certified
+            # at d = 1, and those below 0.0253 / 2 keep pairs at d = 2.
+            (korobov_kernel(1.0), (0.1, 0.03, 0.012, 0.0115), (1, 2)),
+            (custom_kernel([0.9, 0.6, 0.3, 0.2, 0.1]), (0.5, 0.3, 0.2, 0.1, 0.05), (1, 2, 3, 4)),
+        ],
+    )
+    def test_points_price_brute_force_counts(self, model, kernel, eps_grid, d_grid):
+        s = build_spectrum(kernel, 40)
+        lams = list(s.table())
+        for c_const in (1.0, 2.0):
+            rep = complexity_curve(s, c_const, model, eps_grid, d_grid)
+            for p in rep.points:
+                eps_eff = p.epsilon / math.sqrt(c_const)
+                counts = oracles.exhaustive_cardinality_counts(p.d, lams, eps_eff * eps_eff)
+                want = math.fsum(n * eval_cost(model, l) for l, n in enumerate(counts) if n)
+                assert not p.flagged, (p.d, p.epsilon, c_const)
+                assert p.comp == want, (p.d, p.epsilon, c_const)
+                assert (p.n_terms, p.max_act) == (sum(counts), len(counts) - 1)
+
+    @pytest.mark.parametrize("model", FAMILY_MODELS, ids=CostModel.describe)
+    def test_wiener_points_are_the_plan_price(self, wiener, model):
+        rep = complexity_curve(wiener, 1.0, model, [1e-1, 1e-2, 1e-3], [1, 2, 5, 100], tau=1.5)
+        for p in rep.points:
+            plan = build_plan(p.epsilon, p.d, wiener, tau=1.5)
+            price = price_plan(plan, model)
+            assert (p.comp, p.bound, p.within_bound) == (
+                price.exact,
+                price.bound,
+                price.within_bound,
+            )
+            assert p.n_terms == 1 + sum(math.comb(p.d, r.cardinality) * r.n_l for r in plan.rows)
+            assert p.max_act == plan.level
+
+    def test_wiener_refuses_an_orthogonality_constant(self, wiener):
+        # The plan splits eps itself: c_const = 4 used to print the grid of c_const = 1.
+        model = CostModel(family="constant")
+        with pytest.raises(InvalidConfigurationError):
+            complexity_curve(wiener, 4.0, model, [0.1, 0.01], [3, 5])
+        assert complexity_curve(wiener, 1.0, model, [0.1], [3]).points[0].n_terms == 301
 
 
 class TestClassification:

@@ -21,6 +21,7 @@ from activevars import (
     random_function,
     truncation_level,
 )
+from activevars import truncation
 from activevars.errors import InvalidArgumentError, UnsupportedScaleError
 
 import oracles
@@ -124,6 +125,31 @@ class TestTruncationLevel:
     def test_monotone_in_eps(self):
         levels = [truncation_level(10.0**-q, 50, 0.5).level for q in range(1, 9)]
         assert levels == sorted(levels)
+
+    @given(
+        d=st.one_of(st.integers(2, 200), st.integers(201, 10**6)),
+        c0sq=st.floats(0.0253, 30.0),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scan_matches_the_ascending_scan(self, d, c0sq, data):
+        # Half the demands sit on a term or a tail, where a level is decided
+        # by its last bit.
+        eps = data.draw(st.floats(1e-12, 0.99), label="eps")
+        if data.draw(st.booleans(), label="on a term or tail"):
+            terms = truncation._tail_terms(d, c0sq)
+            m = data.draw(st.integers(0, len(terms) - 1), label="m")
+            edge = data.draw(st.sampled_from([terms[m], binomial_tail(d, m, c0sq)]), label="edge")
+            if 0.0 < edge < 0.98:
+                eps = math.sqrt(edge)
+        assert truncation_level(eps, d, c0sq) == oracles.ascending_truncation_level(eps, d, c0sq)
+
+    def test_deep_level_matches_the_ascending_scan(self):
+        # Level 1,775 of 5,000 terms: the ascending scan re-sums the tail at
+        # every level below it, the library starts at the last term above eps^2.
+        rep = truncation_level(0.1, 5000, 800.0)
+        assert rep == oracles.ascending_truncation_level(0.1, 5000, 800.0)
+        assert rep.level == 1775
 
 
 class TestFactorialMajorant:
