@@ -29,13 +29,12 @@ from .cost import CostModel, _price, log_eval_cost
 from .errors import (
     CertificationError,
     DimensionMismatchError,
-    EnumerationCapError,
     InvalidArgumentError,
     UnsupportedScaleError,
 )
-from .optimal import ENUMERATION_CAP
+from .optimal import _RankOracle
 from .space import AnovaFunction, _combine_errors
-from .spectrum import Spectrum, _count, _demand, _exponent, _integers, power_sum
+from .spectrum import Spectrum, _count, _demand, _exponent, _integers, _table_product, power_sum
 from .truncation import truncation_level
 
 __all__ = [
@@ -226,230 +225,6 @@ def r_growth_bounds(plan: CdaPlan) -> RGrowthBounds:
 
 
 # -- applying a plan to a stored function -------------------------------------
-
-
-# Relative slack of the rank cut's pruning bound.  A float product of l
-# factors is within about l ulps of the exact product of its factors;
-# 1e-12 is about 4,500 ulps.
-_PRUNE_SLACK = 1e-12
-
-
-class _RankOracle:
-    """Decides whether a multi-index ranks within the first ``n`` eigendirections.
-
-    The eigenbasis of an ``l``-fold tensor space is ordered by nonincreasing
-    eigenvalue product, ties broken by lexicographically smallest ordered
-    multi-index.  Cardinality 1 reduces to an index comparison, which holds
-    beyond the table too.  Higher cardinalities keep one key: ``(-cut,
-    last)``, where ``last`` is the ``n``-th ordered multi-index and ``cut``
-    its product.  A multi-index inside the table is kept exactly when
-    ``(-product, multi-index)`` comes no later than the key; one outside the
-    table is never kept.  A value is the left-to-right product of the sorted
-    multi-index over the spectrum's table, as :meth:`Spectrum.eigen_product`
-    computes it.
-
-    The cut is found without a frontier: :func:`_multisets_at_least`
-    generates, in numpy, every sorted multiset whose product reaches a
-    bound ``t``, and ``t`` is lowered until the ordered count covers the
-    budget.  A bound whose candidates would pass twice
-    ``ENUMERATION_CAP`` is not generated; the search bisects between it
-    and the last bound short of the budget instead.  The ranking is
-    refused when more than ``ENUMERATION_CAP`` multisets reach the cut
-    (all of them when the budget exhausts the space): those are the
-    multisets a best-first walk would visit.  ``last`` is then unranked
-    within the cut class by :func:`_unrank`.  A budget that exhausts the
-    space keys ``(inf,)``, a budget of at most 0 ``(-inf,)``.
-    """
-
-    def __init__(self, spectrum: Spectrum, cardinality: int, budget: int) -> None:
-        self.spectrum = spectrum
-        self.cardinality = cardinality
-        self.budget = budget
-        self._table = spectrum.table()
-        self._key: tuple = (-math.inf,)
-        if cardinality >= 2 and budget > 0:
-            self._rank()
-
-    def _rank(self) -> None:
-        lam = np.frombuffer(self._table)
-        l = self.cardinality
-        # neg_pow[r - 1] = -lam^r by repeated products: nondecreasing in the index.
-        neg_pow = [-lam]
-        for _ in range(1, l):
-            neg_pow.append(neg_pow[-1] * lam)
-        bottom = self.spectrum.eigen_product((len(lam),) * l)
-        seen: list[tuple[float, int]] = []  # bounds short of the budget, counts
-        lo = None  # a bound whose candidates passed the cap
-        t = self.spectrum.eigen_product((1,) * l)
-        while True:
-            got = _multisets_at_least(lam, neg_pow, t, 2 * ENUMERATION_CAP)
-            if got is not None:
-                rows, values = got
-                counts = _arrangement_counts(rows)
-                total = int(counts.sum())
-                if total >= self.budget:
-                    held = self._cut_at(rows, values, counts)
-                    break
-                if t <= bottom:
-                    self._key = (math.inf,)
-                    held = len(values)
-                    break
-                seen.append((t, total))
-            elif not seen:
-                held = math.inf  # the top class alone is over the cap
-                break
-            else:
-                lo = t
-            if lo is None:
-                t = max(_next_bound(seen, self.budget, self.spectrum.alpha), bottom)
-            else:
-                hi = seen[-1][0]
-                t = _float_midpoint(lo, hi)
-                if t in (lo, hi):
-                    held = math.inf
-                    break
-        if held > ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"rank enumeration for cardinality {l} exceeded the cap of "
-                f"{ENUMERATION_CAP} multisets: every multiset down to the cut "
-                "is held in memory, so the demand is too small for in-memory ranking"
-            )
-
-    def _cut_at(self, rows: np.ndarray, values: np.ndarray, counts: np.ndarray) -> int:
-        """Key the ``budget``-th ordered multi-index; return the multisets at or above its cut."""
-        order = np.argsort(-values, kind="stable")
-        cut = values[order[int(np.searchsorted(np.cumsum(counts[order]), self.budget))]]
-        room = self.budget - int(counts[values > cut].sum())
-        self._key = (-float(cut), _unrank(rows[values == cut], room))
-        return int(np.count_nonzero(values >= cut))
-
-    def retained(self, k: tuple[int, ...]) -> bool:
-        if self.cardinality == 1:
-            return k[0] <= self.budget
-        ms = sorted(k)
-        if ms[0] < 1 or ms[-1] > self.spectrum.n_eigenvalues:
-            return False
-        return (-_table_product(self._table, ms), tuple(k)) <= self._key
-
-
-def _table_product(table: memoryview, indices) -> float:
-    """:meth:`Spectrum.eigen_product` of indices in ``1..N``, read from ``table``.
-
-    The same left-to-right product of the same table entries, without a
-    method call and a bounds check per factor.  An index past ``N`` raises
-    ``IndexError``; one below 1 would wrap around, so callers check it.
-    """
-    v = 1.0
-    for i in indices:
-        v *= table[i - 1]
-    return v
-
-
-def _unrank(rows, rank: int) -> tuple[int, ...]:
-    """The ``rank``-th (from 1) lexicographic ordering of distinct sorted multisets.
-
-    Positions are fixed left to right; each candidate value, smallest first,
-    skips the orderings that start with it until one holds the ``rank``-th.
-    Of the ``A(ms)`` orderings of an ``l``-multiset ``ms``, ``A(ms) m_v / l``
-    start with ``v`` (``m_v`` copies of it in ``ms``), which is also the
-    count of the tail left; one sort of the rows counts every candidate.
-    """
-    rows = np.array(rows, dtype=np.int64, ndmin=2)
-    counts = _arrangement_counts(rows)
-    prefix = []
-    for l in range(rows.shape[1], 0, -1):
-        flat = rows.ravel()
-        order = np.argsort(flat)  # any order within equal values: they are summed
-        values = flat[order]
-        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-        starting = np.cumsum(np.add.reduceat(np.repeat(counts, l)[order], starts) // l)
-        pick = int(np.searchsorted(starting, rank))
-        rank -= int(starting[pick - 1]) if pick else 0
-        v = int(values[starts[pick]])
-        hit = rows == v
-        has = hit.any(axis=1)
-        rows, hit = rows[has], hit[has]
-        counts = counts[has] * hit.sum(axis=1) // l
-        first = hit & (np.cumsum(hit, axis=1) == 1)
-        rows = rows[~first].reshape(len(rows), l - 1)
-        prefix.append(v)
-    return tuple(prefix)
-
-
-def _multisets_at_least(
-    lam: np.ndarray, neg_pow: list[np.ndarray], t: float, limit: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Every sorted ``l``-multiset whose product reaches ``t``, with its products.
-
-    Returns 1-based index rows and their left-to-right products, or
-    ``None`` as soon as more than ``limit`` multisets (or prefixes of
-    them) would be held; ``neg_pow[r - 1]`` holds ``-lam^r``.  Multisets
-    grow one index per depth: a prefix with product ``p`` and last index
-    ``a`` takes every next index ``m >= a`` with ``p * lam[m]^r`` above
-    ``t`` less the slack, ``r`` the indices still to come, since no
-    completion beats repeating ``m``.  The exact float product then
-    decides.  Each kept prefix has a completion within the slack of ``t``,
-    so no depth holds more prefixes than there are such multisets.  Below
-    ``t = 1e-290`` products may be subnormal, where a relative slack does
-    not hold, and nothing is pruned.
-    """
-    n, l = len(lam), len(neg_pow)
-    floor = t * (1.0 - _PRUNE_SLACK) if t > 1e-290 else 0.0
-    stop = int(np.searchsorted(neg_pow[l - 1], -floor, side="right"))
-    if stop > limit:
-        return None
-    cols = [np.arange(stop)]
-    values = lam[:stop].copy()
-    for r in range(l - 1, 0, -1):
-        last = cols[-1]
-        if floor > 0.0:
-            stop = np.searchsorted(neg_pow[r - 1], -(floor / values), side="right")
-        else:
-            stop = np.full(len(last), n)
-        width = np.maximum(stop - last, 0)
-        total = int(width.sum())
-        if total > limit:
-            return None
-        parent = np.repeat(np.arange(len(last)), width)
-        offset = np.repeat(last - (np.cumsum(width) - width), width)
-        cols = [c[parent] for c in cols] + [np.arange(total) + offset]
-        values = values[parent] * lam[cols[-1]]
-    keep = values >= t
-    return np.stack([c[keep] + 1 for c in cols], axis=1), values[keep]
-
-
-def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
-    """``optimal.arrangement_count`` of every sorted row, as exact integers."""
-    l = rows.shape[1]
-    dtype = np.int64 if math.factorial(l) * max(len(rows), 1) < 2**63 else object
-    run = np.ones(len(rows), dtype=dtype)
-    denom = np.ones(len(rows), dtype=dtype)
-    for j in range(1, l):
-        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1).astype(dtype)
-        denom *= run
-    return math.factorial(l) // denom
-
-
-def _next_bound(seen: list[tuple[float, int]], budget: int, alpha: float) -> float:
-    """Next, lower bound to try: log-log secant through the last two counts.
-
-    Aims a quarter past the budget so that one more pass usually suffices.
-    The first step assumes counts grow like ``t^(-1/alpha)``.
-    """
-    t, count = seen[-1]
-    slope = 1.0 / alpha if math.isfinite(alpha) else 0.5
-    if len(seen) > 1:
-        t0, count0 = seen[-2]
-        if count > count0:
-            slope = math.log(count / count0) / math.log(t0 / t)
-    factor = (count / (1.25 * budget)) ** (1.0 / slope)
-    return t * min(max(factor, 1e-6), 0.5)
-
-
-def _float_midpoint(a: float, b: float) -> float:
-    """The float halfway between two positive floats in bit order."""
-    ia, ib = (int(np.float64(x).view(np.int64)) for x in (a, b))
-    return float(np.int64((ia + ib) // 2).view(np.float64))
 
 
 @dataclass(frozen=True)

@@ -272,8 +272,6 @@ def _run_table(args: argparse.Namespace) -> int:
 
 def _run_mc_check(args: argparse.Namespace) -> int:
     s = _spectrum(args)
-    if s.kind == "wiener":
-        raise InvalidArgumentError("mc-check needs a kernel with orthogonal embedded norms")
     d, trials = args.d, args.trials
     rows = []
     inside = 0

@@ -25,7 +25,7 @@ from .errors import (
     TailCertificateError,
     UnsupportedScaleError,
 )
-from .optimal import _cardinality_counts
+from .optimal import _cardinality_counts, _spectral_ceiling
 from .spectrum import (
     Spectrum,
     _constant,
@@ -36,7 +36,6 @@ from .spectrum import (
     _real_tuple,
     power_sum,
 )
-from .truncation import orthogonal_truncation_level
 
 __all__ = [
     "CostModel",
@@ -241,9 +240,9 @@ def complexity_curve(
     ``c_const`` other than 1 with :class:`InvalidConfigurationError`.
 
     Every point's ``n_terms`` is the sum of its counts and ``max_act`` the
-    largest cardinality counted.  Points whose demand falls below the
-    spectrum's tail certificate are flagged and excluded from fits rather
-    than failing the whole curve.
+    largest cardinality counted; one above the ceiling ``m2`` raises
+    :class:`CertificationError`.  A point whose demand falls below the tail
+    certificate is flagged and left out of the fits instead of failing the curve.
 
     ``c_const`` is a finite real ``>= 1``, each demand a real in ``(0, 1)``,
     each dimension an integer ``>= 1`` and ``tau`` a positive real; the
@@ -282,7 +281,7 @@ def complexity_curve(
                     points.append(GridPoint(d, eps, nan, nan, -1, -1, -1, False, True, str(exc)))
                     continue
                 comp = _price(model, counts)
-                m2 = orthogonal_truncation_level(eps_eff, d, spectrum.c0sq, 1.0)
+                m2 = _spectral_ceiling(eps_eff, d, spectrum.c0sq, len(counts) - 1)
                 log_bound = (
                     log_eval_cost(model, m2)
                     + ltau * d ** (1.0 - tau)

@@ -1,17 +1,17 @@
-"""Sorted enumeration of tensor-product eigenvalues and the spectral algorithm.
+"""Sorted tensor-product eigenvalues: the stream, the rank cut, the spectral algorithm.
 
 Under embedded-norm orthogonality the d-variate operator's eigenvalues are
 exactly the weighted products ``d^{-l} * lambda_{k_1} ... lambda_{k_l}``
 over all coordinate subsets of size ``l`` and all index assignments, with 1
-for the empty subset.  :class:`TensorEigenStream` emits these values in
-nonincreasing order without ever materializing the ``C(d, l)`` subsets:
-a label is a canonical index multiset, its multiplicity the product of the
-subset count and the number of ordered arrangements.
+for the empty subset.  A label is a canonical index multiset; its
+multiplicity, ``C(d, l)`` times the multiset's orderings, stands in for the
+subsets, which are never materialized.
 
-Everything here is driven by a best-first frontier: a popped label spawns
-its immediate dominated successors (one index incremented, or the multiset
-extended by a fresh index 1), which keeps the frontier small even when the
-emitted multiplicity is astronomically large.
+Two walks read these values, and both stop at ``ENUMERATION_CAP`` because
+they hold what they visit.  :class:`TensorEigenStream` emits them in
+nonincreasing order from a best-first frontier; :class:`_RankOracle` cuts
+one cardinality at the changing-dimension algorithm's budget from the
+multisets whose products reach a bound, with no frontier.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .errors import (
     CertificationError,
@@ -34,6 +36,7 @@ from .spectrum import (
     _count,
     _demand,
     _finite_positive,
+    _table_product,
     partial_power_sum,
     power_sum,
 )
@@ -80,8 +83,6 @@ class DistinctEigenvalue:
     labels: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-# Exhaustive and best-first enumerations keep every label they visit in
-# memory (heap entries and the seen-set), so their size is capped.
 ENUMERATION_CAP = 2_000_000
 
 
@@ -96,6 +97,18 @@ def arrangement_count(indices: tuple[int, ...]) -> int:
             count //= math.factorial(run)
             run = 1
     return count // math.factorial(run)
+
+
+def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
+    """:func:`arrangement_count` of every sorted row, as exact integers."""
+    l = rows.shape[1]
+    dtype = np.int64 if math.factorial(l) * max(len(rows), 1) < 2**63 else object
+    run = np.ones(len(rows), dtype=dtype)
+    denom = np.ones(len(rows), dtype=dtype)
+    for j in range(1, l):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1).astype(dtype)
+        denom *= run
+    return math.factorial(l) // denom
 
 
 class TensorEigenStream:
@@ -262,9 +275,9 @@ def _cardinality_counts(epsilon: float, d: int, spectrum: Spectrum) -> list[int]
     """Tensor eigenvalues above ``epsilon^2``, counted per cardinality.
 
     ``counts[l]`` sums the multiplicities of the labels of cardinality
-    ``l``; ``counts[0]`` is 1, the constant, unless ``epsilon`` is 1.  One
-    pass of the stream, holding no label.  ``epsilon`` is a finite
-    positive real.
+    ``l``, up to the largest cardinality counted; ``counts[0]`` is 1, the
+    constant, unless ``epsilon`` is 1.  One pass of the stream, holding no
+    label.  ``epsilon`` is a finite positive real.
     """
     counts = [0]
     for entry in TensorEigenStream(d, spectrum).above(epsilon):
@@ -272,6 +285,205 @@ def _cardinality_counts(epsilon: float, d: int, spectrum: Spectrum) -> list[int]
             counts.append(0)
         counts[entry.cardinality] += entry.multiplicity
     return counts
+
+
+# Relative slack of the rank cut's pruning bound.  A float product of l
+# factors is within about l ulps of the exact product of its factors;
+# 1e-12 is about 4,500 ulps.
+_PRUNE_SLACK = 1e-12
+
+
+class _RankOracle:
+    """Decides whether a multi-index ranks within the first ``n`` eigendirections.
+
+    The eigenbasis of an ``l``-fold tensor space is ordered by nonincreasing
+    eigenvalue product, ties broken by lexicographically smallest ordered
+    multi-index.  Cardinality 1 reduces to an index comparison, which holds
+    beyond the table too.  Higher cardinalities keep one key: ``(-cut,
+    last)``, where ``last`` is the ``n``-th ordered multi-index and ``cut``
+    its product.  A multi-index inside the table is kept exactly when
+    ``(-product, multi-index)`` comes no later than the key; one outside the
+    table is never kept.  A value is the left-to-right product of the sorted
+    multi-index over the spectrum's table, as :meth:`Spectrum.eigen_product`
+    computes it.
+
+    The cut is found without a frontier: :func:`_multisets_at_least`
+    generates, in numpy, every sorted multiset whose product reaches a
+    bound ``t``, and ``t`` is lowered until the ordered count covers the
+    budget.  A bound whose candidates would pass twice
+    ``ENUMERATION_CAP`` is not generated; the search bisects between it
+    and the last bound short of the budget instead.  The ranking is
+    refused when more than ``ENUMERATION_CAP`` multisets reach the cut
+    (all of them when the budget exhausts the space): those are the
+    multisets a best-first walk would visit.  ``last`` is then unranked
+    within the cut class by :func:`_unrank`.  A budget that exhausts the
+    space keys ``(inf,)``, a budget of at most 0 ``(-inf,)``.
+    """
+
+    def __init__(self, spectrum: Spectrum, cardinality: int, budget: int) -> None:
+        self.spectrum = spectrum
+        self.cardinality = cardinality
+        self.budget = budget
+        self._table = spectrum.table()
+        self._key: tuple = (-math.inf,)
+        if cardinality >= 2 and budget > 0:
+            self._rank()
+
+    def _rank(self) -> None:
+        lam = np.frombuffer(self._table)
+        l = self.cardinality
+        # neg_pow[r - 1] = -lam^r by repeated products: nondecreasing in the index.
+        neg_pow = [-lam]
+        for _ in range(1, l):
+            neg_pow.append(neg_pow[-1] * lam)
+        bottom = self.spectrum.eigen_product((len(lam),) * l)
+        seen: list[tuple[float, int]] = []  # bounds short of the budget, counts
+        lo = None  # a bound whose candidates passed the cap
+        t = self.spectrum.eigen_product((1,) * l)
+        while True:
+            got = _multisets_at_least(lam, neg_pow, t, 2 * ENUMERATION_CAP)
+            if got is not None:
+                rows, values = got
+                counts = _arrangement_counts(rows)
+                total = int(counts.sum())
+                if total >= self.budget:
+                    held = self._cut_at(rows, values, counts)
+                    break
+                if t <= bottom:
+                    self._key = (math.inf,)
+                    held = len(values)
+                    break
+                seen.append((t, total))
+            elif not seen:
+                held = math.inf  # the top class alone is over the cap
+                break
+            else:
+                lo = t
+            if lo is None:
+                t = max(_next_bound(seen, self.budget, self.spectrum.alpha), bottom)
+            else:
+                hi = seen[-1][0]
+                t = _float_midpoint(lo, hi)
+                if t in (lo, hi):
+                    held = math.inf
+                    break
+        if held > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"rank enumeration for cardinality {l} exceeded the cap of "
+                f"{ENUMERATION_CAP} multisets: every multiset down to the cut "
+                "is held in memory, so the demand is too small for in-memory ranking"
+            )
+
+    def _cut_at(self, rows: np.ndarray, values: np.ndarray, counts: np.ndarray) -> int:
+        """Key the ``budget``-th ordered multi-index; return the multisets at or above its cut."""
+        order = np.argsort(-values, kind="stable")
+        cut = values[order[int(np.searchsorted(np.cumsum(counts[order]), self.budget))]]
+        room = self.budget - int(counts[values > cut].sum())
+        self._key = (-float(cut), _unrank(rows[values == cut], room))
+        return int(np.count_nonzero(values >= cut))
+
+    def retained(self, k: tuple[int, ...]) -> bool:
+        if self.cardinality == 1:
+            return k[0] <= self.budget
+        ms = sorted(k)
+        if ms[0] < 1 or ms[-1] > self.spectrum.n_eigenvalues:
+            return False
+        return (-_table_product(self._table, ms), tuple(k)) <= self._key
+
+
+def _unrank(rows, rank: int) -> tuple[int, ...]:
+    """The ``rank``-th (from 1) lexicographic ordering of distinct sorted multisets.
+
+    Positions are fixed left to right; each candidate value, smallest first,
+    skips the orderings that start with it until one holds the ``rank``-th.
+    Of the ``A(ms)`` orderings of an ``l``-multiset ``ms``, ``A(ms) m_v / l``
+    start with ``v`` (``m_v`` copies of it in ``ms``), which is also the
+    count of the tail left; one sort of the rows counts every candidate.
+    """
+    rows = np.array(rows, dtype=np.int64, ndmin=2)
+    counts = _arrangement_counts(rows)
+    prefix = []
+    for l in range(rows.shape[1], 0, -1):
+        flat = rows.ravel()
+        order = np.argsort(flat)  # any order within equal values: they are summed
+        values = flat[order]
+        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        starting = np.cumsum(np.add.reduceat(np.repeat(counts, l)[order], starts) // l)
+        pick = int(np.searchsorted(starting, rank))
+        rank -= int(starting[pick - 1]) if pick else 0
+        v = int(values[starts[pick]])
+        hit = rows == v
+        has = hit.any(axis=1)
+        rows, hit = rows[has], hit[has]
+        counts = counts[has] * hit.sum(axis=1) // l
+        first = hit & (np.cumsum(hit, axis=1) == 1)
+        rows = rows[~first].reshape(len(rows), l - 1)
+        prefix.append(v)
+    return tuple(prefix)
+
+
+def _multisets_at_least(
+    lam: np.ndarray, neg_pow: list[np.ndarray], t: float, limit: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every sorted ``l``-multiset whose product reaches ``t``, with its products.
+
+    Returns 1-based index rows and their left-to-right products, or
+    ``None`` as soon as more than ``limit`` multisets (or prefixes of
+    them) would be held; ``neg_pow[r - 1]`` holds ``-lam^r``.  Multisets
+    grow one index per depth: a prefix with product ``p`` and last index
+    ``a`` takes every next index ``m >= a`` with ``p * lam[m]^r`` above
+    ``t`` less the slack, ``r`` the indices still to come, since no
+    completion beats repeating ``m``.  The exact float product then
+    decides.  Each kept prefix has a completion within the slack of ``t``,
+    so no depth holds more prefixes than there are such multisets.  Below
+    ``t = 1e-290`` products may be subnormal, where a relative slack does
+    not hold, and nothing is pruned.
+    """
+    n, l = len(lam), len(neg_pow)
+    floor = t * (1.0 - _PRUNE_SLACK) if t > 1e-290 else 0.0
+    stop = int(np.searchsorted(neg_pow[l - 1], -floor, side="right"))
+    if stop > limit:
+        return None
+    cols = [np.arange(stop)]
+    values = lam[:stop].copy()
+    for r in range(l - 1, 0, -1):
+        last = cols[-1]
+        if floor > 0.0:
+            stop = np.searchsorted(neg_pow[r - 1], -(floor / values), side="right")
+        else:
+            stop = np.full(len(last), n)
+        width = np.maximum(stop - last, 0)
+        total = int(width.sum())
+        if total > limit:
+            return None
+        parent = np.repeat(np.arange(len(last)), width)
+        offset = np.repeat(last - (np.cumsum(width) - width), width)
+        cols = [c[parent] for c in cols] + [np.arange(total) + offset]
+        values = values[parent] * lam[cols[-1]]
+    keep = values >= t
+    return np.stack([c[keep] + 1 for c in cols], axis=1), values[keep]
+
+
+def _next_bound(seen: list[tuple[float, int]], budget: int, alpha: float) -> float:
+    """Next, lower bound to try: log-log secant through the last two counts.
+
+    Aims a quarter past the budget so that one more pass usually suffices.
+    The first step assumes counts grow like ``t^(-1/alpha)``.
+    """
+    t, count = seen[-1]
+    slope = 1.0 / alpha if math.isfinite(alpha) else 0.5
+    if len(seen) > 1:
+        t0, count0 = seen[-2]
+        if count > count0:
+            slope = math.log(count / count0) / math.log(t0 / t)
+    factor = (count / (1.25 * budget)) ** (1.0 / slope)
+    return t * min(max(factor, 1e-6), 0.5)
+
+
+def _float_midpoint(a: float, b: float) -> float:
+    """The float halfway between two positive floats in bit order."""
+    ia, ib = (int(np.float64(x).view(np.int64)) for x in (a, b))
+    return float(np.int64((ia + ib) // 2).view(np.float64))
 
 
 @dataclass(frozen=True)
@@ -292,6 +504,18 @@ class OptimalAlgorithm:
     m2_ceiling: int
 
 
+def _spectral_ceiling(eps_eff: float, d: int, c0sq: float, max_act: int) -> int:
+    """The orthogonal level ``m2`` at ``eps_eff`` (``d`` at 1), a proven ceiling on ``max_act``.
+
+    Both are decided in floats, so a demand on a power of ``c0sq/d`` can put
+    ``max_act`` above ``m2``: that is a :class:`CertificationError`.
+    """
+    m2 = orthogonal_truncation_level(eps_eff, d, c0sq, 1.0) if eps_eff < 1.0 else d
+    if max_act > m2:
+        raise CertificationError(f"retained labels touch {max_act} variables, above m2 = {m2}")
+    return m2
+
+
 def optimal_algorithm(
     epsilon: float, d: int, spectrum: Spectrum, c_const: float = 1.0
 ) -> OptimalAlgorithm:
@@ -299,10 +523,9 @@ def optimal_algorithm(
 
     The demand is rescaled to ``epsilon / sqrt(C)`` for embedded norms that
     are only bounded by (rather than equal to) the orthogonal sum, and the
-    first ``n(eps_eff, d)`` eigenpairs are retained.  Every retained
-    functional touches at most the orthogonal truncation level of
-    variables; that ceiling is recomputed here and enforced.  ``epsilon``
-    is a real in ``(0, 1]`` and ``c_const`` a finite real ``>= 1``.
+    first ``n(eps_eff, d)`` eigenpairs are retained; :func:`_spectral_ceiling`
+    enforces their active-variable ceiling.  ``epsilon`` is a real in
+    ``(0, 1]`` and ``c_const`` a finite real ``>= 1``.
 
     Raises
     ------
@@ -321,21 +544,13 @@ def optimal_algorithm(
     d = stream.d
     entries = tuple(stream.above(eps_eff))
     max_act = max((e.cardinality for e in entries), default=0)
-    if eps_eff < 1.0:
-        m2 = orthogonal_truncation_level(eps_eff, d, spectrum.c0sq, 1.0)
-    else:
-        m2 = d
-    if max_act > m2:  # pragma: no cover - violates a proven ceiling
-        raise CertificationError(
-            f"retained labels touch {max_act} variables, above the ceiling {m2}"
-        )
     return OptimalAlgorithm(
         epsilon_effective=eps_eff,
         entries=entries,
         n_terms=sum(e.multiplicity for e in entries),
         worst_case_error=math.sqrt(stream.first_excluded),
         max_act=max_act,
-        m2_ceiling=m2,
+        m2_ceiling=_spectral_ceiling(eps_eff, d, spectrum.c0sq, max_act),
     )
 
 

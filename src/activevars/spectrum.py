@@ -373,6 +373,19 @@ class Spectrum:
         return self.kind == "custom"
 
 
+def _table_product(table: memoryview, indices) -> float:
+    """:meth:`Spectrum.eigen_product` of indices in ``1..N``, read from ``table``.
+
+    The same left-to-right product of the same table entries, without a
+    method call and a bounds check per factor.  An index past ``N`` raises
+    ``IndexError``; one below 1 would wrap around, so callers check it.
+    """
+    v = 1.0
+    for i in indices:
+        v *= table[i - 1]
+    return v
+
+
 def build_spectrum(
     spec: KernelSpec, n_eigenvalues: int = 10_000, c0sq_mode: str = "exact"
 ) -> Spectrum:

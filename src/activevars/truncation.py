@@ -123,13 +123,19 @@ def factorial_majorant(epsilon: float, c0sq: float, refined: bool = False) -> fl
     ``(M+1)!/c0sq^{M+1} >= 1/(eps^2 (1 - c0sq/(M+1)))``, which sharpens the
     exponential factor to a geometric-series factor.  Past ``M + 1 > c0sq``
     the left side grows and the right side falls with ``M``, so the minimum
-    is found by galloping, then bisecting, over the integers.
+    is found by galloping, then bisecting, over the integers.  The test is
+    decided in floats, whose two sides cancel as ``c0sq`` grows: refined
+    mode refuses ``c0sq > 1e12`` with :class:`UnsupportedScaleError`, and
+    unrefined mode does so when the root lies past the bracket.
     ``epsilon`` is a real in ``(0, 1)`` and ``c0sq`` a finite positive real.
     """
     epsilon = _demand(epsilon)
     c0sq = _finite_positive(c0sq, "c0sq")
     log_c = math.log(c0sq)
     if refined:
+        if c0sq > 1e12:
+            msg = f"the refined majorant's float test cancels above c0sq = 1e12: got {c0sq}"
+            raise UnsupportedScaleError(msg)
         log_eps_sq = 2.0 * math.log(epsilon)
 
         def holds(m: int) -> bool:
@@ -157,8 +163,8 @@ def factorial_majorant(epsilon: float, c0sq: float, refined: bool = False) -> fl
     lo, hi = 0.0, 400.0
     if g(lo) >= 0.0:
         return 0.0
-    if g(hi) <= 0.0:  # pragma: no cover - needs eps far below float range
-        raise InvalidArgumentError("majorant exceeds the supported bracket [0, 400]")
+    if g(hi) <= 0.0:
+        raise UnsupportedScaleError("majorant exceeds the supported bracket [0, 400]")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:

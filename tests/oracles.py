@@ -381,6 +381,29 @@ def refined_majorant_scan(epsilons, c0sq) -> list[float]:
     return [found[eps] for eps in epsilons]
 
 
+def mp_refined_majorant(epsilon: float, c0sq: float) -> float:
+    """The refined majorant ``M(eps)`` decided at 60 digits on the floats' exact values.
+
+    The least integer ``m`` with ``m + 1 > c0sq`` and ``ln (m+1)! - (m+1)
+    ln c0sq >= -ln eps^2 - ln(1 - c0sq/(m+1))``.  Past ``m + 1 > c0sq`` the
+    left side grows and the right side falls with ``m``, so the least ``m``
+    is bracketed by doubling steps and then bisected.
+    """
+    with mp.workdps(60):
+        c, rhs = mp.mpf(c0sq), -2 * mp.log(mp.mpf(epsilon))
+
+        def holds(m: int) -> bool:
+            return mp.loggamma(m + 2) - (m + 1) * mp.log(c) >= rhs - mp.log1p(-c / (m + 1))
+
+        lo, hi, step = math.floor(c0sq) - 1, math.floor(c0sq), 1
+        while not holds(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        return float(hi)
+
+
 def ascending_truncation_level(epsilon, d, c0sq) -> TruncationReport:
     """``truncation_level`` by the plain ascending scan from ``m = 0``.
 

@@ -27,9 +27,8 @@ from activevars import (
     single_subset_function,
     wiener_kernel,
 )
-from activevars import cda
-from activevars.cda import _RankOracle
-from activevars.optimal import arrangement_count
+from activevars import cda, optimal
+from activevars.optimal import _RankOracle, arrangement_count
 from activevars.errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -221,7 +220,7 @@ class TestRankOracle:
         assert not oracle.retained((2, 2))
 
     def test_enumeration_cap_is_a_memory_error(self, korobov1, monkeypatch):
-        monkeypatch.setattr(cda, "ENUMERATION_CAP", 10)
+        monkeypatch.setattr(optimal, "ENUMERATION_CAP", 10)
         with pytest.raises(EnumerationCapError, match="memory"):
             _RankOracle(korobov1, 2, 1000)
 
@@ -280,10 +279,10 @@ class TestRankOracle:
         budget = data.draw(st.integers(1, s.n_eigenvalues**cardinality + 2), label="budget")
         heap = oracles.HeapRank(s, cardinality, budget)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cda, "ENUMERATION_CAP", heap.pops)
+            mp.setattr(optimal, "ENUMERATION_CAP", heap.pops)
             oracle = _RankOracle(s, cardinality, budget)
             assert (oracle._key == (math.inf,)) == heap.exhausted
-            mp.setattr(cda, "ENUMERATION_CAP", heap.pops - 1)
+            mp.setattr(optimal, "ENUMERATION_CAP", heap.pops - 1)
             with pytest.raises(EnumerationCapError):
                 _RankOracle(s, cardinality, budget)
 
@@ -292,7 +291,7 @@ class TestRankOracle:
         # what the heap walk held, the ranking still goes through.
         heap = oracles.HeapRank(korobov1, 2, 1000)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cda, "ENUMERATION_CAP", heap.pops)
+            mp.setattr(optimal, "ENUMERATION_CAP", heap.pops)
             oracle = _RankOracle(korobov1, 2, 1000)
         _assert_key_matches(oracle, heap)
 
@@ -307,7 +306,7 @@ class TestRankOracle:
         )
     )
     def test_row_counts_match_the_scalar_counter(self, rows):
-        counts = cda._arrangement_counts(np.array(rows))
+        counts = optimal._arrangement_counts(np.array(rows))
         assert counts.tolist() == [arrangement_count(tuple(r)) for r in rows]
 
     @settings(max_examples=100, deadline=None)
@@ -326,7 +325,7 @@ class TestRankOracle:
         multisets = sorted({tuple(sorted(k)) for k in tuples})
         ordered = sorted({p for ms in multisets for p in permutations(ms)})
         for rank, want in enumerate(ordered, start=1):
-            assert cda._unrank([list(ms) for ms in multisets], rank) == want
+            assert optimal._unrank([list(ms) for ms in multisets], rank) == want
 
     def test_wide_class_unranks_from_its_rows(self):
         # custom [0.5] * 30 at cardinality 6: all C(35, 6) = 1,623,160

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activevars import (
+    CostModel,
     EnumerationCapError,
     TensorEigenStream,
     build_spectrum,
+    complexity_curve,
     custom_kernel,
     eigencount,
     eigenvalue_decay_bound,
@@ -22,6 +24,7 @@ from activevars import (
 )
 from activevars import optimal
 from activevars.errors import (
+    CertificationError,
     InvalidArgumentError,
     InvalidConfigurationError,
     TailCertificateError,
@@ -258,6 +261,16 @@ class TestOptimalAlgorithm:
                 ceiling = orthogonal_truncation_level(eps, d, korobov1.c0sq, 1.0)
                 assert alg.max_act <= ceiling
                 assert alg.m2_ceiling == ceiling
+
+    def test_a_broken_ceiling_is_refused_by_both_callers(self, korobov1, monkeypatch):
+        # One function computes m2 for the spectral algorithm and for every
+        # priced complexity point; a ceiling of 0 under retained pairs must
+        # fail both.
+        monkeypatch.setattr(optimal, "orthogonal_truncation_level", lambda *args: 0)
+        with pytest.raises(CertificationError, match="above m2"):
+            optimal_algorithm(0.1, 2, korobov1)
+        with pytest.raises(CertificationError, match="above m2"):
+            complexity_curve(korobov1, 1.0, CostModel(family="constant"), [0.1], [2])
 
     def test_wiener_is_rejected(self, wiener):
         with pytest.raises(InvalidConfigurationError):

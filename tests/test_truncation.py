@@ -1,7 +1,6 @@
 """Truncation levels: exact tails, minimality, majorants, monotonicity."""
 
 import math
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -205,12 +204,25 @@ class TestFactorialMajorant:
             got = [factorial_majorant(eps, c0sq, refined=True) for eps in epsilons]
             assert got == oracles.refined_majorant_scan(epsilons, c0sq), c0sq
 
-    def test_refined_returns_for_huge_c0sq(self):
-        # A linear scan from c0sq takes ~1.7 c0sq steps, and never ends at 1e17.
-        start = time.perf_counter()
-        big_m = factorial_majorant(0.1, 1e17, refined=True)
-        assert time.perf_counter() - start < 1.0
-        assert big_m + 1 > 1e17
+    def test_refined_matches_a_60_digit_decision(self):
+        # Every decade of c0sq from 1e-2 to 1e12, the largest one refined
+        # mode accepts; the gallop keeps each call fast at 1e12.
+        for k in range(-2, 13):
+            c0sq = 10.0**k
+            for eps in (0.1, 1e-5, 1e-10):
+                want = oracles.mp_refined_majorant(eps, c0sq)
+                assert factorial_majorant(eps, c0sq, refined=True) == want, (eps, c0sq)
+
+    def test_refined_refuses_c0sq_where_its_float_test_cancels(self):
+        # At 1e15 the float test lands below the true majorant, at 1e17
+        # about 1,250 above it.
+        for c0sq in (math.nextafter(1e12, math.inf), 1e15, 1e17):
+            with pytest.raises(UnsupportedScaleError, match="1e12"):
+                factorial_majorant(0.1, c0sq, refined=True)
+
+    def test_unrefined_refuses_a_root_past_its_bracket(self):
+        with pytest.raises(UnsupportedScaleError, match="bracket"):
+            factorial_majorant(0.1, 200.0)
 
 
 class TestOrthogonalLevel:
