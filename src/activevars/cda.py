@@ -34,7 +34,17 @@ from .errors import (
 )
 from .optimal import _RankOracle
 from .space import AnovaFunction, _combine_errors
-from .spectrum import Spectrum, _count, _demand, _exponent, _integers, _table_product, power_sum
+from .spectrum import (
+    Spectrum,
+    _count,
+    _demand,
+    _exp_or_inf,
+    _exponent,
+    _fsum_or_inf,
+    _integers,
+    _table_product,
+    power_sum,
+)
 from .truncation import truncation_level
 
 __all__ = [
@@ -159,14 +169,14 @@ def build_plan(
             raise InvalidArgumentError("level override must lie in [0, d]")
 
     log_terms = _log_r_terms(d, level, tau)
-    big_r = math.fsum(math.exp(t) for t in log_terms)
+    big_r = _fsum_or_inf(map(_exp_or_inf, log_terms))
     ell_star = min(level, math.floor(d ** (1.0 / (1.0 + tau))))
     rows = []
     if level > 0:
         sqrt_r = math.sqrt(big_r)
         log_d = math.log(d)
         for l in range(1, level + 1):
-            eps_l = epsilon * math.exp(l / (2.0 * (1.0 + tau)) * log_d) / sqrt_r
+            eps_l = epsilon * _exp_or_inf(l / (2.0 * (1.0 + tau)) * log_d) / sqrt_r
             try:
                 n_l = _dust_floor(ltau**l / eps_l ** (2.0 * tau))
             except (ArithmeticError, ValueError) as exc:  # 0 / 0, overflow, NaN
@@ -208,13 +218,12 @@ def r_growth_bounds(plan: CdaPlan) -> RGrowthBounds:
     tau = plan.tau
     if m1 == 0:
         return RGrowthBounds(0.0, 0.0, 0.0, "degenerate", True)
-    r_power = math.exp((1.0 + tau) * math.log(plan.big_r)) if plan.big_r > 0 else 0.0
-    log_fact = m1 * math.log(plan.d) - (1.0 + tau) * math.lgamma(m1)
-    factorial_bound = math.exp(log_fact) if log_fact < 709.0 else math.inf
-    exponential_bound = m1 * math.exp(m1)
+    r_power = _exp_or_inf((1.0 + tau) * math.log(plan.big_r)) if plan.big_r > 0 else 0.0
+    factorial_bound = _exp_or_inf(m1 * math.log(plan.d) - (1.0 + tau) * math.lgamma(m1))
+    exponential_bound = m1 * _exp_or_inf(m1)
     applicable = "factorial" if plan.d > m1 ** (1.0 + tau) else "exponential"
     bound = factorial_bound if applicable == "factorial" else exponential_bound
-    certified = r_power <= bound * (1.0 + 1e-12)
+    certified = r_power < math.inf and r_power <= bound * (1.0 + 1e-12)
     return RGrowthBounds(
         r_power=r_power,
         factorial_bound=factorial_bound,
@@ -352,15 +361,18 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
 
     The budget is ``$(0) + $(m1) max(L, L^{m1}) R^{1+tau} / eps^{2 tau}``.
     Both sides are compared in log space, so cardinality strata whose cost
-    exceeds double range still compare correctly.  Within double range
-    ``exact`` is :func:`activevars.cost._price` of the plan's counts, with
-    exact integer binomials, so an integer cost is reproduced exactly.
+    exceeds double range still compare correctly.  ``exact`` is
+    :func:`activevars.cost._price` of the plan's counts, with exact integer
+    binomials, so an integer cost is reproduced exactly; like ``bound``, it
+    is ``inf`` past double range.
 
     Raises
     ------
     CertificationError
         If the exact cost comes out above the budget (cannot happen for
         plans built by :func:`build_plan`; guards against tampered plans).
+    UnsupportedScaleError
+        Where an ``ln $(l)`` of the plan exceeds double range.
     """
     d, tau, m1 = plan.d, plan.tau, plan.level
     log_terms = [log_eval_cost(model, 0)]
@@ -386,8 +398,8 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
         )
     log_bound = _logsumexp(log_bound_terms)
 
-    exact = _price(model, _plan_counts(plan)) if log_exact < 709.0 else math.inf
-    bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
+    exact = _price(model, _plan_counts(plan))
+    bound = _exp_or_inf(log_bound)
     within = log_exact <= log_bound + 1e-12
     if not within:
         raise CertificationError(

@@ -32,11 +32,12 @@ from .harness import (
     single_subset_function,
     table_check,
 )
-from .optimal import optimal_algorithm
+from .optimal import _log_term_bound, optimal_algorithm
 from .space import g_norm_exact
 from .spectrum import (
     KernelSpec,
     Spectrum,
+    _exp_or_inf,
     build_spectrum,
     power_sum,
     spectrum_to_json,
@@ -213,13 +214,12 @@ def _run_optimal(args: argparse.Namespace) -> int:
         "m2_ceiling": alg.m2_ceiling,
     }
     if tau is not None:
-        ltau = power_sum(s, tau)
-        try:
-            cap = math.exp(ltau * d ** (1.0 - tau)) * alg.epsilon_effective ** (-2.0 * tau)
-            summary["n_cap"] = math.ceil(cap) - 1
-        except (ArithmeticError, ValueError) as exc:  # overflow, inf, NaN
-            msg = f"the term bound n_cap is outside double range at tau = {tau}"
-            raise UnsupportedScaleError(msg) from exc
+        cap = _exp_or_inf(_log_term_bound(alg.epsilon_effective, d, power_sum(s, tau), tau))
+        if cap == math.inf:
+            raise UnsupportedScaleError(
+                f"the term bound n_cap is outside double range at tau = {tau}"
+            )
+        summary["n_cap"] = math.ceil(cap) - 1
     _emit(args, ["cardinality", "indices", "eigenvalue", "multiplicity"], rows, summary)
     return 0
 

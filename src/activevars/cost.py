@@ -25,12 +25,13 @@ from .errors import (
     TailCertificateError,
     UnsupportedScaleError,
 )
-from .optimal import _cardinality_counts, _spectral_ceiling
+from .optimal import _cardinality_counts, _log_term_bound, _spectral_ceiling
 from .spectrum import (
     Spectrum,
     _constant,
     _count,
     _demand,
+    _exp_or_inf,
     _exponent,
     _integers,
     _real_tuple,
@@ -158,8 +159,15 @@ def _price(model: CostModel, counts) -> float:
 
     The compensated sum ``sum_l counts[l] $(l)`` over the nonzero counts:
     ``price_plan`` and ``complexity_curve`` price every algorithm by it.
+    Past double range (an overflowing ``$(l)``, ``counts[l] $(l)`` or sum)
+    the price is ``inf``; only an ``ln $(l)`` past it raises
+    :class:`UnsupportedScaleError`.
     """
-    return math.fsum([n * eval_cost(model, l) for l, n in enumerate(counts) if n])
+    try:
+        return math.fsum([n * eval_cost(model, l) for l, n in enumerate(counts) if n])
+    except (OverflowError, UnsupportedScaleError):  # ln $ is nondecreasing in l
+        log_eval_cost(model, max(l for l, n in enumerate(counts) if n))
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -223,26 +231,34 @@ def complexity_curve(
 ) -> ComplexityReport:
     """Price the spectral-truncation algorithm over an ``(eps, d)`` grid.
 
-    For each grid point the algorithm keeping every tensor eigenvalue above
-    ``(eps/sqrt(C))^2`` is priced with ``$(active count)`` per term: the
-    terms are counted per cardinality and the counts priced by
-    :func:`_price`.  Under embedded-norm orthogonality this priced cost *is*
-    the information complexity.  Each value is checked against the
-    closed-form bound ``$(m2) e^{L(tau) d^{1-tau}} / (eps/sqrt(C))^{2 tau}``.
+    One algorithm, picked from the kernel before the grid is walked, maps
+    each ``(eps, d)`` to the functionals it evaluates per cardinality, a
+    closed-form bound and its verdict; every point's ``comp`` is
+    :func:`_price` of those counts.
+
+    For korobov and custom spectra the algorithm keeps every tensor
+    eigenvalue above ``(eps/sqrt(C))^2``; under embedded-norm orthogonality
+    its priced cost *is* the information complexity.  It is checked
+    against the closed-form bound
+    ``$(m2) e^{L(tau) d^{1-tau}} / (eps/sqrt(C))^{2 tau}``.
 
     For the wiener kernel, whose embedded norms are not orthogonal across
     subsets, the grid instead carries the exact priced cost of the
     changing-dimension algorithm (:func:`activevars.cda.price_plan`), whose
-    counts are ``1`` and ``C(d,l) n_l``, the constant included.  That cost
-    upper-bounds the complexity: the points carry
-    ``flag_reason="cda-upper-bound"`` but are not ``flagged``, so they stay
-    in the fits.  The plan splits ``eps`` itself, so wiener refuses a
-    ``c_const`` other than 1 with :class:`InvalidConfigurationError`.
+    counts are ``1`` and ``C(d,l) n_l``, the constant included, with the
+    plan's bound and log-space verdict.  That cost upper-bounds the
+    complexity: the points carry ``flag_reason="cda-upper-bound"`` but are
+    not ``flagged``, so they stay in the fits.  The plan splits ``eps``
+    itself, so wiener refuses a ``c_const`` other than 1 with
+    :class:`InvalidConfigurationError`.
 
     Every point's ``n_terms`` is the sum of its counts and ``max_act`` the
     largest cardinality counted; one above the ceiling ``m2`` raises
-    :class:`CertificationError`.  A point whose demand falls below the tail
-    certificate is flagged and left out of the fits instead of failing the curve.
+    :class:`CertificationError`.  A ``comp`` or ``bound`` past double range
+    is ``inf``, and such a point is left out of the fits; only an
+    ``ln $(k)`` past it raises :class:`UnsupportedScaleError`.  A point
+    whose demand falls below the tail certificate is flagged and left out
+    of the fits instead of failing the curve.
 
     ``c_const`` is a finite real ``>= 1``, each demand a real in ``(0, 1)``,
     each dimension an integer ``>= 1`` and ``tau`` a positive real; the
@@ -262,45 +278,33 @@ def complexity_curve(
             f"itself: c_const must be 1, not {c_const}"
         )
 
+    def changing_dimension(eps: float, d: int):
+        plan = build_plan(eps, d, spectrum, tau=tau)
+        price = price_plan(plan, model)
+        return _plan_counts(plan), price.bound, price.within_bound, -1
+
+    def spectral(eps: float, d: int):
+        eps_eff = eps / math.sqrt(c_const)
+        counts = _cardinality_counts(eps_eff, d, spectrum)
+        m2 = _spectral_ceiling(eps_eff, d, spectrum.c0sq, len(counts) - 1)
+        bound = _exp_or_inf(_log_term_bound(eps_eff, d, ltau, tau, log_eval_cost(model, m2)))
+        return counts, bound, _price(model, counts) <= bound, m2
+
+    algorithm, reason = (changing_dimension, "cda-upper-bound") if wiener else (spectral, "")
     points: list[GridPoint] = []
     flags: list[str] = ["comp values are cda upper bounds"] if wiener else []
     for d in d_grid:
         for eps in eps_grid:
-            if wiener:
-                plan = build_plan(eps, d, spectrum, tau=tau)
-                price = price_plan(plan, model)
-                counts = _plan_counts(plan)
-                comp, bound, within, m2 = price.exact, price.bound, price.within_bound, -1
-            else:
-                eps_eff = eps / math.sqrt(c_const)
-                try:
-                    counts = _cardinality_counts(eps_eff, d, spectrum)
-                except TailCertificateError as exc:
-                    flags.append(f"d={d} eps={eps}: {exc}")
-                    nan = math.nan
-                    points.append(GridPoint(d, eps, nan, nan, -1, -1, -1, False, True, str(exc)))
-                    continue
-                comp = _price(model, counts)
-                m2 = _spectral_ceiling(eps_eff, d, spectrum.c0sq, len(counts) - 1)
-                log_bound = (
-                    log_eval_cost(model, m2)
-                    + ltau * d ** (1.0 - tau)
-                    - 2.0 * tau * math.log(eps_eff)
-                )
-                bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
-                within = comp <= bound
+            try:
+                counts, bound, within, m2 = algorithm(eps, d)
+            except TailCertificateError as exc:
+                flags.append(f"d={d} eps={eps}: {exc}")
+                nan = math.nan
+                points.append(GridPoint(d, eps, nan, nan, -1, -1, -1, False, True, str(exc)))
+                continue
+            comp, max_act = _price(model, counts), max(l for l, n in enumerate(counts) if n)
             points.append(
-                GridPoint(
-                    d=d,
-                    epsilon=eps,
-                    comp=comp,
-                    bound=bound,
-                    n_terms=sum(counts),
-                    max_act=max((l for l, n in enumerate(counts) if n), default=0),
-                    m2_ceiling=m2,
-                    within_bound=within,
-                    flag_reason="cda-upper-bound" if wiener else "",
-                )
+                GridPoint(d, eps, comp, bound, sum(counts), max_act, m2, within, flag_reason=reason)
             )
 
     return _summarize(points, eps_grid, d_grid, flags)
@@ -347,7 +351,7 @@ def _summarize(
         p_str_residual=p_str_resid,
         strong_fit_residual=strong_resid,
         qpt_t_fit=qpt_t,
-        qpt_c_fit=math.exp(qpt_log_c),
+        qpt_c_fit=_exp_or_inf(qpt_log_c),
         qpt_residual=qpt_resid,
         weak_max=float(np.max(weak_vals)),
         weak_trend_ok=tail_mean <= head_mean + 1e-9,

@@ -35,12 +35,13 @@ from .spectrum import (
     _constant,
     _count,
     _demand,
+    _exp_or_inf,
     _finite_positive,
     _table_product,
     partial_power_sum,
     power_sum,
 )
-from .truncation import _LOG_MAX, orthogonal_truncation_level
+from .truncation import orthogonal_truncation_level
 
 __all__ = [
     "EigenEntry",
@@ -516,6 +517,19 @@ def _spectral_ceiling(eps_eff: float, d: int, c0sq: float, max_act: int) -> int:
     return m2
 
 
+def _log_term_bound(
+    eps_eff: float, d: int, ltau: float, tau: float, log_cost: float = 0.0
+) -> float:
+    """``log_cost + ln n_cap``, where ``n_cap = e^{L(tau) d^{1-tau}} / eps_eff^{2 tau}``.
+
+    ``n_cap`` (``ltau = L(tau)``) bounds how many tensor eigenvalues lie
+    above ``eps_eff^2``.  ``optimal --tau`` reports it; each korobov and
+    custom grid point passes ``log_cost = ln $(m2)`` to price it, added
+    first so the bound keeps its bits.
+    """
+    return log_cost + ltau * d ** (1.0 - tau) - 2.0 * tau * math.log(eps_eff)
+
+
 def optimal_algorithm(
     epsilon: float, d: int, spectrum: Spectrum, c_const: float = 1.0
 ) -> OptimalAlgorithm:
@@ -576,12 +590,12 @@ def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdenti
 
     The right side ``(1 + L(tau)/d^tau)^d`` is evaluated in log space; its
     logarithm is reported alongside since the value itself can overflow for
-    small ``tau`` and large ``d``.
+    small ``tau`` and large ``d``.  Either side past double range is ``inf``.
     """
     d = _count(d, "d")
     ltau = power_sum(spectrum, tau)
     log_rhs = d * math.log1p(ltau * d ** (-tau))
-    rhs = math.exp(log_rhs) if log_rhs < 709.0 else math.inf
+    rhs = _exp_or_inf(log_rhs)
     if spectrum.is_finite:
         n = spectrum.n_eigenvalues
         n_labels = sum(math.comb(n + l - 1, l) for l in range(d + 1))
@@ -596,7 +610,7 @@ def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdenti
         )
         return PowerSumIdentity(lhs=lhs, rhs=rhs, log_rhs=log_rhs, exact=True)
     partial = partial_power_sum(spectrum, tau)
-    lhs = math.exp(d * math.log1p(partial * d ** (-tau)))
+    lhs = _exp_or_inf(d * math.log1p(partial * d ** (-tau)))
     return PowerSumIdentity(lhs=lhs, rhs=rhs, log_rhs=log_rhs, exact=False)
 
 
@@ -607,7 +621,7 @@ def eigenvalue_decay_bound(d: int, k: int, spectrum: Spectrum, tau: float) -> fl
     :class:`UnsupportedScaleError`.
     """
     d, k = _count(d, "d"), _count(k, "k")
-    log_bound = (power_sum(spectrum, tau) * d ** (1.0 - tau) - math.log(k)) / tau
-    if not log_bound <= _LOG_MAX:
+    bound = _exp_or_inf((power_sum(spectrum, tau) * d ** (1.0 - tau) - math.log(k)) / tau)
+    if bound == math.inf:
         raise UnsupportedScaleError(f"the decay bound exceeds double range at tau = {tau}")
-    return math.exp(log_bound)
+    return bound

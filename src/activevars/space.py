@@ -29,13 +29,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidConfigurationError
+from .errors import InvalidArgumentError, InvalidConfigurationError, UnsupportedScaleError
 from .spectrum import (
     _INT,
     EigenfunctionTable,
     Spectrum,
     _count,
+    _exp_or_inf,
     _finite_positive,
+    _fsum_or_inf,
     _integers,
     _outside_unit_interval,
     _real_tuple,
@@ -181,14 +183,20 @@ class AnovaFunction:
 
 
 def h_norm(f: AnovaFunction) -> float:
-    """Weighted-space norm ``sqrt(c_0^2 + sum_u d^{|u|} sum_k c_{u,k}^2)``."""
+    """Weighted-space norm ``sqrt(c_0^2 + sum_u d^{|u|} sum_k c_{u,k}^2)``.
+
+    A squared norm past double range raises :class:`UnsupportedScaleError`.
+    """
     parts = [f.constant * f.constant]
     log_d = math.log(f.d)
     for u, coeffs in f.terms.items():
-        ssq = math.fsum(c * c for c in coeffs.values())
+        ssq = _fsum_or_inf(c * c for c in coeffs.values())
         if ssq > 0.0:
-            parts.append(math.exp(len(u) * log_d + math.log(ssq)))
-    return math.sqrt(math.fsum(parts))
+            parts.append(_exp_or_inf(len(u) * log_d + math.log(ssq)))
+    norm_sq = _fsum_or_inf(parts)
+    if norm_sq == math.inf:
+        raise UnsupportedScaleError(f"the squared norm exceeds double range at d = {f.d}")
+    return math.sqrt(norm_sq)
 
 
 def _term_g_sq(coeffs: Mapping[tuple[int, ...], float], s: Spectrum) -> float:
@@ -249,19 +257,29 @@ def _combine_errors(c0: float, sq: list[float], orthogonal: bool) -> float:
 
 
 def embedding_norm_bound(d: int, c0sq: float) -> float:
-    """General upper bound ``(1 + C_0^2/d)^{d/2}`` on the embedding norm."""
+    """General upper bound ``(1 + C_0^2/d)^{d/2}`` on the embedding norm.
+
+    Taken in log space; a bound beyond double range raises
+    :class:`UnsupportedScaleError`.
+    """
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    return math.exp(0.5 * d * math.log1p(c0sq / d))
+    bound = _exp_or_inf(0.5 * d * math.log1p(c0sq / d))
+    if bound == math.inf:
+        raise UnsupportedScaleError(f"the embedding norm bound exceeds double range at d = {d}")
+    return bound
 
 
 def embedding_norm_special(d: int, c0sq: float) -> float:
     """Sharp embedding norm ``max_{0<=k<=d} (C_0^2/d)^{k/2}`` for zero-mean kernels.
 
     The k-th factor is geometric, so the maximum sits at an endpoint; both
-    endpoints are evaluated in log space.
+    endpoints are evaluated in log space.  A norm beyond double range raises
+    :class:`UnsupportedScaleError`.
     """
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    at_d = math.exp(0.5 * d * (math.log(c0sq) - math.log(d)))
+    at_d = _exp_or_inf(0.5 * d * (math.log(c0sq) - math.log(d)))
+    if at_d == math.inf:
+        raise UnsupportedScaleError(f"the embedding norm exceeds double range at d = {d}")
     return max(1.0, at_d)
 
 

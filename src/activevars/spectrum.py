@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -187,6 +188,23 @@ def _exponent(tau) -> float:
     if not t > 0.0:
         raise InvalidArgumentError("tau must be positive")
     return t
+
+
+# e^x is finite exactly for x <= _LOG_MAX, the log of the largest double.
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _exp_or_inf(x: float) -> float:
+    """``e^x`` for ``x <= _LOG_MAX`` (~709.78), else ``inf``; every log-space value leaves here."""
+    return math.exp(x) if x <= _LOG_MAX else math.inf
+
+
+def _fsum_or_inf(values) -> float:
+    """``math.fsum(values)``, ``inf`` where the sum of finite values leaves double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # fsum's intermediate overflow of finite terms
+        return math.inf
 
 
 def wiener_kernel() -> KernelSpec:

@@ -12,12 +12,19 @@ ratio ``C_0^2/d``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidArgumentError, UnsupportedScaleError
-from .spectrum import _constant, _count, _demand, _finite_positive, _integers
+from .spectrum import (
+    _constant,
+    _count,
+    _demand,
+    _exp_or_inf,
+    _finite_positive,
+    _fsum_or_inf,
+    _integers,
+)
 
 __all__ = [
     "TruncationReport",
@@ -28,37 +35,25 @@ __all__ = [
     "orthogonal_level_bound",
 ]
 
-# e^x is finite exactly for x <= _LOG_MAX, the log of the largest double.
-_LOG_MAX = math.log(sys.float_info.max)
-
-
 @lru_cache(maxsize=256)
 def _tail_terms(d: int, c0sq: float) -> tuple[float, ...]:
     """Terms ``T_k = C(d,k) (c0sq/d)^k`` for ``k = 1..d`` in log space.
 
     Generation stops once terms underflow to 0.0 past the peak (the term
     ratio ``(d-k)/(k+1) * c0sq/d`` is < 1 for ``k + 1 > c0sq``, so every
-    later term underflows as well).  A term beyond double range (``C_0^2``
-    above ~709) is ``inf``: it exceeds every ``eps^2``, so levels stay exact.
+    later term underflows as well).  A term beyond double range (a large
+    ``C_0^2``) is ``inf``: it exceeds every ``eps^2``, so levels stay exact.
     """
     log_ratio = math.log(c0sq) - math.log(d)
     lg_d1 = math.lgamma(d + 1)
     terms: list[float] = []
     for k in range(1, d + 1):
         log_t = lg_d1 - math.lgamma(k + 1) - math.lgamma(d - k + 1) + k * log_ratio
-        t = math.inf if log_t > _LOG_MAX else math.exp(log_t) if log_t > -745.0 else 0.0
+        t = _exp_or_inf(log_t) if log_t > -745.0 else 0.0
         terms.append(t)
         if t == 0.0 and k > c0sq:
             break
     return tuple(terms)
-
-
-def _tail_sum(terms: tuple[float, ...], m: int) -> float:
-    """``fsum(terms[m:])``; ``inf`` where the sum leaves double range."""
-    try:
-        return math.fsum(terms[m:])
-    except OverflowError:  # fsum's intermediate overflow of finite terms
-        return math.inf
 
 
 def binomial_tail(d: int, m: int, c0sq: float) -> float:
@@ -72,7 +67,7 @@ def binomial_tail(d: int, m: int, c0sq: float) -> float:
     (m,) = _integers((m,), "m")
     if not 0 <= m <= d:
         raise InvalidArgumentError(f"need 0 <= m <= d, got m={m}, d={d}")
-    return _tail_sum(_tail_terms(d, c0sq), m)
+    return _fsum_or_inf(_tail_terms(d, c0sq)[m:])
 
 
 @dataclass(frozen=True)
@@ -103,12 +98,12 @@ def truncation_level(epsilon: float, d: int, c0sq: float) -> TruncationReport:
     eps_sq = epsilon * epsilon
     terms = _tail_terms(d, c0sq)
     m = next((k for k in range(len(terms), 0, -1) if terms[k - 1] > eps_sq), 0)
-    tail = _tail_sum(terms, m)
-    prev = _tail_sum(terms, m - 1) if m else None
+    tail = _fsum_or_inf(terms[m:])
+    prev = _fsum_or_inf(terms[m - 1 :]) if m else None
     while tail > eps_sq:
         prev = tail
         m += 1
-        tail = _tail_sum(terms, m)
+        tail = _fsum_or_inf(terms[m:])
     return TruncationReport(level=m, tail_at_level=tail, tail_above_level=prev)
 
 
@@ -210,7 +205,7 @@ def orthogonal_level_bound(epsilon: float, lambda11: float, delta: float) -> flo
     """
     epsilon = _demand(epsilon)
     lambda11, delta = _finite_positive(lambda11, "lambda11"), _finite_positive(delta, "delta")
-    log_first, second = math.log(lambda11) + 1.0 / delta, -2.0 * delta * math.log(epsilon)
-    if not (log_first <= _LOG_MAX and second < math.inf):
+    bound = max(_exp_or_inf(math.log(lambda11) + 1.0 / delta), -2.0 * delta * math.log(epsilon))
+    if bound == math.inf:
         raise UnsupportedScaleError(f"the level bound exceeds double range at delta = {delta}")
-    return max(math.exp(log_first), second)
+    return bound

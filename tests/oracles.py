@@ -23,7 +23,8 @@ from activevars import AnovaFunction, ApplyResult, eval_cost, eval_eigenfunction
 from activevars.cda import PriceResult, _log_comb, _logsumexp
 from activevars.cost import log_eval_cost
 from activevars.errors import CertificationError, DimensionMismatchError
-from activevars.truncation import TruncationReport, _tail_sum, _tail_terms
+from activevars.spectrum import _LOG_MAX, _exp_or_inf, _fsum_or_inf
+from activevars.truncation import TruncationReport, _tail_terms
 
 
 def mp_binomial_tail(d: int, m: int, c0sq) -> float:
@@ -414,12 +415,12 @@ def ascending_truncation_level(epsilon, d, c0sq) -> TruncationReport:
     eps_sq = epsilon * epsilon
     terms = _tail_terms(d, c0sq)
     m = 0
-    tail = _tail_sum(terms, 0)
+    tail = _fsum_or_inf(terms)
     prev = None
     while tail > eps_sq:
         prev = tail
         m += 1
-        tail = _tail_sum(terms, m)
+        tail = _fsum_or_inf(terms[m:])
     return TruncationReport(level=m, tail_at_level=tail, tail_above_level=prev)
 
 
@@ -448,7 +449,7 @@ def reference_price_plan(plan, model) -> PriceResult:
         )
     log_bound = _logsumexp(log_bound_terms)
     exact = math.inf
-    if log_exact < 709.0:
+    if log_exact <= _LOG_MAX:
         exact = math.fsum(
             [eval_cost(model, 0)]
             + [
@@ -461,7 +462,7 @@ def reference_price_plan(plan, model) -> PriceResult:
         raise CertificationError("exact plan cost exceeds its closed-form budget")
     return PriceResult(
         exact=exact,
-        bound=math.exp(log_bound) if log_bound < 709.0 else math.inf,
+        bound=_exp_or_inf(log_bound),
         log_exact=log_exact,
         log_bound=log_bound,
         within_bound=within,

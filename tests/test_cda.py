@@ -124,6 +124,15 @@ class TestRGrowthBounds:
             rb = r_growth_bounds(build_plan(eps, d, korobov1))
             assert rb.certified, (d, eps, rb)
 
+    def test_growth_past_double_range_is_inf_and_not_certified(self, korobov1):
+        # Both ended in a raw OverflowError from math.exp; inf <= inf would
+        # certify a growth that nothing computed.
+        rb = r_growth_bounds(build_plan(0.1, 10**6, korobov1, tau=0.6, level=100))
+        assert (rb.r_power, rb.factorial_bound, rb.certified) == (math.inf, math.inf, False)
+        # R itself leaves double range: no term budget follows from it.
+        with pytest.raises(UnsupportedScaleError, match="outside double range"):
+            build_plan(0.1, 10**6, korobov1, tau=0.6, level=300)
+
     def test_exponential_form_fails_near_regime_boundary(self, korobov1):
         # At d = 10, tau = 1.1 the level is 3 and d sits just below
         # m1^{1+tau} = 10.04: the exponential closed form m1 e^{m1} = 60.3
@@ -659,6 +668,7 @@ class TestPrice:
             CostModel(family="exponential", q=1.0),
             CostModel(family="double_exponential", q=0.3),
             CostModel(family="linear_floor", c=2.5),
+            CostModel(family="exponential", q=352.5),  # costs up to the largest double
         )
         custom = build_spectrum(custom_kernel([0.9, 0.6, 0.5, 0.3, 0.2, 0.1]))
         compared = 0
@@ -738,6 +748,15 @@ class TestPrice:
                         CostModel(family="polynomial", q=2.0),
                     ):
                         assert price_plan(build_plan(eps, d, s), model).within_bound
+
+    def test_exact_cost_is_finite_up_to_the_largest_double(self, wiener):
+        # Counts [1, 333, 81] at exp:352.5: log_exact 709.39, which printed inf.
+        plan = build_plan(0.1, 3, wiener)
+        assert cda._plan_counts(plan) == [1, 333, 81]
+        pr = price_plan(plan, CostModel(family="exponential", q=352.5))
+        assert pr.exact == 1.2192556047811873e308
+        assert pr.exact == math.fsum([1.0, 333 * math.exp(352.5), 81 * math.exp(705.0)])
+        assert (pr.bound, pr.within_bound) == (math.inf, True)
 
     def test_double_exponential_overflow_reports_logs(self, korobov1):
         plan = build_plan(0.001, 50, korobov1, tau=1.0)

@@ -222,6 +222,18 @@ class TestComplexity:
             assert row["comp"] == row["n_terms"]  # constant cost: one per functional
             assert row["within_bound"] == 1
 
+    def test_prices_beyond_double_range_print_inf(self, capsys):
+        # The korobov grid ended in "error: ... $(4) exceeds double range".
+        grid = ["--cost", "doubleexp:2", "--d-grid", "5", "--eps-grid", "1e-1,1e-2,1e-3,1e-4,1e-5"]
+        korobov = ["--kernel", "korobov:1", "--n-eigenvalues", "40000"]
+        code, out, err = run(capsys, "complexity", *korobov, *grid)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[-5:]
+        assert rows[-1] == "5,1e-05,inf,inf,230051,4,1"
+        assert all("inf" not in row for row in rows[:-1])
+        code, out, _ = run(capsys, "complexity", "--kernel", "wiener", *grid)
+        assert code == 0 and out.count(",inf,inf,") == 4
+
     def test_points_below_the_tail_certificate_are_flagged(self, capsys):
         code, out, _ = run(
             capsys,

@@ -11,7 +11,14 @@ from activevars import (
     eval_cost,
     tractability_classify,
 )
-from activevars import build_plan, build_spectrum, custom_kernel, korobov_kernel, price_plan
+from activevars import (
+    build_plan,
+    build_spectrum,
+    custom_kernel,
+    korobov_kernel,
+    power_sum,
+    price_plan,
+)
 from activevars.cost import GridPoint, _summarize, log_eval_cost
 from activevars.errors import (
     InsufficientDataError,
@@ -164,6 +171,17 @@ class TestComplexityCurve:
         assert (p.comp, p.n_terms) == (301.0, 301)
         assert not p.flagged and p.flag_reason == "cda-upper-bound"
 
+    def test_prices_and_bounds_are_finite_up_to_the_largest_double(self, korobov1):
+        # ln bound = 700 + L(1) - 2 ln 0.01 = 709.29: the grid printed inf
+        # from 709 on, and korobov points with an overflowing $(l) raised.
+        exp700 = CostModel(family="exponential", q=700.0)
+        (p,) = complexity_curve(korobov1, 1.0, exp700, [0.01], [5]).points
+        assert (p.comp, p.n_terms, p.m2_ceiling) == (1.0 + 70 * math.exp(700.0), 71, 1)
+        assert p.bound == math.exp(700.0 + power_sum(korobov1, 1.0) - 2.0 * math.log(0.01))
+        assert 1e308 < p.bound < math.inf and p.within_bound
+        deep = complexity_curve(korobov1, 1.0, exp700, [0.01, 0.001], [5])
+        assert [(p.comp, p.bound) for p in deep.points][1] == (math.inf, math.inf)
+
     def test_flagged_points_are_reported_not_fatal(self):
         from activevars import build_spectrum, korobov_kernel
 
@@ -202,7 +220,15 @@ class TestOnePricingPath:
                 assert p.comp == want, (p.d, p.epsilon, c_const)
                 assert (p.n_terms, p.max_act) == (sum(counts), len(counts) - 1)
 
-    @pytest.mark.parametrize("model", FAMILY_MODELS, ids=CostModel.describe)
+    @pytest.mark.parametrize(
+        "model",
+        FAMILY_MODELS
+        + (  # prices and bounds past double range
+            CostModel(family="double_exponential", q=2.0),
+            CostModel(family="exponential", q=352.5),
+        ),
+        ids=CostModel.describe,
+    )
     def test_wiener_points_are_the_plan_price(self, wiener, model):
         rep = complexity_curve(wiener, 1.0, model, [1e-1, 1e-2, 1e-3], [1, 2, 5, 100], tau=1.5)
         for p in rep.points:

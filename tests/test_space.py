@@ -17,12 +17,14 @@ from activevars import (
     h_norm,
     mc_l2_error,
     mean_function,
+    power_sum_identity,
 )
 from activevars import build_spectrum, custom_kernel, korobov_kernel, space, wiener_kernel
 from activevars.errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
     UnsupportedOperationError,
+    UnsupportedScaleError,
 )
 
 import oracles
@@ -229,6 +231,32 @@ class TestEmbeddingNorms:
     def test_bound_at_least_one(self):
         for d in (1, 10, 1000):
             assert embedding_norm_bound(d, 0.25) >= 1.0
+
+
+# Each call ended in a raw OverflowError from math.exp.  The identity's sides
+# are values, so past double range they are inf; the bounds and the norm
+# refuse, as their sibling bounds do (h_norm's true value here, 1e180, is
+# finite, so inf would be wrong).
+PAST_DOUBLE_RANGE = {
+    "power_sum_identity": lambda: power_sum_identity(
+        10**8, build_spectrum(korobov_kernel(1.0), 1000), 0.6
+    ),
+    "embedding_norm_bound": lambda: embedding_norm_bound(10**6, 2000.0),
+    "embedding_norm_special": lambda: embedding_norm_special(1000, 1e4),
+    "h_norm": lambda: h_norm(
+        AnovaFunction(d=10**6, terms={tuple(range(1, 61)): {(1,) * 60: 1.0}})
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PAST_DOUBLE_RANGE)
+def test_values_past_double_range_are_inf_or_typed_errors(name):
+    if name != "power_sum_identity":
+        with pytest.raises(UnsupportedScaleError, match="exceeds double range"):
+            PAST_DOUBLE_RANGE[name]()
+        return
+    identity = PAST_DOUBLE_RANGE[name]()
+    assert (identity.lhs, identity.rhs, identity.exact) == (math.inf, math.inf, False)
 
 
 analytic = st.one_of(
