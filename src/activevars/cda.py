@@ -23,9 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cost import CostModel, _price, log_eval_cost
+from .cost import CostModel, _price, _within_bound, log_eval_cost
 from .errors import (
     CertificationError,
     DimensionMismatchError,
@@ -33,7 +31,7 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .optimal import _RankOracle
-from .space import AnovaFunction, _combine_errors
+from .space import AnovaFunction, _combine_errors, _term_g_sq
 from .spectrum import (
     Spectrum,
     _count,
@@ -42,7 +40,8 @@ from .spectrum import (
     _exponent,
     _fsum_or_inf,
     _integers,
-    _table_product,
+    _log_comb,
+    _logsumexp,
     power_sum,
 )
 from .truncation import truncation_level
@@ -51,7 +50,6 @@ __all__ = [
     "CdaPlan",
     "PlanRow",
     "build_plan",
-    "default_tau",
     "RGrowthBounds",
     "r_growth_bounds",
     "ApplyResult",
@@ -87,10 +85,9 @@ class CdaPlan:
         return self.rows[cardinality - 1]
 
 
-def default_tau(spectrum: Spectrum) -> float:
-    """``max(1, 1/alpha) + 0.1``; any exponent above ``1/alpha`` is valid."""
-    inv_alpha = 0.0 if math.isinf(spectrum.alpha) else 1.0 / spectrum.alpha
-    return max(1.0, inv_alpha) + 0.1
+# The default exponent max(1, 1/alpha) + 0.1: every spectrum that constructs
+# has alpha > 1 (korobov needs r > 1/2, so alpha = 2r; wiener 2; custom inf).
+_DEFAULT_TAU = 1.1
 
 
 def _dust_floor(x: float) -> int:
@@ -102,39 +99,6 @@ def _dust_floor(x: float) -> int:
     return int(math.floor(x * (1.0 + 2.0**-40)))
 
 
-def _log_comb(d: int, l: int) -> float:
-    """``log C(d, l)`` from the exact binomial.
-
-    lgamma differences lose ~1e-9 relative accuracy at ``d >= 1e5``, which
-    the demand-split identity and the priced cost would inherit.
-    """
-    return math.log(math.comb(d, l))
-
-
-def _logsumexp(terms: list[float]) -> float:
-    """``log(sum(exp(terms)))`` in the steps and numpy ufuncs of ``scipy.special.logsumexp``.
-
-    The maxima come out of the sum: with ``m`` terms equal to the maximum,
-    the rest are shifted, exponentiated and summed, and the result is
-    ``log1p(sum / m) + log(m) + max``.  This gives scipy 1.17's bits
-    (``test_logsumexp_matches_scipy`` in ``tests/test_cda.py``).  The
-    error state is scipy's too: a NaN term gives NaN without a warning.
-    """
-    a = np.array(terms, dtype=float)
-    a_max = a.max()
-    mask = a == a_max
-    m = float(np.count_nonzero(mask))
-    a[mask] = -np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.exp(a - a_max).sum() / m
-        return float(np.log1p(s) + np.log(m) + a_max)
-
-
-def _log_r_terms(d: int, level: int, tau: float) -> list[float]:
-    log_d = math.log(d)
-    return [_log_comb(d, k) - k * tau / (1.0 + tau) * log_d for k in range(1, level + 1)]
-
-
 def build_plan(
     epsilon: float,
     d: int,
@@ -144,7 +108,7 @@ def build_plan(
 ) -> CdaPlan:
     """Compute the full plan for one ``(eps, d)`` configuration.
 
-    ``tau`` defaults to :func:`default_tau`; exponents at or below
+    ``tau`` defaults to 1.1 (``_DEFAULT_TAU``); exponents at or below
     ``1/alpha`` are rejected by the underlying power sum (divergent).
     ``level`` overrides the truncation level, which is otherwise the
     minimal certified one for ``eps`` and the spectrum's ``C_0^2``.
@@ -159,7 +123,7 @@ def build_plan(
     """
     epsilon = _demand(epsilon)
     d = _count(d, "d")
-    tau = default_tau(spectrum) if tau is None else _exponent(tau)
+    tau = _DEFAULT_TAU if tau is None else _exponent(tau)
     ltau = power_sum(spectrum, tau)  # validates tau > 1/alpha
     if level is None:
         level = truncation_level(epsilon, d, spectrum.c0sq).level
@@ -168,13 +132,13 @@ def build_plan(
         if not 0 <= level <= d:
             raise InvalidArgumentError("level override must lie in [0, d]")
 
-    log_terms = _log_r_terms(d, level, tau)
+    log_d = math.log(d)
+    log_terms = [_log_comb(d, k) - k * tau / (1.0 + tau) * log_d for k in range(1, level + 1)]
     big_r = _fsum_or_inf(map(_exp_or_inf, log_terms))
     ell_star = min(level, math.floor(d ** (1.0 / (1.0 + tau))))
     rows = []
     if level > 0:
         sqrt_r = math.sqrt(big_r)
-        log_d = math.log(d)
         for l in range(1, level + 1):
             eps_l = epsilon * _exp_or_inf(l / (2.0 * (1.0 + tau)) * log_d) / sqrt_r
             try:
@@ -290,11 +254,7 @@ class CdaApplier:
         ``|u|``-fold tensor eigenbasis (see :class:`_RankOracle`); every
         coefficient on larger subsets is dropped.  A dropped coefficient adds
         ``c^2 lambda_{k_1} ... lambda_{k_l}`` to its subset's squared error,
-        one product read from the spectrum's table, left to right in ``k``'s
-        own order: the bits of :meth:`Spectrum.eigen_product`.  A multi-index
-        past ``N`` goes through ``eigen_product`` itself, which evaluates the
-        closed form of an analytic kernel and raises
-        :class:`InvalidArgumentError` for a custom one.
+        by the rule of :func:`activevars.g_norm_exact` (``space._term_g_sq``).
 
         ``approx`` holds ``f``'s constant and its kept coefficients, in fresh
         dicts that share nothing with ``f``, and is not checked again: its
@@ -310,21 +270,18 @@ class CdaApplier:
         subset_sq: list[float] = []  # each subset's squared error
         max_act = 0
         for u, coeffs in f.terms.items():
-            retained = self._oracle(len(u)).retained if len(u) <= level else None
-            kept_u: dict[tuple[int, ...], float] = {}
-            drop_sq: list[float] = []
-            for k, c in coeffs.items():
-                if retained is not None and retained(k):
-                    kept_u[k] = c
-                    continue
-                try:
-                    drop_sq.append(c * c * _table_product(table, k))
-                except IndexError:  # past N; f's indices are >= 1
-                    drop_sq.append(c * c * self.spectrum.eigen_product(k))
-            if kept_u:
-                kept[u] = kept_u
-                max_act = max(max_act, len(u))
-            subset_sq.append(math.fsum(drop_sq))
+            dropped = coeffs.items()
+            if len(u) <= level:
+                retained, kept_u, rest = self._oracle(len(u)).retained, {}, []
+                for k, c in dropped:
+                    if retained(k):
+                        kept_u[k] = c
+                    else:
+                        rest.append((k, c))
+                if kept_u:
+                    kept[u], dropped = kept_u, rest
+                    max_act = max(max_act, len(u))
+            subset_sq.append(_term_g_sq(dropped, self.spectrum, table))
         return ApplyResult(
             approx=f._submap(kept, f.constant),
             error_cert=_combine_errors(0.0, subset_sq, self._orthogonal),
@@ -351,20 +308,27 @@ class PriceResult:
     within_bound: bool
 
 
-def _plan_counts(plan: CdaPlan) -> list[int]:
-    """Functionals the plan evaluates per cardinality: ``[1, C(d,1) n_1, C(d,2) n_2, ...]``."""
-    return [1] + [math.comb(plan.d, row.cardinality) * row.n_l for row in plan.rows]
+def _log_plan_bound(plan: CdaPlan, model: CostModel) -> float:
+    """``ln`` of the plan's budget ``$(0) + $(m1) max(L, L^{m1}) R^{1+tau} / eps^{2 tau}``."""
+    log_bound_terms = [log_eval_cost(model, 0)]
+    if plan.level > 0 and plan.big_r > 0.0:
+        tau, log_l = plan.tau, math.log(plan.l_tau_value)
+        log_bound_terms.append(
+            log_eval_cost(model, plan.level)
+            + max(log_l, plan.level * log_l)
+            + (1.0 + tau) * math.log(plan.big_r)
+            - 2.0 * tau * math.log(plan.epsilon)
+        )
+    return _logsumexp(log_bound_terms)
 
 
 def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
     """Price ``$(0) + sum_l C(d,l) n_l $(l)`` and check the closed-form budget.
 
-    The budget is ``$(0) + $(m1) max(L, L^{m1}) R^{1+tau} / eps^{2 tau}``.
-    Both sides are compared in log space, so cardinality strata whose cost
-    exceeds double range still compare correctly.  ``exact`` is
-    :func:`activevars.cost._price` of the plan's counts, with exact integer
-    binomials, so an integer cost is reproduced exactly; like ``bound``, it
-    is ``inf`` past double range.
+    ``exact`` and ``log_exact`` are :func:`activevars.cost._price` of the
+    per-subset counts ``[1, n_1, ..., n_m1]``: an integer cost is exact and,
+    like ``bound``, ``inf`` past double range.  The verdict is
+    :func:`_certified`, as for every wiener ``complexity_curve`` point.
 
     Raises
     ------
@@ -374,42 +338,17 @@ def price_plan(plan: CdaPlan, model: CostModel) -> PriceResult:
     UnsupportedScaleError
         Where an ``ln $(l)`` of the plan exceeds double range.
     """
-    d, tau, m1 = plan.d, plan.tau, plan.level
-    log_terms = [log_eval_cost(model, 0)]
-    for row in plan.rows:
-        if row.n_l <= 0:
-            continue
-        log_terms.append(
-            _log_comb(d, row.cardinality)
-            + math.log(row.n_l)
-            + log_eval_cost(model, row.cardinality)
-        )
-    log_exact = _logsumexp(log_terms)
+    exact, log_exact = _price(model, plan.d, [1] + [row.n_l for row in plan.rows])
+    log_bound = _log_plan_bound(plan, model)
+    bound, within = _exp_or_inf(log_bound), _certified(log_exact, log_bound)
+    return PriceResult(exact, bound, log_exact, log_bound, within)
 
-    log_bound_terms = [log_eval_cost(model, 0)]
-    if m1 > 0 and plan.big_r > 0.0:
-        log_l = math.log(plan.l_tau_value)
-        log_max = max(log_l, m1 * log_l)
-        log_bound_terms.append(
-            log_eval_cost(model, m1)
-            + log_max
-            + (1.0 + tau) * math.log(plan.big_r)
-            - 2.0 * tau * math.log(plan.epsilon)
-        )
-    log_bound = _logsumexp(log_bound_terms)
 
-    exact = _price(model, _plan_counts(plan))
-    bound = _exp_or_inf(log_bound)
-    within = log_exact <= log_bound + 1e-12
-    if not within:
+def _certified(log_exact: float, log_bound: float) -> bool:
+    """A plan's verdict: ``True``, or :class:`CertificationError` past its budget (a theorem)."""
+    if not _within_bound(log_exact, log_bound):
         raise CertificationError(
             f"exact plan cost exp({log_exact:.6f}) exceeds its closed-form "
             f"budget exp({log_bound:.6f})"
         )
-    return PriceResult(
-        exact=exact,
-        bound=bound,
-        log_exact=log_exact,
-        log_bound=log_bound,
-        within_bound=within,
-    )
+    return True

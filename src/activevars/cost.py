@@ -25,7 +25,7 @@ from .errors import (
     TailCertificateError,
     UnsupportedScaleError,
 )
-from .optimal import _cardinality_counts, _log_term_bound, _spectral_ceiling
+from .optimal import _cardinality_counts, _log_term_bound, _spectral_ceiling, _total_count
 from .spectrum import (
     Spectrum,
     _constant,
@@ -34,6 +34,8 @@ from .spectrum import (
     _exp_or_inf,
     _exponent,
     _integers,
+    _log_comb,
+    _logsumexp,
     _real_tuple,
     power_sum,
 )
@@ -154,20 +156,26 @@ def log_eval_cost(model: CostModel, k: int) -> float:
         raise UnsupportedScaleError(f"{model.describe()}: ln $({k}) exceeds double range") from None
 
 
-def _price(model: CostModel, counts) -> float:
-    """Price of an algorithm that evaluates ``counts[l]`` functionals of ``l`` variables.
+def _price(model: CostModel, d: int, n) -> tuple[float, float]:
+    """Price and log price of evaluating ``n[l]`` functionals on each ``l``-subset.
 
-    The compensated sum ``sum_l counts[l] $(l)`` over the nonzero counts:
-    ``price_plan`` and ``complexity_curve`` price every algorithm by it.
-    Past double range (an overflowing ``$(l)``, ``counts[l] $(l)`` or sum)
-    the price is ``inf``; only an ``ln $(l)`` past it raises
-    :class:`UnsupportedScaleError`.
+    The compensated ``sum_l C(d,l) n[l] $(l)``, ``inf`` past double range, and
+    ``logsumexp(ln C(d,l) + ln n[l] + ln $(l))``: the one pricer of
+    ``price_plan`` and every ``complexity_curve`` point.  Only an ``ln $(l)``
+    past double range raises :class:`UnsupportedScaleError`.
     """
+    priced = [(l, n_l) for l, n_l in enumerate(n) if n_l]
+    logs = [_log_comb(d, l) + math.log(n_l) + log_eval_cost(model, l) for l, n_l in priced]
     try:
-        return math.fsum([n * eval_cost(model, l) for l, n in enumerate(counts) if n])
-    except (OverflowError, UnsupportedScaleError):  # ln $ is nondecreasing in l
-        log_eval_cost(model, max(l for l, n in enumerate(counts) if n))
-        return math.inf
+        price = math.fsum([math.comb(d, l) * n_l * eval_cost(model, l) for l, n_l in priced])
+    except (OverflowError, UnsupportedScaleError):
+        price = math.inf
+    return price, _logsumexp(logs)
+
+
+def _within_bound(log_price: float, log_bound: float) -> bool:
+    """The verdict on every priced algorithm: its log price reaches at most its log bound."""
+    return log_price <= log_bound + 1e-12
 
 
 @dataclass(frozen=True)
@@ -232,9 +240,9 @@ def complexity_curve(
     """Price the spectral-truncation algorithm over an ``(eps, d)`` grid.
 
     One algorithm, picked from the kernel before the grid is walked, maps
-    each ``(eps, d)`` to the functionals it evaluates per cardinality, a
-    closed-form bound and its verdict; every point's ``comp`` is
-    :func:`_price` of those counts.
+    each ``(eps, d)`` to ``n`` (``n[l]`` functionals on each ``l``-subset,
+    ``n[0] = 1``), a log bound and ``m2``.  Each point is priced once by
+    :func:`_price` and checked by :func:`_within_bound`, as ``price_plan``.
 
     For korobov and custom spectra the algorithm keeps every tensor
     eigenvalue above ``(eps/sqrt(C))^2``; under embedded-norm orthogonality
@@ -243,28 +251,28 @@ def complexity_curve(
     ``$(m2) e^{L(tau) d^{1-tau}} / (eps/sqrt(C))^{2 tau}``.
 
     For the wiener kernel, whose embedded norms are not orthogonal across
-    subsets, the grid instead carries the exact priced cost of the
-    changing-dimension algorithm (:func:`activevars.cda.price_plan`), whose
-    counts are ``1`` and ``C(d,l) n_l``, the constant included, with the
-    plan's bound and log-space verdict.  That cost upper-bounds the
-    complexity: the points carry ``flag_reason="cda-upper-bound"`` but are
-    not ``flagged``, so they stay in the fits.  The plan splits ``eps``
-    itself, so wiener refuses a ``c_const`` other than 1 with
+    subsets, the grid carries the changing-dimension plan,
+    ``n = [1, n_1, ..., n_m1]``, priced and checked against its budget as
+    :func:`activevars.cda.price_plan` does, which raises
+    :class:`CertificationError` on a cost past it.  Its cost upper-bounds
+    the complexity: the points carry ``flag_reason="cda-upper-bound"`` but
+    stay unflagged and in the fits.  The plan splits ``eps`` itself, so
+    wiener refuses a ``c_const`` other than 1 with
     :class:`InvalidConfigurationError`.
 
-    Every point's ``n_terms`` is the sum of its counts and ``max_act`` the
+    Every point's ``n_terms`` is ``sum_l C(d,l) n[l]`` and ``max_act`` the
     largest cardinality counted; one above the ceiling ``m2`` raises
     :class:`CertificationError`.  A ``comp`` or ``bound`` past double range
-    is ``inf``, and such a point is left out of the fits; only an
-    ``ln $(k)`` past it raises :class:`UnsupportedScaleError`.  A point
-    whose demand falls below the tail certificate is flagged and left out
-    of the fits instead of failing the curve.
+    is ``inf`` (its verdict still holds) and the point is left out of the
+    fits; only an ``ln $(k)`` past it raises :class:`UnsupportedScaleError`.
+    A point whose demand falls below the tail certificate is flagged and
+    left out of the fits instead of failing the curve.
 
     ``c_const`` is a finite real ``>= 1``, each demand a real in ``(0, 1)``,
     each dimension an integer ``>= 1`` and ``tau`` a positive real; the
     report's grids hold Python numbers.
     """
-    from .cda import _plan_counts, build_plan, price_plan  # local: keeps modules acyclic
+    from .cda import _certified, _log_plan_bound, build_plan  # local: keeps modules acyclic
 
     c_const = _constant(c_const)
     eps_grid = tuple(sorted(map(_demand, eps_grid), reverse=True))
@@ -280,32 +288,32 @@ def complexity_curve(
 
     def changing_dimension(eps: float, d: int):
         plan = build_plan(eps, d, spectrum, tau=tau)
-        price = price_plan(plan, model)
-        return _plan_counts(plan), price.bound, price.within_bound, -1
+        return [1] + [row.n_l for row in plan.rows], _log_plan_bound(plan, model), -1
 
     def spectral(eps: float, d: int):
         eps_eff = eps / math.sqrt(c_const)
-        counts = _cardinality_counts(eps_eff, d, spectrum)
-        m2 = _spectral_ceiling(eps_eff, d, spectrum.c0sq, len(counts) - 1)
-        bound = _exp_or_inf(_log_term_bound(eps_eff, d, ltau, tau, log_eval_cost(model, m2)))
-        return counts, bound, _price(model, counts) <= bound, m2
+        n = _cardinality_counts(eps_eff, d, spectrum)
+        m2 = _spectral_ceiling(eps_eff, d, spectrum.c0sq, len(n) - 1)
+        return n, _log_term_bound(eps_eff, d, ltau, tau, log_eval_cost(model, m2)), m2
 
-    algorithm, reason = (changing_dimension, "cda-upper-bound") if wiener else (spectral, "")
+    algorithm, reason, verdict = spectral, "", _within_bound
+    if wiener:
+        algorithm, reason, verdict = changing_dimension, "cda-upper-bound", _certified
     points: list[GridPoint] = []
     flags: list[str] = ["comp values are cda upper bounds"] if wiener else []
     for d in d_grid:
         for eps in eps_grid:
             try:
-                counts, bound, within, m2 = algorithm(eps, d)
+                n, log_bound, m2 = algorithm(eps, d)
             except TailCertificateError as exc:
                 flags.append(f"d={d} eps={eps}: {exc}")
                 nan = math.nan
                 points.append(GridPoint(d, eps, nan, nan, -1, -1, -1, False, True, str(exc)))
                 continue
-            comp, max_act = _price(model, counts), max(l for l, n in enumerate(counts) if n)
-            points.append(
-                GridPoint(d, eps, comp, bound, sum(counts), max_act, m2, within, flag_reason=reason)
-            )
+            comp, log_comp = _price(model, d, n)
+            max_act, n_terms = max(l for l, n_l in enumerate(n) if n_l), _total_count(d, n)
+            bound, within = _exp_or_inf(log_bound), verdict(log_comp, log_bound)
+            points.append(GridPoint(d, eps, comp, bound, n_terms, max_act, m2, within, False, reason))
 
     return _summarize(points, eps_grid, d_grid, flags)
 

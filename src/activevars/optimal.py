@@ -263,29 +263,35 @@ class TensorEigenStream:
 def eigencount(epsilon: float, d: int, spectrum: Spectrum) -> int:
     """Number of tensor eigenvalues strictly greater than ``epsilon^2``.
 
-    Counts with multiplicity by streaming until the next value drops to
-    ``epsilon^2`` or below.  The count is exact whenever the demand is
-    above the stream's tail certificate.  ``epsilon`` is a real in
+    Counts with multiplicity: :func:`_total_count` of the per-subset counts
+    of :func:`_cardinality_counts`.  The count is exact whenever the demand
+    is above the stream's tail certificate.  ``epsilon`` is a real in
     ``(0, 1]``.
     """
     epsilon = _demand(epsilon, closed=True)
-    return sum(_cardinality_counts(epsilon, d, spectrum))
+    return _total_count(d, _cardinality_counts(epsilon, d, spectrum))
+
+
+def _total_count(d: int, n) -> int:
+    """``sum_l C(d,l) n[l]``: the functionals per-subset counts ``n`` evaluate on all subsets."""
+    return sum(math.comb(d, l) * n_l for l, n_l in enumerate(n))
 
 
 def _cardinality_counts(epsilon: float, d: int, spectrum: Spectrum) -> list[int]:
-    """Tensor eigenvalues above ``epsilon^2``, counted per cardinality.
+    """Tensor eigenvalues above ``epsilon^2`` on one subset of each cardinality.
 
-    ``counts[l]`` sums the multiplicities of the labels of cardinality
-    ``l``, up to the largest cardinality counted; ``counts[0]`` is 1, the
-    constant, unless ``epsilon`` is 1.  One pass of the stream, holding no
-    label.  ``epsilon`` is a finite positive real.
+    ``n[l]``, the functionals the spectral algorithm evaluates on one
+    ``l``-subset, is the multiplicity sum of cardinality ``l`` divided
+    (exactly) by ``C(d, l)``; ``n[0]`` is 1, the constant, unless
+    ``epsilon`` is 1.  One pass of the stream, holding no label.
+    ``epsilon`` is a finite positive real.
     """
     counts = [0]
     for entry in TensorEigenStream(d, spectrum).above(epsilon):
         while entry.cardinality >= len(counts):
             counts.append(0)
         counts[entry.cardinality] += entry.multiplicity
-    return counts
+    return [count // math.comb(d, l) for l, count in enumerate(counts)]
 
 
 # Relative slack of the rank cut's pruning bound.  A float product of l

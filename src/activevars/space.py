@@ -25,7 +25,7 @@ import operator
 from collections import abc
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -39,8 +39,10 @@ from .spectrum import (
     _finite_positive,
     _fsum_or_inf,
     _integers,
+    _logsumexp,
     _outside_unit_interval,
     _real_tuple,
+    _table_product,
 )
 
 __all__ = [
@@ -185,23 +187,33 @@ class AnovaFunction:
 def h_norm(f: AnovaFunction) -> float:
     """Weighted-space norm ``sqrt(c_0^2 + sum_u d^{|u|} sum_k c_{u,k}^2)``.
 
-    A squared norm past double range raises :class:`UnsupportedScaleError`.
+    A squared norm past double range is summed in log space instead; only a
+    norm past it raises :class:`UnsupportedScaleError`.
     """
     parts = [f.constant * f.constant]
+    log_parts = [2.0 * math.log(abs(f.constant))] if f.constant else []
     log_d = math.log(f.d)
     for u, coeffs in f.terms.items():
         ssq = _fsum_or_inf(c * c for c in coeffs.values())
         if ssq > 0.0:
-            parts.append(_exp_or_inf(len(u) * log_d + math.log(ssq)))
+            log_parts.append(len(u) * log_d + math.log(ssq))
+            parts.append(_exp_or_inf(log_parts[-1]))
     norm_sq = _fsum_or_inf(parts)
-    if norm_sq == math.inf:
-        raise UnsupportedScaleError(f"the squared norm exceeds double range at d = {f.d}")
-    return math.sqrt(norm_sq)
+    norm = math.sqrt(norm_sq) if norm_sq < math.inf else _exp_or_inf(0.5 * _logsumexp(log_parts))
+    if norm == math.inf:
+        raise UnsupportedScaleError(f"the norm exceeds double range at d = {f.d}")
+    return norm
 
 
-def _term_g_sq(coeffs: Mapping[tuple[int, ...], float], s: Spectrum) -> float:
-    """Exact squared embedded norm of one interaction term."""
-    return math.fsum([c * c * s.eigen_product(k) for k, c in coeffs.items()])
+def _term_g_sq(coeffs: Iterable[tuple[tuple[int, ...], float]], s: Spectrum, table) -> float:
+    """One term's squared norm ``sum c^2 lambda_{k_1} ... lambda_{k_l}`` over ``(k, c)`` pairs."""
+    sq = []
+    for k, c in coeffs:
+        try:
+            sq.append(c * c * _table_product(table, k))
+        except IndexError:  # past N; indices are >= 1
+            sq.append(c * c * s.eigen_product(k))
+    return math.fsum(sq)
 
 
 @dataclass(frozen=True)
@@ -238,7 +250,8 @@ def g_norm_exact(f: AnovaFunction, s: Spectrum, orthogonal: bool) -> GNormResult
             "wiener eigenfunctions are not mean-free; cross-subset terms are "
             "not orthogonal in L2"
         )
-    sq = [_term_g_sq(coeffs, s) for coeffs in f.terms.values()]
+    table = s.table()
+    sq = [_term_g_sq(coeffs.items(), s, table) for coeffs in f.terms.values()]
     value = _combine_errors(f.constant, sq, orthogonal)
     return GNormResult(value=value, is_upper_bound=not orthogonal)
 

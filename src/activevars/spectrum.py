@@ -207,6 +207,27 @@ def _fsum_or_inf(values) -> float:
         return math.inf
 
 
+def _log_comb(d: int, l: int) -> float:
+    """``log C(d, l)`` from the exact binomial; lgamma differences lose ~1e-9 at ``d >= 1e5``."""
+    return math.log(math.comb(d, l))
+
+
+def _logsumexp(terms: list[float]) -> float:
+    """``log(sum(exp(terms)))`` with the bits and error state of scipy 1.17's ``logsumexp``.
+
+    Its steps: the ``m`` maxima leave the sum, the rest are shifted and
+    exponentiated, and the result is ``log1p(sum / m) + log(m) + max``.
+    """
+    a = np.array(terms, dtype=float)
+    a_max = a.max()
+    mask = a == a_max
+    m = float(np.count_nonzero(mask))
+    a[mask] = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.exp(a - a_max).sum() / m
+        return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def wiener_kernel() -> KernelSpec:
     """``K(x, y) = min(x, y)`` on ``[0, 1]``."""
     return KernelSpec(kind="wiener")

@@ -35,20 +35,30 @@ __all__ = [
     "orthogonal_level_bound",
 ]
 
+# Past 2^1024 an ulp of ln C(d,k) is above 1e-13; 1024 kept bits err far less.
+_COMB_BITS = 1024
+
+
 @lru_cache(maxsize=256)
 def _tail_terms(d: int, c0sq: float) -> tuple[float, ...]:
     """Terms ``T_k = C(d,k) (c0sq/d)^k`` for ``k = 1..d`` in log space.
 
-    Generation stops once terms underflow to 0.0 past the peak (the term
-    ratio ``(d-k)/(k+1) * c0sq/d`` is < 1 for ``k + 1 > c0sq``, so every
-    later term underflows as well).  A term beyond double range (a large
-    ``C_0^2``) is ``inf``: it exceeds every ``eps^2``, so levels stay exact.
+    ``ln C(d,k)`` comes from ``C(d,k) = comb 2^shift = C(d,k-1) (d-k+1) // k``,
+    exact (``spectrum._log_comb``'s bits) until it passes ``2^_COMB_BITS``;
+    then ``comb`` keeps ``_COMB_BITS`` bits.  Generation stops once terms
+    underflow to 0.0 past the peak (the term ratio ``(d-k)/(k+1) * c0sq/d``
+    is < 1 for ``k + 1 > c0sq``, so every later term underflows as well).
+    A term beyond double range (a large ``C_0^2``) is ``inf``: it exceeds
+    every ``eps^2``, so levels stay exact.
     """
     log_ratio = math.log(c0sq) - math.log(d)
-    lg_d1 = math.lgamma(d + 1)
+    comb, shift = 1, 0
     terms: list[float] = []
     for k in range(1, d + 1):
-        log_t = lg_d1 - math.lgamma(k + 1) - math.lgamma(d - k + 1) + k * log_ratio
+        comb = comb * (d - k + 1) // k
+        excess = max(comb.bit_length() - _COMB_BITS, -shift)  # also as C(d,k) falls again
+        comb, shift = (comb >> excess if excess >= 0 else comb << -excess), shift + excess
+        log_t = math.log(comb) + shift * math.log(2.0) + k * log_ratio
         t = _exp_or_inf(log_t) if log_t > -745.0 else 0.0
         terms.append(t)
         if t == 0.0 and k > c0sq:

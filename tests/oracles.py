@@ -20,10 +20,10 @@ from scipy.integrate import simpson
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from activevars import AnovaFunction, ApplyResult, eval_cost, eval_eigenfunction
-from activevars.cda import PriceResult, _log_comb, _logsumexp
+from activevars.cda import PriceResult
 from activevars.cost import log_eval_cost
 from activevars.errors import CertificationError, DimensionMismatchError
-from activevars.spectrum import _LOG_MAX, _exp_or_inf, _fsum_or_inf
+from activevars.spectrum import _LOG_MAX, _exp_or_inf, _fsum_or_inf, _log_comb, _logsumexp
 from activevars.truncation import TruncationReport, _tail_terms
 
 
@@ -216,16 +216,23 @@ def direct_pointwise(f, spectrum, x) -> np.ndarray:
     """``f`` at the rows of ``x``, one ``eval_eigenfunction`` call per term and coordinate.
 
     The reference that table-driven pointwise evaluation is checked against:
-    each eigenfunction value comes straight from its closed form.
+    each eigenfunction value comes straight from its closed form.  A term is
+    multiplied in ``eval_pointwise``'s order, the weight
+    ``c sqrt(2^{|u|} lambda_{k_1} ... lambda_{k_l})`` times the product of
+    the unscaled values ``zeta_k / sqrt(2 lambda_k)``, so a coefficient in
+    the subnormal range is rounded at the same steps as there.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.full(x.shape[0], float(f.constant))
     for u, coeffs in f.terms.items():
         for k, c in coeffs.items():
-            term = np.full(x.shape[0], float(c))
-            for coord, idx in zip(u, k):
-                term = term * eval_eigenfunction(spectrum, idx, x[:, coord - 1])
-            out = out + term
+            lam = [spectrum.eigenvalue(idx) for idx in k]
+            weight = float(c) * math.sqrt(2.0 ** len(u) * math.prod(lam))
+            values = np.ones(x.shape[0])
+            for coord, idx, lam_k in zip(u, k, lam):
+                zeta = eval_eigenfunction(spectrum, idx, x[:, coord - 1])
+                values = values * (zeta / math.sqrt(2.0 * lam_k))
+            out = out + weight * values
     return out
 
 

@@ -29,6 +29,7 @@ from activevars import (
 )
 from activevars import cda, optimal
 from activevars.optimal import _RankOracle, arrangement_count
+from activevars.spectrum import _logsumexp
 from activevars.errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -657,7 +658,7 @@ class TestPrice:
         ties = data.draw(st.sets(st.integers(0, len(terms) - 1)))
         for i in ties:
             terms[i] = max(terms)
-        assert cda._logsumexp(terms) == float(logsumexp(terms))
+        assert _logsumexp(terms) == float(logsumexp(terms))
 
     def test_matches_the_reference_price_bit_for_bit(self, korobov1, wiener):
         # The exact cost is one pricing sum over the plan's counts; it must
@@ -750,9 +751,10 @@ class TestPrice:
                         assert price_plan(build_plan(eps, d, s), model).within_bound
 
     def test_exact_cost_is_finite_up_to_the_largest_double(self, wiener):
-        # Counts [1, 333, 81] at exp:352.5: log_exact 709.39, which printed inf.
+        # Counts [1, 333, 81] (C(3,l) n_l) at exp:352.5: log_exact 709.39,
+        # which printed inf.
         plan = build_plan(0.1, 3, wiener)
-        assert cda._plan_counts(plan) == [1, 333, 81]
+        assert [row.n_l for row in plan.rows] == [111, 27]
         pr = price_plan(plan, CostModel(family="exponential", q=352.5))
         assert pr.exact == 1.2192556047811873e308
         assert pr.exact == math.fsum([1.0, 333 * math.exp(352.5), 81 * math.exp(705.0)])

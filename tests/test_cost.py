@@ -19,8 +19,10 @@ from activevars import (
     power_sum,
     price_plan,
 )
+from activevars import cda, cost
 from activevars.cost import GridPoint, _summarize, log_eval_cost
 from activevars.errors import (
+    CertificationError,
     InsufficientDataError,
     InvalidConfigurationError,
     InvalidModelError,
@@ -181,6 +183,29 @@ class TestComplexityCurve:
         assert 1e308 < p.bound < math.inf and p.within_bound
         deep = complexity_curve(korobov1, 1.0, exp700, [0.01, 0.001], [5])
         assert [(p.comp, p.bound) for p in deep.points][1] == (math.inf, math.inf)
+
+    def test_verdicts_past_double_range_come_from_the_log_price(self, korobov1, monkeypatch):
+        # At d = 5, eps = 1e-3 the counts per subset are [1, 142, 40]: ln comp
+        # = 1405.99, inf as a double.  A bound 50 below it is inf too, and the
+        # point passed as inf <= inf; in log space it is above its bound.
+        monkeypatch.setattr(cost, "_log_term_bound", lambda *args: 1356.0)
+        exp700 = CostModel(family="exponential", q=700.0)
+        shallow, deep = complexity_curve(korobov1, 1.0, exp700, [0.01, 0.001], [5]).points
+        assert math.isfinite(shallow.comp) and shallow.within_bound
+        assert (deep.comp, deep.bound, deep.n_terms) == (math.inf, math.inf, 1 + 5 * 142 + 10 * 40)
+        assert not deep.within_bound
+
+    def test_a_wiener_point_past_its_budget_is_refused(self, wiener, monkeypatch):
+        # A built plan's cost is within its budget by theorem, so a grid point
+        # above it raises, as price_plan does, instead of printing a 0 verdict.
+        exp1 = CostModel(family="exponential", q=1.0)
+        assert complexity_curve(wiener, 1.0, exp1, [0.1], [3]).points[0].within_bound
+        log_plan_bound = cda._log_plan_bound
+        monkeypatch.setattr(cda, "_log_plan_bound", lambda *args: log_plan_bound(*args) - 50.0)
+        with pytest.raises(CertificationError, match="closed-form budget"):
+            complexity_curve(wiener, 1.0, exp1, [0.1], [3])
+        with pytest.raises(CertificationError, match="closed-form budget"):
+            price_plan(build_plan(0.1, 3, wiener), exp1)
 
     def test_flagged_points_are_reported_not_fatal(self):
         from activevars import build_spectrum, korobov_kernel

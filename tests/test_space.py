@@ -234,9 +234,9 @@ class TestEmbeddingNorms:
 
 
 # Each call ended in a raw OverflowError from math.exp.  The identity's sides
-# are values, so past double range they are inf; the bounds and the norm
-# refuse, as their sibling bounds do (h_norm's true value here, 1e180, is
-# finite, so inf would be wrong).
+# are values, so past double range they are inf; the bounds refuse, as their
+# sibling bounds do.  h_norm's squared norm leaves double range but its norm,
+# 1e180, does not, so it is summed in log space and returned.
 PAST_DOUBLE_RANGE = {
     "power_sum_identity": lambda: power_sum_identity(
         10**8, build_spectrum(korobov_kernel(1.0), 1000), 0.6
@@ -251,12 +251,18 @@ PAST_DOUBLE_RANGE = {
 
 @pytest.mark.parametrize("name", PAST_DOUBLE_RANGE)
 def test_values_past_double_range_are_inf_or_typed_errors(name):
-    if name != "power_sum_identity":
+    if name == "power_sum_identity":
+        identity = PAST_DOUBLE_RANGE[name]()
+        assert (identity.lhs, identity.rhs, identity.exact) == (math.inf, math.inf, False)
+    elif name == "h_norm":
+        assert PAST_DOUBLE_RANGE[name]() == pytest.approx(1e180, rel=1e-12)
+        # Past double range the norm itself refuses: here it is 1e360.
+        f = AnovaFunction(d=10**6, terms={tuple(range(1, 121)): {(1,) * 120: 1.0}})
+        with pytest.raises(UnsupportedScaleError, match="exceeds double range"):
+            h_norm(f)
+    else:
         with pytest.raises(UnsupportedScaleError, match="exceeds double range"):
             PAST_DOUBLE_RANGE[name]()
-        return
-    identity = PAST_DOUBLE_RANGE[name]()
-    assert (identity.lhs, identity.rhs, identity.exact) == (math.inf, math.inf, False)
 
 
 analytic = st.one_of(

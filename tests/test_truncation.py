@@ -101,6 +101,23 @@ class TestTruncationLevel:
         assert rep.tail_at_level == pytest.approx(1.3946267774414027e-3, rel=1e-12)
         assert rep.tail_above_level == pytest.approx(1.6394626777441402e-2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "eps, level",
+        [
+            (0.8054322222320107, 1),
+            (0.3856437016334541, 2),
+            (0.05373935964889227, 4),
+            (0.016845406939500384, 5),
+        ],
+    )
+    def test_levels_at_a_million_dimensions_are_exact(self, eps, level):
+        # Each eps^2 lies between the tail at the exact level and a float
+        # tail off by 1.7e-9 relative: lgamma binomials gave the level one
+        # below, whose tail is above eps^2.  Exact levels from a 60-digit sum.
+        rep = truncation_level(eps, 10**6, 0.5)
+        assert rep.level == level
+        assert rep.tail_at_level <= eps * eps < rep.tail_above_level
+
     def test_whole_sum_within_demand(self):
         # (1 + c/d)^d - 1 <= eps^2 means zero interactions are needed.
         d, c = 10, 0.04
