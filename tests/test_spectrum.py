@@ -573,6 +573,36 @@ class TestEigenfunctionTable:
     def test_sparse_index_sets_match_reference(self, s, indices, points):
         self._assert_matches_reference(s, np.array(sorted(indices)), np.array(EDGE_POINTS + points))
 
+    @pytest.mark.parametrize("kind", ["wiener", "korobov"])
+    def test_rows_up_to_768_are_within_4e_13_of_40_digit_values(self, kind):
+        # Over the edge points and 40 seeded sets of 40 random points, the
+        # worst row is off by 3.77e-13 (wiener, n = 767, at the point 0.7110
+        # included here); seeding each power of two from its own tan gave
+        # 2.53e-13 there.  Squaring doubles the seed's error at each step.
+        s = build_spectrum(wiener_kernel() if kind == "wiener" else korobov_kernel(1.0), 1000)
+        worst = [0.25, 0.5, 0.7109844457407125]
+        x = np.array(EDGE_POINTS + worst + list(np.random.default_rng(1).random(24)))
+        indices = np.arange(1, 769)
+        table = _table(s, indices, x)
+        want = np.array(
+            [[oracles.mp_unscaled_eigenfunction(kind, int(n), p) for p in x] for n in indices]
+        )
+        assert np.max(np.abs(table - want)) <= 4e-13
+
+    @pytest.mark.parametrize("kind", ["wiener", "korobov"])
+    def test_indices_up_to_2_32_hold_n_ulps_and_larger_are_refused(self, kind):
+        # Row n is within about n ulps (measured 1.2 n ulps at 2^20 .. 2^45).
+        # Past 2^50 squaring no longer keeps |z^m| near 1: at 2^62 a wiener
+        # row read -5e83.
+        s = build_spectrum(wiener_kernel() if kind == "wiener" else korobov_kernel(1.0), 100)
+        x = np.random.default_rng(4).random(12)
+        for n in (2**20 + 1, 2**32):
+            want = [oracles.mp_unscaled_eigenfunction(kind, n, p) for p in x]
+            assert np.max(np.abs(_table(s, [n], x)[0] - want)) <= 3 * n * 2.0**-52
+        for n in (2**32 + 1, 2**62, 2**63 + 5, 2**70):
+            with pytest.raises(UnsupportedScaleError):
+                EigenfunctionTable(s, [1, n])
+
     def test_custom_spectra_have_no_table(self, custom_pair):
         with pytest.raises(UnsupportedOperationError):
             EigenfunctionTable(custom_pair, [1])
