@@ -27,7 +27,6 @@ from .cost import CostModel, _price, _within_bound, log_eval_cost
 from .errors import (
     CertificationError,
     DimensionMismatchError,
-    InvalidArgumentError,
     UnsupportedScaleError,
 )
 from .optimal import _RankOracle
@@ -39,7 +38,6 @@ from .spectrum import (
     _exp_or_inf,
     _exponent,
     _fsum_or_inf,
-    _integers,
     _log_comb,
     _logsumexp,
     power_sum,
@@ -128,9 +126,7 @@ def build_plan(
     if level is None:
         level = truncation_level(epsilon, d, spectrum.c0sq).level
     else:
-        (level,) = _integers((level,), "level")
-        if not 0 <= level <= d:
-            raise InvalidArgumentError("level override must lie in [0, d]")
+        level = _count(level, "level", low=0, high=d)
 
     log_d = math.log(d)
     log_terms = [_log_comb(d, k) - k * tau / (1.0 + tau) * log_d for k in range(1, level + 1)]
@@ -220,10 +216,11 @@ class ApplyResult:
 class CdaApplier:
     """Applies one plan to many functions, caching the per-cardinality ranking.
 
-    The kernel decides how subset errors add up: korobov, whose members have
-    zero mean, sums their squares; wiener, whose embedded norms are not
-    orthogonal across subsets, and custom spectra, which carry no
-    eigenfunctions to show orthogonality, add the norms (triangle bound).
+    The kernel's ``KernelSpec.zero_mean`` decides how subset errors add up:
+    korobov (``True``), whose members have zero mean, sums their squares;
+    wiener (``False``), whose embedded norms are not orthogonal across
+    subsets, and custom spectra (``None``), which carry no eigenfunctions
+    to show orthogonality, add the norms (triangle bound).
     Either way the certificate is :func:`activevars.g_norm_exact` of the
     dropped part, by the same rule (``space._combine_errors``).
 
@@ -234,7 +231,7 @@ class CdaApplier:
     def __init__(self, plan: CdaPlan, spectrum: Spectrum) -> None:
         self.plan = plan
         self.spectrum = spectrum
-        self._orthogonal = spectrum.kind == "korobov"
+        self._orthogonal = spectrum.kernel.zero_mean is True
         self._table = spectrum.table()
         self._oracles: dict[int, _RankOracle] = {}
 

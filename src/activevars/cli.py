@@ -25,7 +25,7 @@ import sys
 
 from .cda import build_plan, price_plan
 from .cost import _FAMILIES, CostModel, complexity_curve, tractability_classify
-from .errors import ActiveVarsError, InvalidArgumentError, InvalidModelError, UnsupportedScaleError
+from .errors import ActiveVarsError, InvalidArgumentError, InvalidModelError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
     mc_l2_error,
@@ -37,7 +37,7 @@ from .space import g_norm_exact
 from .spectrum import (
     KernelSpec,
     Spectrum,
-    _exp_or_inf,
+    _exp_or_raise,
     build_spectrum,
     power_sum,
     spectrum_to_json,
@@ -214,11 +214,10 @@ def _run_optimal(args: argparse.Namespace) -> int:
         "m2_ceiling": alg.m2_ceiling,
     }
     if tau is not None:
-        cap = _exp_or_inf(_log_term_bound(alg.epsilon_effective, d, power_sum(s, tau), tau))
-        if cap == math.inf:
-            raise UnsupportedScaleError(
-                f"the term bound n_cap is outside double range at tau = {tau}"
-            )
+        cap = _exp_or_raise(
+            _log_term_bound(alg.epsilon_effective, d, power_sum(s, tau), tau),
+            f"the term bound n_cap is outside double range at tau = {tau}",
+        )
         summary["n_cap"] = math.ceil(cap) - 1
     _emit(args, ["cardinality", "indices", "eigenvalue", "multiplicity"], rows, summary)
     return 0

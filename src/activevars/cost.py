@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     InsufficientDataError,
-    InvalidArgumentError,
     InvalidConfigurationError,
     InvalidModelError,
     TailCertificateError,
@@ -33,7 +32,6 @@ from .spectrum import (
     _demand,
     _exp_or_inf,
     _exponent,
-    _integers,
     _log_comb,
     _logsumexp,
     _real_tuple,
@@ -117,21 +115,13 @@ class CostModel:
         return self.family if name is None else f"{self.family}({name}={getattr(self, name)})"
 
 
-def _active_count(k) -> int:
-    """``k`` as an ``int``: a Python or numpy integer ``>= 0``, ``bool`` not."""
-    (k,) = _integers((k,), "active-variable count")
-    if k < 0:
-        raise InvalidArgumentError("active-variable count must be >= 0")
-    return k
-
-
 def eval_cost(model: CostModel, k: int) -> float:
     """Evaluate ``$(k)`` for an integer ``k >= 0``; monotone in ``k`` by construction.
 
     Raises :class:`UnsupportedScaleError` where ``$(k)`` exceeds double range.
     """
     if type(k) is not int or k < 0:  # an int >= 0 skips the call
-        k = _active_count(k)
+        k = _count(k, "active-variable count", low=0)
     try:
         value = _FAMILIES[model.family].cost(model, k)
     except OverflowError:
@@ -149,7 +139,7 @@ def log_eval_cost(model: CostModel, k: int) -> float:
     :func:`eval_cost`.
     """
     if type(k) is not int or k < 0:
-        k = _active_count(k)
+        k = _count(k, "active-variable count", low=0)
     try:
         return _FAMILIES[model.family].log_cost(model, k)
     except OverflowError:
@@ -244,14 +234,15 @@ def complexity_curve(
     ``n[0] = 1``), a log bound and ``m2``.  Each point is priced once by
     :func:`_price` and checked by :func:`_within_bound`, as ``price_plan``.
 
+    The kernel's ``zero_mean`` (:class:`activevars.KernelSpec`) picks it.
     For korobov and custom spectra the algorithm keeps every tensor
     eigenvalue above ``(eps/sqrt(C))^2``; under embedded-norm orthogonality
     its priced cost *is* the information complexity.  It is checked
     against the closed-form bound
     ``$(m2) e^{L(tau) d^{1-tau}} / (eps/sqrt(C))^{2 tau}``.
 
-    For the wiener kernel, whose embedded norms are not orthogonal across
-    subsets, the grid carries the changing-dimension plan,
+    For the wiener kernel (``zero_mean`` False), whose embedded norms are not
+    orthogonal across subsets, the grid carries the changing-dimension plan,
     ``n = [1, n_1, ..., n_m1]``, priced and checked against its budget as
     :func:`activevars.cda.price_plan` does, which raises
     :class:`CertificationError` on a cost past it.  Its cost upper-bounds
@@ -279,8 +270,8 @@ def complexity_curve(
     d_grid = tuple(sorted(_count(d, "d") for d in d_grid))
     tau = _exponent(tau)
     ltau = power_sum(spectrum, tau)
-    wiener = spectrum.kind == "wiener"
-    if wiener and c_const != 1.0:
+    by_plan = spectrum.kernel.zero_mean is False
+    if by_plan and c_const != 1.0:
         raise InvalidConfigurationError(
             "the wiener grid prices the changing-dimension plan, which splits eps "
             f"itself: c_const must be 1, not {c_const}"
@@ -297,10 +288,10 @@ def complexity_curve(
         return n, _log_term_bound(eps_eff, d, ltau, tau, log_eval_cost(model, m2)), m2
 
     algorithm, reason, verdict = spectral, "", _within_bound
-    if wiener:
+    if by_plan:
         algorithm, reason, verdict = changing_dimension, "cda-upper-bound", _certified
     points: list[GridPoint] = []
-    flags: list[str] = ["comp values are cda upper bounds"] if wiener else []
+    flags: list[str] = ["comp values are cda upper bounds"] if by_plan else []
     for d in d_grid:
         for eps in eps_grid:
             try:

@@ -13,7 +13,7 @@ from .errors import (
 )
 from . import space
 from .space import AnovaFunction, eval_pointwise, h_norm
-from .spectrum import Spectrum, _count, _integers
+from .spectrum import Spectrum, _count
 from .truncation import factorial_majorant
 
 __all__ = [
@@ -116,9 +116,7 @@ def random_function(
     """
     d = _count(d, "d")
     sparsity, max_index = _count(sparsity, "sparsity"), _count(max_index, "max_index")
-    (max_card,) = _integers((min(d, 5) if max_card is None else max_card,), "max_card")
-    if not 1 <= max_card <= d:
-        raise InvalidArgumentError("max_card must lie in [1, d]")
+    max_card = _count(min(d, 5) if max_card is None else max_card, "max_card", high=d)
     rng = np.random.default_rng(seed)
     subsets: set[tuple[int, ...]] = set()
     attempts = 0
@@ -177,9 +175,7 @@ def mc_l2_error(
     UnsupportedScaleError
         If the run would exceed 10^9 term-point products.
     """
-    (samples,) = _integers((samples,), "samples")
-    if samples < 2:
-        raise InvalidArgumentError("samples must be at least 2")
+    samples = _count(samples, "samples", low=2)
     if f.d != approx.d:
         raise InvalidArgumentError("functions live in different dimensions")
     diff = _difference(f, approx)

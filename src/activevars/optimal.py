@@ -28,7 +28,6 @@ from .errors import (
     EnumerationCapError,
     InvalidConfigurationError,
     TailCertificateError,
-    UnsupportedScaleError,
 )
 from .spectrum import (
     Spectrum,
@@ -36,6 +35,7 @@ from .spectrum import (
     _count,
     _demand,
     _exp_or_inf,
+    _exp_or_raise,
     _finite_positive,
     _table_product,
     partial_power_sum,
@@ -153,20 +153,17 @@ class TensorEigenStream:
 
     # -- certification -------------------------------------------------
 
-    @property
-    def certified_above(self) -> float:
-        """Enumeration is exact for all values strictly above this threshold."""
-        if self.spectrum.is_finite:
-            return 0.0
-        return self.spectrum.eigenvalue(self._max_index + 1) * self._inv_d
-
     def require_certified(self, epsilon: float) -> None:
         """Fail fast when counting down to ``epsilon^2`` is not certified.
 
-        ``epsilon`` is a finite positive real.
+        Enumeration is exact for every value strictly above
+        ``lambda_{N+1} / d`` (above 0 for a finite spectrum).  ``epsilon`` is
+        a finite positive real.
         """
         epsilon = _finite_positive(epsilon, "epsilon")
-        thr = self.certified_above
+        thr = 0.0
+        if not self.spectrum.is_finite:
+            thr = self.spectrum.eigenvalue(self._max_index + 1) * self._inv_d
         if epsilon * epsilon < thr:
             raise TailCertificateError(
                 f"demand eps^2={epsilon * epsilon:.3e} falls below the tail "
@@ -568,11 +565,12 @@ def optimal_algorithm(
     Raises
     ------
     InvalidConfigurationError
-        For the wiener kernel, whose embedded norms are not orthogonal
-        across subsets (the construction would not be optimal there).
+        For a kernel whose ``KernelSpec.zero_mean`` is ``False`` (wiener):
+        its embedded norms are not orthogonal across subsets, so the
+        construction would not be optimal there.  Custom spectra are taken.
     """
     epsilon, c_const = _demand(epsilon, closed=True), _constant(c_const)
-    if spectrum.kind == "wiener":
+    if spectrum.kernel.zero_mean is False:
         raise InvalidConfigurationError(
             "the spectral algorithm is optimal only for kernels whose "
             "embedded norms decompose orthogonally (zero-mean kernels)"
@@ -645,7 +643,7 @@ def eigenvalue_decay_bound(d: int, k: int, spectrum: Spectrum, tau: float) -> fl
     :class:`UnsupportedScaleError`.
     """
     d, k = _count(d, "d"), _count(k, "k")
-    bound = _exp_or_inf((power_sum(spectrum, tau) * d ** (1.0 - tau) - math.log(k)) / tau)
-    if bound == math.inf:
-        raise UnsupportedScaleError(f"the decay bound exceeds double range at tau = {tau}")
-    return bound
+    return _exp_or_raise(
+        (power_sum(spectrum, tau) * d ** (1.0 - tau) - math.log(k)) / tau,
+        f"the decay bound exceeds double range at tau = {tau}",
+    )

@@ -29,13 +29,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidConfigurationError, UnsupportedScaleError
+from .errors import InvalidArgumentError, InvalidConfigurationError
 from .spectrum import (
     _INT,
     EigenfunctionTable,
     Spectrum,
     _count,
     _exp_or_inf,
+    _exp_or_raise,
     _finite_positive,
     _fsum_or_inf,
     _integers,
@@ -202,10 +203,10 @@ def h_norm(f: AnovaFunction) -> float:
             log_parts.append(len(u) * log_d + math.log(ssq))
             parts.append(_exp_or_inf(log_parts[-1]))
     norm_sq = _fsum_or_inf(parts)
-    norm = math.sqrt(norm_sq) if norm_sq < math.inf else _exp_or_inf(0.5 * _logsumexp(log_parts))
-    if norm == math.inf:
-        raise UnsupportedScaleError(f"the norm exceeds double range at d = {f.d}")
-    return norm
+    if norm_sq < math.inf:
+        return math.sqrt(norm_sq)
+    msg = f"the norm exceeds double range at d = {f.d}"
+    return _exp_or_raise(0.5 * _logsumexp(log_parts), msg)
 
 
 def _term_g_sq(coeffs: Iterable[tuple[tuple[int, ...], float]], s: Spectrum, table) -> float:
@@ -245,10 +246,11 @@ def g_norm_exact(f: AnovaFunction, s: Spectrum, orthogonal: bool) -> GNormResult
     Raises
     ------
     InvalidConfigurationError
-        If ``orthogonal=True`` is requested for the wiener kernel, whose
-        eigenfunctions do not have zero mean.
+        If ``orthogonal=True`` is requested for a kernel whose
+        eigenfunctions do not have zero mean (``KernelSpec.zero_mean`` is
+        ``False``: wiener).
     """
-    if orthogonal and s.kind == "wiener":
+    if orthogonal and s.kernel.zero_mean is False:
         raise InvalidConfigurationError(
             "wiener eigenfunctions are not mean-free; cross-subset terms are "
             "not orthogonal in L2"
@@ -279,10 +281,8 @@ def embedding_norm_bound(d: int, c0sq: float) -> float:
     :class:`UnsupportedScaleError`.
     """
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    bound = _exp_or_inf(0.5 * d * math.log1p(c0sq / d))
-    if bound == math.inf:
-        raise UnsupportedScaleError(f"the embedding norm bound exceeds double range at d = {d}")
-    return bound
+    msg = f"the embedding norm bound exceeds double range at d = {d}"
+    return _exp_or_raise(0.5 * d * math.log1p(c0sq / d), msg)
 
 
 def embedding_norm_special(d: int, c0sq: float) -> float:
@@ -293,10 +293,8 @@ def embedding_norm_special(d: int, c0sq: float) -> float:
     :class:`UnsupportedScaleError`.
     """
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    at_d = _exp_or_inf(0.5 * d * (math.log(c0sq) - math.log(d)))
-    if at_d == math.inf:
-        raise UnsupportedScaleError(f"the embedding norm exceeds double range at d = {d}")
-    return max(1.0, at_d)
+    msg = f"the embedding norm exceeds double range at d = {d}"
+    return max(1.0, _exp_or_raise(0.5 * d * (math.log(c0sq) - math.log(d)), msg))
 
 
 def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:

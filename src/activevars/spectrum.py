@@ -116,6 +116,18 @@ class KernelSpec:
                 raise InvalidSpectrumError("custom eigenvalues must be nonincreasing")
             object.__setattr__(self, "eigenvalues", values)
 
+    @property
+    def zero_mean(self) -> bool | None:
+        """Whether the eigenfunctions have zero mean, making distinct subsets orthogonal.
+
+        ``True`` for korobov, ``False`` for wiener, ``None`` for custom (no
+        eigenfunctions).  Only ``True`` earns ``CdaApplier``'s exact
+        certificate, and only ``False`` refuses the spectral algorithm
+        (``complexity_curve`` prices the changing-dimension plan instead), so
+        custom keeps the triangle bound and the spectral algorithm.
+        """
+        return {"korobov": True, "wiener": False}.get(self.kind)
+
 
 # Input checks pass values whose types all fall in this set as they are.
 _INT = frozenset({int})
@@ -136,11 +148,16 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return tuple(map(int, items))
 
 
-def _count(n, what: str = "n_eigenvalues") -> int:
-    """A count ``>= 1``, such as ``N`` or ``d``, as an ``int``; ``bool`` is not an integer here."""
+def _count(n, what: str = "n_eigenvalues", low: int = 1, high: int | None = None) -> int:
+    """An integer such as ``N`` or ``d`` in ``[low, high]`` as an ``int``; ``bool`` is not one.
+
+    The one rule for every integer range; a refusal names the range.
+    """
     (n,) = _integers((n,), what)
-    if n < 1:
-        raise InvalidArgumentError(f"{what} must be >= 1")
+    if high is not None and not low <= n <= high:
+        raise InvalidArgumentError(f"{what} must lie in [{low}, {high}]")
+    if n < low:
+        raise InvalidArgumentError(f"{what} must be at least {low}")
     return n
 
 
@@ -198,6 +215,14 @@ _LOG_MAX = math.log(sys.float_info.max)
 def _exp_or_inf(x: float) -> float:
     """``e^x`` for ``x <= _LOG_MAX`` (~709.78), else ``inf``; every log-space value leaves here."""
     return math.exp(x) if x <= _LOG_MAX else math.inf
+
+
+def _exp_or_raise(x: float, message: str) -> float:
+    """:func:`_exp_or_inf`, or an :class:`UnsupportedScaleError` of ``message`` for its ``inf``."""
+    value = _exp_or_inf(x)
+    if value == math.inf:
+        raise UnsupportedScaleError(message)
+    return value
 
 
 def _fsum_or_inf(values) -> float:
@@ -275,7 +300,9 @@ class Spectrum:
         (a custom list's length).  Sums over the spectrum use the first
         ``N`` terms plus an analytic tail correction where one exists.
     tail_bound : float
-        Certified upper bound on ``sum_{n > N} lambda_n`` (0 for custom).
+        ``sum_{n > N} lambda_n`` in closed form (0 for custom), rounded to
+        nearest: within a few ulps of the exact tail, on either side, so an
+        estimate and not a certificate.
     alpha : float
         Decay of the sequence: the supremum of ``t`` with
         ``sum lambda_n^{1/t} < infinity``.  ``inf`` for finite spectra.
@@ -316,21 +343,16 @@ class Spectrum:
                 raise InvalidArgumentError(
                     f"a custom spectrum's N is its length {len(spec.eigenvalues)}, not {n}"
                 )
-            table, tail, alpha = array("d", spec.eigenvalues), 0.0, math.inf
+            table, alpha = array("d", spec.eigenvalues), math.inf
         else:
             table = array("d", self._closed_form(range(1, n + 1)))
             if not table[-1] > 0.0:
                 raise UnsupportedScaleError(f"lambda_{n} underflows to zero; use a smaller N")
-        if spec.kind == "wiener":
-            # Tail of sum 4/((2n-1)^2 pi^2) in closed form via the trigamma
-            # function: sum_{n>N} (2n-1)^{-2} = psi'(N + 1/2) / 4.
-            tail, alpha = _hurwitz_zeta(2.0, n + 0.5) / math.pi**2, 2.0
-        elif spec.kind == "korobov":
-            tail, alpha = _korobov_power_tail(spec.r, 1.0, n), 2.0 * spec.r
+            alpha = 2.0 * spec.r if spec.kind == "korobov" else 2.0
         c0sq = 0.5 if self.c0sq_mode == "paper_bound" else table[0]
         object.__setattr__(self, "n_eigenvalues", n)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "tail_bound", tail)
+        object.__setattr__(self, "tail_bound", _power_tail(spec, 1.0, n))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "c0sq", c0sq)
 
@@ -380,7 +402,7 @@ class Spectrum:
         """``indices``, all outside ``1..N``, once the closed form may take them."""
         if min(indices) < 1:
             raise InvalidArgumentError("eigenvalue index is 1-based")
-        if self.kind == "custom":
+        if self.is_finite:
             raise InvalidArgumentError(
                 f"custom spectrum has only {self.n_eigenvalues} eigenvalues"
             )
@@ -509,15 +531,20 @@ def _hurwitz_zeta(s: float, q: float) -> float:
     return total
 
 
-def _korobov_power_tail(r: float, tau: float, n: int) -> float:
-    """Closed-form ``sum_{m > n} lambda_m^tau`` for the flattened korobov sequence.
+def _power_tail(kernel: KernelSpec, tau: float, n: int) -> float:
+    """Closed-form ``sum_{m > n} lambda_m^tau``: ``power_sum`` adds it; ``tail_bound`` is tau = 1.
 
-    The flattened sequence pairs up frequencies, so the tail after ``n``
-    terms is a Hurwitz zeta value, plus half a pair when ``n`` is odd.
-    The zeta value comes from :func:`_hurwitz_zeta`, the same bits as
-    ``scipy.special.zeta`` (``TestHurwitzZeta`` in ``tests/test_spectrum.py``).
+    0 for custom.  wiener's ``lambda_m^tau = pi^(-2 tau) (m - 1/2)^(-2 tau)``
+    sums to ``pi^(-2 tau) zeta(2 tau, n + 1/2)``; korobov's flattened
+    sequence pairs up frequencies, so its tail is a zeta value, plus half a
+    pair when ``n`` is odd.  The zeta values are :func:`_hurwitz_zeta`'s,
+    the bits of ``scipy.special.zeta``; the result is rounded to nearest.
     """
-    s = 2.0 * r * tau
+    if kernel.kind == "custom":
+        return 0.0
+    if kernel.kind == "wiener":
+        return math.pi ** (-2.0 * tau) * _hurwitz_zeta(2.0 * tau, n + 0.5)
+    s = 2.0 * kernel.r * tau
     k, odd = divmod(n, 2)
     base = (2.0 * math.pi) ** (-s)
     if odd:
@@ -550,13 +577,10 @@ def partial_power_sum(s: Spectrum, tau: float) -> float:
 def power_sum(s: Spectrum, tau: float) -> float:
     """The tau-th power sum ``L(tau) = sum_n lambda_n^tau`` of the spectrum.
 
-    For the analytic kernels the result is the compensated partial sum over
-    the retained eigenvalues plus the exact closed-form tail, so it agrees
-    with the infinite series to machine precision.  The tail is a Hurwitz
-    zeta value from :func:`_hurwitz_zeta`, a port of the routine behind
-    ``scipy.special.zeta`` that gives its bits (``TestHurwitzZeta`` in
-    ``tests/test_spectrum.py``).  For custom spectra it is the plain
-    (compensated) finite sum.
+    The compensated partial sum over the retained eigenvalues plus the one
+    closed-form tail past ``N``, :func:`_power_tail` (0 for custom spectra),
+    so for the analytic kernels it agrees with the infinite series to
+    machine precision.
 
     Raises
     ------
@@ -571,15 +595,7 @@ def power_sum(s: Spectrum, tau: float) -> float:
         raise DivergenceError(
             f"power sum diverges for tau={tau} <= 1/alpha={1.0 / s.alpha}"
         )
-    partial = partial_power_sum(s, tau)
-    if s.kind == "wiener":
-        # lambda_n^tau = (4/pi^2)^tau (2n-1)^{-2 tau}; the tail collapses to
-        # pi^{-2 tau} * zeta(2 tau, N + 1/2).
-        tail = math.pi ** (-2.0 * tau) * _hurwitz_zeta(2.0 * tau, s.n_eigenvalues + 0.5)
-        return partial + tail
-    if s.kind == "korobov":
-        return partial + _korobov_power_tail(s.r, tau, s.n_eigenvalues)
-    return partial
+    return partial_power_sum(s, tau) + _power_tail(s.kernel, tau, s.n_eigenvalues)
 
 
 def _outside_unit_interval(x: np.ndarray) -> bool:

@@ -15,15 +15,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidArgumentError, UnsupportedScaleError
+from .errors import UnsupportedScaleError
 from .spectrum import (
     _constant,
     _count,
     _demand,
     _exp_or_inf,
+    _exp_or_raise,
     _finite_positive,
     _fsum_or_inf,
-    _integers,
 )
 
 __all__ = [
@@ -74,9 +74,7 @@ def binomial_tail(d: int, m: int, c0sq: float) -> float:
     positive real; ``bool`` is neither.
     """
     d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    (m,) = _integers((m,), "m")
-    if not 0 <= m <= d:
-        raise InvalidArgumentError(f"need 0 <= m <= d, got m={m}, d={d}")
+    m = _count(m, "m", low=0, high=d)
     return _fsum_or_inf(_tail_terms(d, c0sq)[m:])
 
 
@@ -215,7 +213,6 @@ def orthogonal_level_bound(epsilon: float, lambda11: float, delta: float) -> flo
     """
     epsilon = _demand(epsilon)
     lambda11, delta = _finite_positive(lambda11, "lambda11"), _finite_positive(delta, "delta")
-    bound = max(_exp_or_inf(math.log(lambda11) + 1.0 / delta), -2.0 * delta * math.log(epsilon))
-    if bound == math.inf:
-        raise UnsupportedScaleError(f"the level bound exceeds double range at delta = {delta}")
-    return bound
+    msg = f"the level bound exceeds double range at delta = {delta}"
+    scale = _exp_or_raise(math.log(lambda11) + 1.0 / delta, msg)
+    return max(scale, -2.0 * delta * math.log(epsilon))

@@ -61,6 +61,24 @@ def mp_hurwitz_zeta(s: float, q: float) -> float:
         return float(mp.zeta(s, q))
 
 
+def mp_first_tail(kind: str, n: int):
+    """``sum_{m > n} lambda_m`` for wiener or korobov ``r = 1`` at 40 digits, as an mpf.
+
+    Through mpmath's trigamma ``psi'(q) = sum_{i >= 0} (q + i)^(-2)``, not
+    its Hurwitz zeta: wiener ``psi'(n + 1/2) / pi^2``; korobov, whose
+    flattened sequence holds ``(2 pi k)^(-2)`` twice, ``2 psi'(k + 1) /
+    (4 pi^2)`` past ``n = 2k``, plus the second ``(2 pi (k + 1))^(-2)`` past
+    ``n = 2k + 1``.
+    """
+    with mp.workdps(40):
+        if kind == "wiener":
+            return mp.psi(1, mp.mpf(n) + mp.mpf(0.5)) / mp.pi**2
+        k, odd = divmod(n, 2)
+        four_pi_sq = 4 * mp.pi**2
+        tail = 2 * mp.psi(1, k + 1 + odd) / four_pi_sq
+        return tail + 1 / (four_pi_sq * (k + 1) ** 2) if odd else tail
+
+
 def mp_unscaled_eigenfunction(kind: str, n: int, x: float) -> float:
     """``zeta_n(x) / sqrt(2 lambda_n)`` at 40 digits, rounded to the nearest double.
 

@@ -12,6 +12,7 @@ are Python or numpy integers, and ``bool`` is not one; ``c0sq``, ``lambda11``,
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,13 +141,34 @@ LISTED = {
     "CostModel(family='exponential', q='1')": lambda: CostModel(family="exponential", q="1"),
     "mc_l2_error(f, approx, s, samples=2.5)": lambda: mc_l2_error(F, ZERO, S, samples=2.5),
     "random_function(2.5, s, seed=1)": lambda: random_function(2.5, S, seed=1),
+    # Integers outside their range; RANGE holds the range each message names.
+    "build_plan(0.1, 3, s, level=4)": lambda: build_plan(0.1, 3, S, level=4),
+    "binomial_tail(5, -1, 0.5)": lambda: binomial_tail(5, -1, 0.5),
+    "binomial_tail(5, 6, 0.5)": lambda: binomial_tail(5, 6, 0.5),
+    "random_function(3, s, seed=1, max_card=0)": (
+        lambda: random_function(3, S, seed=1, max_card=0)
+    ),
+    "random_function(3, s, seed=1, max_card=4)": (
+        lambda: random_function(3, S, seed=1, max_card=4)
+    ),
+    "mc_l2_error(f, approx, s, samples=1)": lambda: mc_l2_error(F, ZERO, S, samples=1),
+    "eval_cost(m, -1)": lambda: eval_cost(EXP, -1),
+}
+RANGE = {
+    "build_plan(0.1, 3, s, level=4)": "level must lie in [0, 3]",
+    "binomial_tail(5, -1, 0.5)": "m must lie in [0, 5]",
+    "binomial_tail(5, 6, 0.5)": "m must lie in [0, 5]",
+    "random_function(3, s, seed=1, max_card=0)": "max_card must lie in [1, 3]",
+    "random_function(3, s, seed=1, max_card=4)": "max_card must lie in [1, 3]",
+    "mc_l2_error(f, approx, s, samples=1)": "samples must be at least 2",
+    "eval_cost(m, -1)": "active-variable count must be at least 0",
 }
 
 
 @pytest.mark.parametrize("call", LISTED)
 def test_listed_inputs_are_refused(call):
     error = InvalidModelError if call.startswith("CostModel") else InvalidArgumentError
-    with pytest.raises(error):
+    with pytest.raises(error, match=re.escape(RANGE[call]) if call in RANGE else None):
         LISTED[call]()
 
 

@@ -1,5 +1,6 @@
 """The public surface: every exported name exists, the package exports what it
-imports, and no module imports a name it neither uses nor exports."""
+imports, no module imports a name it neither uses nor exports, and the
+algorithm modules compare no kernel kind."""
 
 import ast
 import importlib
@@ -48,3 +49,26 @@ def test_no_module_imports_a_name_it_does_not_use(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - set(getattr(module, "__all__", ()))
     assert not unused, f"{module.__name__} imports {sorted(unused)} and never uses them"
+
+
+KERNEL_KINDS = {"wiener", "korobov", "custom"}
+
+
+@pytest.mark.parametrize("name", ["cda", "cost", "optimal", "space", "truncation"])
+def test_algorithm_modules_compare_no_kernel_kind(name):
+    # Subset orthogonality has one owner, KernelSpec.zero_mean.  A module
+    # that compared kind names would decide it again, and could decide a
+    # custom spectrum differently from the others.
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"activevars.{name}")))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            (isinstance(leaf, ast.Constant) and leaf.value in KERNEL_KINDS)
+            or (isinstance(leaf, ast.Attribute) and leaf.attr == "kind")
+            for operand in [node.left, *node.comparators]
+            for leaf in ast.walk(operand)
+        )
+    ]
+    assert not lines, f"activevars.{name} compares a kernel kind on lines {lines}"

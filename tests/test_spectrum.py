@@ -222,14 +222,15 @@ class TestBuildSpectrum:
         if kind == "custom":
             assert r is None
             assert table == [float(v) for v in values]
-            assert (s.tail_bound, s.alpha) == (0.0, math.inf)
+            assert (s.tail_bound, s.alpha, spec.zero_mean) == (0.0, math.inf, None)
         else:
             assert values is None and s.n_eigenvalues == n
             assert 0.0 <= s.tail_bound < math.inf
         if kind == "wiener":
-            assert r is None and s.alpha == 2.0
+            assert r is None and s.alpha == 2.0 and spec.zero_mean is False
         if kind == "korobov":
             assert 0.5 < s.r < math.inf and s.r == float(r) and s.alpha == 2.0 * s.r
+            assert spec.zero_mean is True
 
     def test_integer_like_inputs_are_accepted(self):
         assert build_spectrum(wiener_kernel(), np.int64(7)).n_eigenvalues == 7
@@ -392,6 +393,22 @@ class TestPowerSum:
         assert power_sum(build_spectrum(custom_kernel([1.0, 1.0, 0.5])), tau) == 2.0
         identity = power_sum_identity(3, korobov1, tau)
         assert (identity.lhs, identity.rhs, identity.log_rhs) == (1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "kernel", [wiener_kernel(), korobov_kernel(1.0)], ids=["wiener", "korobov1"]
+    )
+    def test_tail_bound_is_within_4_ulps_of_40_digit_values(self, kernel):
+        # tail_bound is the closed form rounded to nearest, on either side of
+        # the exact tail, and power_sum adds the same tail.  The worst N of
+        # a 291-point sample up to 4e4 was 2.4 ulps (wiener) and 2.9
+        # (korobov).
+        rng = np.random.default_rng(19)
+        ns = list(range(1, 21)) + rng.integers(21, 40_001, 20).tolist() + [10_000, 40_000]
+        for n in ns:
+            s = build_spectrum(kernel, n)
+            exact = oracles.mp_first_tail(kernel.kind, n)
+            assert abs(s.tail_bound - exact) <= 4 * math.ulp(float(exact)), n
+            assert power_sum(s, 1.0) == partial_power_sum(s, 1.0) + s.tail_bound, n
 
     def test_trace_partial_sum_convergence(self, wiener):
         n = 100_000
