@@ -101,22 +101,18 @@ def random_function(
     d: int,
     spectrum: Spectrum,
     seed: int,
-    sparsity: int = 6,
-    max_card: int | None = None,
     max_index: int = 8,
 ) -> AnovaFunction:
     """Seeded sparse function with unit weighted norm.
 
-    Draws ``sparsity`` distinct subsets of size up to ``max_card`` (default
-    ``min(d, 5)``), a handful of coefficients on each at indices up to
-    ``max_index``, then rescales everything to ``h_norm == 1``.  The same
-    seed always reproduces the same coefficient map.  ``d``, ``sparsity``,
-    ``max_card`` and ``max_index`` are Python or numpy integers ``>= 1``
-    (``bool`` not).
+    Draws 6 distinct subsets of size up to ``min(d, 5)``, a handful of
+    coefficients on each at indices up to ``max_index``, then rescales
+    everything to ``h_norm == 1``.  The same seed always reproduces the
+    same coefficient map.  ``d`` and ``max_index`` are Python or numpy
+    integers ``>= 1`` (``bool`` not).
     """
-    d = _count(d, "d")
-    sparsity, max_index = _count(sparsity, "sparsity"), _count(max_index, "max_index")
-    max_card = _count(min(d, 5) if max_card is None else max_card, "max_card", high=d)
+    d, max_index = _count(d, "d"), _count(max_index, "max_index")
+    sparsity, max_card = 6, min(d, 5)
     rng = np.random.default_rng(seed)
     subsets: set[tuple[int, ...]] = set()
     attempts = 0

@@ -60,28 +60,32 @@ __all__ = [
 class EigenEntry:
     """One enumerated label: a canonical index multiset and its weight.
 
-    ``indices`` is the nondecreasing tuple of univariate eigenvalue indices
-    (so the eigenvalue factors are nonincreasing); ``multiplicity`` counts
-    the subset choices times the ordered arrangements of the multiset.
+    ``indices``, the label, is the nondecreasing tuple of univariate
+    eigenvalue indices (so the eigenvalue factors are nonincreasing), and
+    ``cardinality`` its length; ``multiplicity`` counts the subset choices
+    times the ordered arrangements of the multiset.
     """
 
     value: float
-    cardinality: int
     indices: tuple[int, ...]
     multiplicity: int
 
     @property
-    def label(self) -> tuple[int, tuple[int, ...]]:
-        return (self.cardinality, self.indices)
+    def cardinality(self) -> int:
+        return len(self.indices)
 
 
 @dataclass(frozen=True)
 class DistinctEigenvalue:
-    """A distinct eigenvalue with its total multiplicity across labels."""
+    """A distinct eigenvalue with its total multiplicity across labels.
+
+    ``labels`` holds the sorted index tuples that share the value, in the
+    stream's order.
+    """
 
     value: float
     multiplicity: int
-    labels: tuple[tuple[int, tuple[int, ...]], ...]
+    labels: tuple[tuple[int, ...], ...]
 
 
 ENUMERATION_CAP = 2_000_000
@@ -117,8 +121,8 @@ class TensorEigenStream:
 
     The stream is a stateful single-consumer iterator; concurrent sweeps
     should each build their own instance (construction is cheap).  Distinct
-    labels with equal values are emitted in lexicographic label order; use
-    :meth:`next_eigenvalue` to merge them into per-value totals.
+    labels with equal values are emitted by cardinality, then by index
+    tuple; use :meth:`next_eigenvalue` to merge them into per-value totals.
 
     For truncated infinite spectra the enumeration is exact for every value
     above ``lambda_{N+1} / d``; :meth:`require_certified` turns a demand
@@ -146,7 +150,7 @@ class TensorEigenStream:
         self._inv_d = 1.0 / d
         self._max_index = spectrum.n_eigenvalues
         self._heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, ())]
-        self._seen: set[tuple[int, tuple[int, ...]]] = {(0, ())}
+        self._seen: set[tuple[int, ...]] = {()}
         self._last_value = math.inf
         # Value of the first entry :meth:`above` stopped at (0 until one is).
         self.first_excluded = 0.0
@@ -173,22 +177,21 @@ class TensorEigenStream:
 
     # -- enumeration -----------------------------------------------------
 
-    def _push(self, cardinality: int, indices: tuple[int, ...]) -> None:
-        key = (cardinality, indices)
-        if key in self._seen:
+    def _push(self, indices: tuple[int, ...]) -> None:
+        if indices in self._seen:
             return
         if len(self._seen) >= ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"the stream would visit more than {ENUMERATION_CAP} labels, the "
                 "enumeration cap: every visited label stays in memory"
             )
-        self._seen.add(key)
+        self._seen.add(indices)
         # Canonical multiplication order (eigenvalues nonincreasing, then the
         # 1/d factors) keeps equal labels bit-identical across code paths.
         value = self.spectrum.eigen_product(indices)
         for _ in indices:
             value *= self._inv_d
-        heapq.heappush(self._heap, (-value, cardinality, indices))
+        heapq.heappush(self._heap, (-value, len(indices), indices))
 
     def __iter__(self) -> Iterator[EigenEntry]:
         return self
@@ -205,19 +208,14 @@ class TensorEigenStream:
                 pos == cardinality - 1 or indices[pos] < indices[pos + 1]
             ):
                 bumped = indices[:pos] + (indices[pos] + 1,) + indices[pos + 1 :]
-                self._push(cardinality, bumped)
+                self._push(bumped)
         if cardinality < self.d:
-            self._push(cardinality + 1, (1,) + indices)
+            self._push((1,) + indices)
         if value > self._last_value * (1.0 + 1e-12):  # pragma: no cover
             raise CertificationError("eigenvalue stream emitted an increasing value")
         self._last_value = value
         multiplicity = math.comb(self.d, cardinality) * arrangement_count(indices)
-        return EigenEntry(
-            value=value,
-            cardinality=cardinality,
-            indices=indices,
-            multiplicity=multiplicity,
-        )
+        return EigenEntry(value=value, indices=indices, multiplicity=multiplicity)
 
     def above(self, epsilon: float) -> Iterator[EigenEntry]:
         """Entries with value strictly above ``epsilon^2``, largest first.
@@ -246,11 +244,11 @@ class TensorEigenStream:
             When the (finite) stream is exhausted.
         """
         first = next(self)
-        labels = [first.label]
+        labels = [first.indices]
         total = first.multiplicity
         while self._heap and -self._heap[0][0] == first.value:
             entry = next(self)
-            labels.append(entry.label)
+            labels.append(entry.indices)
             total += entry.multiplicity
         return DistinctEigenvalue(
             value=first.value, multiplicity=total, labels=tuple(labels)

@@ -423,11 +423,9 @@ class Spectrum:
             v *= self.eigenvalue(i)
         return v
 
-    def leading(self, count: int | None = None) -> np.ndarray:
-        """First ``count`` eigenvalues as an array (default: all retained)."""
-        if count is None:
-            count = self.n_eigenvalues
-        return np.atleast_1d(self.eigenvalue(np.arange(1, count + 1)))
+    def leading(self) -> np.ndarray:
+        """The ``N`` retained eigenvalues as an array."""
+        return np.atleast_1d(self.eigenvalue(np.arange(1, self.n_eigenvalues + 1)))
 
     @property
     def is_finite(self) -> bool:

@@ -209,15 +209,13 @@ def exhaustive_cardinality_counts(d: int, lams, threshold: float) -> list[int]:
     return counts
 
 
-def exhaustive_label_multiplicities(
-    d: int, lams
-) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Label -> multiplicity map by brute force (1-based sorted index tuples)."""
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
+def exhaustive_label_multiplicities(d: int, lams) -> dict[tuple[int, ...], int]:
+    """Label -> multiplicity map by brute force; a label is a 1-based sorted index tuple."""
+    out: dict[tuple[int, ...], int] = {}
     for card in range(d + 1):
         for _subset in combinations(range(d), card):
             for assignment in product(range(1, len(lams) + 1), repeat=card):
-                key = (card, tuple(sorted(assignment)))
+                key = tuple(sorted(assignment))
                 out[key] = out.get(key, 0) + 1
     return out
 

@@ -119,9 +119,6 @@ LISTED = {
     "CostModel(family='constant', q=2)": lambda: CostModel(family="constant", q=2),
     "eval_cost(m, 1.5)": lambda: eval_cost(EXP, 1.5),
     "eval_cost(m, True)": lambda: eval_cost(EXP, True),
-    "random_function(3, s, seed=1, sparsity=2.5)": (
-        lambda: random_function(3, S, seed=1, sparsity=2.5)
-    ),
     # Misleading typed errors.
     "optimal_algorithm(0.1, 3, s, c_const=inf)": (
         lambda: optimal_algorithm(0.1, 3, S, c_const=inf)
@@ -145,12 +142,6 @@ LISTED = {
     "build_plan(0.1, 3, s, level=4)": lambda: build_plan(0.1, 3, S, level=4),
     "binomial_tail(5, -1, 0.5)": lambda: binomial_tail(5, -1, 0.5),
     "binomial_tail(5, 6, 0.5)": lambda: binomial_tail(5, 6, 0.5),
-    "random_function(3, s, seed=1, max_card=0)": (
-        lambda: random_function(3, S, seed=1, max_card=0)
-    ),
-    "random_function(3, s, seed=1, max_card=4)": (
-        lambda: random_function(3, S, seed=1, max_card=4)
-    ),
     "mc_l2_error(f, approx, s, samples=1)": lambda: mc_l2_error(F, ZERO, S, samples=1),
     "eval_cost(m, -1)": lambda: eval_cost(EXP, -1),
 }
@@ -158,8 +149,6 @@ RANGE = {
     "build_plan(0.1, 3, s, level=4)": "level must lie in [0, 3]",
     "binomial_tail(5, -1, 0.5)": "m must lie in [0, 5]",
     "binomial_tail(5, 6, 0.5)": "m must lie in [0, 5]",
-    "random_function(3, s, seed=1, max_card=0)": "max_card must lie in [1, 3]",
-    "random_function(3, s, seed=1, max_card=4)": "max_card must lie in [1, 3]",
     "mc_l2_error(f, approx, s, samples=1)": "samples must be at least 2",
     "eval_cost(m, -1)": "active-variable count must be at least 0",
 }
@@ -279,9 +268,7 @@ SCALAR_ENTRY_POINTS = {
     "eval_cost": (lambda k=2: eval_cost(EXP, k)),
     "log_eval_cost": (lambda k=2: log_eval_cost(EXP, k)),
     "random_function": (
-        lambda d=3, sparsity=2, max_card=2, max_index=3: random_function(
-            d, S, seed=1, sparsity=sparsity, max_card=max_card, max_index=max_index
-        )
+        lambda d=3, max_index=3: random_function(d, S, seed=1, max_index=max_index)
     ),
     "mc_l2_error": (lambda samples=100: mc_l2_error(F, ZERO, S, samples=samples)),
 }
@@ -295,8 +282,6 @@ KIND = {
     "delta": "positive",
     "d_entry": "count",
     "d": "count",
-    "sparsity": "count",
-    "max_card": "count",
     "max_index": "count",
     "samples": "count",
     "k": "k",
@@ -375,7 +360,7 @@ def test_numpy_demands_constants_and_costs_are_stored_as_python_numbers():
     assert list(TensorEigenStream(2, CUSTOM).above(np.float32(0.5))) == list(
         TensorEigenStream(2, CUSTOM).above(0.5)
     )
-    assert random_function(np.int64(3), S, seed=1, sparsity=np.int8(2), max_index=np.int16(3)) == (
-        random_function(3, S, seed=1, sparsity=2, max_index=3)
+    assert random_function(np.int64(3), S, seed=1, max_index=np.int16(3)) == (
+        random_function(3, S, seed=1, max_index=3)
     )
     assert mc_l2_error(F, ZERO, S, samples=np.int64(100)) == mc_l2_error(F, ZERO, S, samples=100)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activevars import (
@@ -58,14 +58,14 @@ class TestStream:
             (0.00390625, 1),
         ]
         # the merged value 0.0625 combines a deep index with a pair of low ones
-        assert got[2].labels == ((1, (2,)), (2, (1, 1)))
+        assert got[2].labels == ((2,), (1, 1))
 
     def test_first_value_is_always_one(self, custom_quad, korobov1):
         for d in (1, 2, 7):
             for s in (custom_quad, korobov1):
                 entry = next(TensorEigenStream(d, s))
                 assert entry.value == 1.0
-                assert entry.label == (0, ())
+                assert entry.indices == () and entry.cardinality == 0
                 assert entry.multiplicity == 1
 
     def test_d1_stream_is_the_univariate_sequence(self, custom_quad):
@@ -88,12 +88,21 @@ class TestStream:
         assert got == oracles.exhaustive_tensor_values(d, lams)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_label_multiplicities_match_brute_force(self, d, custom_quad):
-        lams = list(custom_quad.leading())
+    @given(values=st.lists(st.sampled_from(("d", 1.0, 0.5, 0.25, 0.125)), min_size=1, max_size=4))
+    @example(values=[0.5, 0.25, 0.125, 0.0625])
+    @settings(max_examples=40, deadline=None)
+    def test_label_multiplicities_match_brute_force(self, d, values):
+        # Powers of two tie products across labels, repeated values tie
+        # labels of one cardinality, and lambda_1 = d ("d") gives a label's
+        # extension by index 1 its parent's value: the seen-set must still
+        # visit each label once.
+        lams = sorted((d if v == "d" else v for v in values), reverse=True)
+        s = build_spectrum(custom_kernel(lams))
         want = oracles.exhaustive_label_multiplicities(d, lams)
         got = {}
-        for entry in TensorEigenStream(d, custom_quad):
-            got[entry.label] = got.get(entry.label, 0) + entry.multiplicity
+        for entry in TensorEigenStream(d, s):
+            assert entry.indices not in got
+            got[entry.indices] = entry.multiplicity
         assert got == want
 
     def test_multiplicity_conservation(self, custom_quad):
@@ -104,10 +113,14 @@ class TestStream:
                 math.comb(d, l) * n**l for l in range(d + 1)
             )
 
-    def test_equal_values_emitted_in_lexicographic_label_order(self, custom_pair):
-        stream = TensorEigenStream(2, custom_pair)
-        labels = [e.label for e in stream]
-        assert labels.index((1, (2,))) < labels.index((2, (1, 1)))
+    def test_equal_values_emitted_by_cardinality_then_indices(self, custom_pair):
+        entries = list(TensorEigenStream(2, custom_pair))
+        labels = [e.indices for e in entries]
+        # Plain tuple order would put (1, 1) first.
+        assert labels.index((2,)) < labels.index((1, 1))
+        for a, b in zip(entries, entries[1:]):
+            if a.value == b.value:
+                assert (a.cardinality, a.indices) < (b.cardinality, b.indices)
 
     @given(
         d=st.integers(1, 3),

@@ -322,7 +322,7 @@ class TestTruncationCorrectness:
             for eps in (0.3, 0.05, 0.01):
                 d = 6
                 level = truncation_level(eps, d, korobov1.c0sq).level
-                f = random_function(d, korobov1, seed=seed, sparsity=8, max_card=d)
+                f = random_function(d, korobov1, seed=seed)
                 tail_terms = {u: c for u, c in f.terms.items() if len(u) > level}
                 if not tail_terms:
                     continue
