@@ -14,7 +14,6 @@ from .cda import (
     CdaPlan,
     build_plan,
     price_plan,
-    r_growth_bounds,
 )
 from .cost import (
     ComplexityReport,
@@ -26,7 +25,6 @@ from .cost import (
 from .errors import ActiveVarsError, EnumerationCapError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
-    majorant_table,
     mc_l2_error,
     mean_function,
     random_function,
@@ -35,15 +33,10 @@ from .harness import (
 )
 from .optimal import (
     TensorEigenStream,
-    eigencount,
-    eigenvalue_decay_bound,
     optimal_algorithm,
-    power_sum_identity,
 )
 from .space import (
     AnovaFunction,
-    embedding_norm_bound,
-    embedding_norm_special,
     eval_pointwise,
     g_norm_exact,
     h_norm,
@@ -63,7 +56,6 @@ from .truncation import (
     TruncationReport,
     binomial_tail,
     factorial_majorant,
-    orthogonal_level_bound,
     orthogonal_truncation_level,
     truncation_level,
 )
@@ -89,10 +81,6 @@ __all__ = [
     "build_spectrum",
     "complexity_curve",
     "custom_kernel",
-    "eigencount",
-    "eigenvalue_decay_bound",
-    "embedding_norm_bound",
-    "embedding_norm_special",
     "eval_cost",
     "eval_eigenfunction",
     "eval_pointwise",
@@ -100,16 +88,12 @@ __all__ = [
     "g_norm_exact",
     "h_norm",
     "korobov_kernel",
-    "majorant_table",
     "mc_l2_error",
     "mean_function",
     "optimal_algorithm",
-    "orthogonal_level_bound",
     "orthogonal_truncation_level",
     "power_sum",
-    "power_sum_identity",
     "price_plan",
-    "r_growth_bounds",
     "random_function",
     "single_subset_function",
     "spectrum_to_json",

@@ -48,8 +48,6 @@ __all__ = [
     "CdaPlan",
     "PlanRow",
     "build_plan",
-    "RGrowthBounds",
-    "r_growth_bounds",
     "ApplyResult",
     "CdaApplier",
     "PriceResult",
@@ -80,7 +78,8 @@ class CdaPlan:
     l_tau_value: float
 
     def row(self, cardinality: int) -> PlanRow:
-        return self.rows[cardinality - 1]
+        """The row of one cardinality, an integer in ``[1, level]``."""
+        return self.rows[_count(cardinality, "cardinality", 1, self.level) - 1]
 
 
 # The default exponent max(1, 1/alpha) + 0.1: every spectrum that constructs
@@ -152,44 +151,6 @@ def build_plan(
         ell_star=ell_star,
         rows=tuple(rows),
         l_tau_value=ltau,
-    )
-
-
-@dataclass(frozen=True)
-class RGrowthBounds:
-    """Growth certificates for ``R^{1+tau}``.
-
-    ``factorial_bound`` (``d^{m1} / ((m1-1)!)^{1+tau}``) applies when
-    ``d > m1^{1+tau}``; ``exponential_bound`` (``m1 e^{m1}``) otherwise.
-    ``certified`` states that ``r_power`` does not exceed the applicable
-    bound.
-    """
-
-    r_power: float
-    factorial_bound: float
-    exponential_bound: float
-    applicable: str
-    certified: bool
-
-
-def r_growth_bounds(plan: CdaPlan) -> RGrowthBounds:
-    """Evaluate both intermediate growth bounds and certify the applicable one."""
-    m1 = plan.level
-    tau = plan.tau
-    if m1 == 0:
-        return RGrowthBounds(0.0, 0.0, 0.0, "degenerate", True)
-    r_power = _exp_or_inf((1.0 + tau) * math.log(plan.big_r)) if plan.big_r > 0 else 0.0
-    factorial_bound = _exp_or_inf(m1 * math.log(plan.d) - (1.0 + tau) * math.lgamma(m1))
-    exponential_bound = m1 * _exp_or_inf(m1)
-    applicable = "factorial" if plan.d > m1 ** (1.0 + tau) else "exponential"
-    bound = factorial_bound if applicable == "factorial" else exponential_bound
-    certified = r_power < math.inf and r_power <= bound * (1.0 + 1e-12)
-    return RGrowthBounds(
-        r_power=r_power,
-        factorial_bound=factorial_bound,
-        exponential_bound=exponential_bound,
-        applicable=applicable,
-        certified=certified,
     )
 
 

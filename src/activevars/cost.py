@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     InsufficientDataError,
+    InvalidArgumentError,
     InvalidConfigurationError,
     InvalidModelError,
     TailCertificateError,
@@ -32,6 +33,7 @@ from .spectrum import (
     _demand,
     _exp_or_inf,
     _exponent,
+    _integers,
     _log_comb,
     _logsumexp,
     _real_tuple,
@@ -259,15 +261,18 @@ def complexity_curve(
     A point whose demand falls below the tail certificate is flagged and
     left out of the fits instead of failing the curve.
 
-    ``c_const`` is a finite real ``>= 1``, each demand a real in ``(0, 1)``,
-    each dimension an integer ``>= 1`` and ``tau`` a positive real; the
-    report's grids hold Python numbers.
+    ``c_const`` is a finite real ``>= 1``, both grids are sequences, each
+    demand a real in ``(0, 1)``, each dimension an integer ``>= 1`` and
+    ``tau`` a positive real; the report's grids hold Python numbers.
     """
     from .cda import _certified, _log_plan_bound, build_plan  # local: keeps modules acyclic
 
     c_const = _constant(c_const)
-    eps_grid = tuple(sorted(map(_demand, eps_grid), reverse=True))
-    d_grid = tuple(sorted(_count(d, "d") for d in d_grid))
+    eps_reals = _real_tuple(eps_grid)
+    if eps_reals is None:
+        raise InvalidArgumentError(f"eps_grid must be a sequence of reals, not {eps_grid!r}")
+    eps_grid = tuple(sorted(map(_demand, eps_reals), reverse=True))
+    d_grid = tuple(sorted(_count(d, "d") for d in _integers(d_grid, "d_grid")))
     tau = _exponent(tau)
     ltau = power_sum(spectrum, tau)
     by_plan = spectrum.kernel.zero_mean is False

@@ -13,12 +13,11 @@ from .errors import (
 )
 from . import space
 from .space import AnovaFunction, eval_pointwise, h_norm
-from .spectrum import Spectrum, _count
+from .spectrum import Spectrum, _count, _integers
 from .truncation import factorial_majorant
 
 __all__ = [
     "GOLDEN_MAJORANT_CEILINGS",
-    "majorant_table",
     "table_check",
     "mean_function",
     "single_subset_function",
@@ -43,22 +42,18 @@ MEAN_INDEX_BOUND = 768
 _MC_WORK_BUDGET = 10**9
 
 
-def majorant_table() -> list[tuple[int, int]]:
-    """``(q, ceil(M(10^-q)))`` rows for ``q = 1..10`` at ``C_0^2 = 1/2``.
+def table_check() -> tuple[list[tuple[int, int]], list[str]]:
+    """``(q, ceil(M(10^-q)))`` rows for ``q = 1..10`` at ``C_0^2 = 1/2``, and their diffs.
 
-    Uses the refined (geometric-factor) majorant, which is what the
+    The rows use the refined (geometric-factor) majorant, which is what the
     reference row was computed with; the plain factorial-equation root
     gives the same ceilings everywhere except ``q = 9`` (16 instead of 15).
+    Each diff names a row that differs from ``GOLDEN_MAJORANT_CEILINGS``.
     """
-    return [
+    rows = [
         (q, math.ceil(factorial_majorant(10.0**-q, 0.5, refined=True)))
         for q in range(1, 11)
     ]
-
-
-def table_check() -> tuple[list[tuple[int, int]], list[str]]:
-    """Recompute the majorant table and diff it against the golden row."""
-    rows = majorant_table()
     diffs = [
         f"q={q}: computed {got}, expected {want}"
         for (q, got), want in zip(rows, GOLDEN_MAJORANT_CEILINGS)
@@ -91,10 +86,16 @@ def mean_function(d: int, spectrum: Spectrum) -> AnovaFunction:
 def single_subset_function(
     d: int, u: tuple[int, ...], k: tuple[int, ...] = (), value: float = 1.0
 ) -> AnovaFunction:
-    """A single eigenbasis coefficient on subset ``u`` (the constant for ``u=()``)."""
+    """A single eigenbasis coefficient on subset ``u`` (the constant for ``u=()``).
+
+    ``k`` holds one Python or numpy integer index per coordinate of ``u``.
+    """
+    u, k = _integers(u, "u"), _integers(k, "k")
+    if len(k) != len(u):
+        raise InvalidArgumentError(f"k must hold one index per coordinate of u, not {k!r}")
     if not u:
         return AnovaFunction(d=d, constant=value)
-    return AnovaFunction(d=d, terms={tuple(u): {tuple(k): value}}, max_index=max(64, *k))
+    return AnovaFunction(d=d, terms={u: {k: value}}, max_index=max(64, *k))
 
 
 def random_function(

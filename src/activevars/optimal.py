@@ -34,12 +34,8 @@ from .spectrum import (
     _constant,
     _count,
     _demand,
-    _exp_or_inf,
-    _exp_or_raise,
     _finite_positive,
     _table_product,
-    partial_power_sum,
-    power_sum,
 )
 from .truncation import orthogonal_truncation_level
 
@@ -47,12 +43,8 @@ __all__ = [
     "EigenEntry",
     "DistinctEigenvalue",
     "TensorEigenStream",
-    "eigencount",
     "OptimalAlgorithm",
     "optimal_algorithm",
-    "PowerSumIdentity",
-    "power_sum_identity",
-    "eigenvalue_decay_bound",
 ]
 
 
@@ -253,18 +245,6 @@ class TensorEigenStream:
         return DistinctEigenvalue(
             value=first.value, multiplicity=total, labels=tuple(labels)
         )
-
-
-def eigencount(epsilon: float, d: int, spectrum: Spectrum) -> int:
-    """Number of tensor eigenvalues strictly greater than ``epsilon^2``.
-
-    Counts with multiplicity: :func:`_total_count` of the per-subset counts
-    of :func:`_cardinality_counts`.  The count is exact whenever the demand
-    is above the stream's tail certificate.  ``epsilon`` is a real in
-    ``(0, 1]``.
-    """
-    epsilon = _demand(epsilon, closed=True)
-    return _total_count(d, _cardinality_counts(epsilon, d, spectrum))
 
 
 def _total_count(d: int, n) -> int:
@@ -585,63 +565,4 @@ def optimal_algorithm(
         worst_case_error=math.sqrt(stream.first_excluded),
         max_act=max_act,
         m2_ceiling=_spectral_ceiling(eps_eff, d, spectrum.c0sq, max_act),
-    )
-
-
-@dataclass(frozen=True)
-class PowerSumIdentity:
-    """Both sides of ``sum_k lambda_{d,k}^tau = (1 + L(tau)/d^tau)^d``."""
-
-    lhs: float
-    rhs: float
-    log_rhs: float
-    exact: bool
-
-
-def power_sum_identity(d: int, spectrum: Spectrum, tau: float) -> PowerSumIdentity:
-    """Evaluate the tau-th power sum of the tensor spectrum both ways.
-
-    For a finite custom spectrum the left side is the exhaustive stream sum
-    ``sum multiplicity * value^tau`` and the identity is exact.  For a
-    truncated infinite spectrum full enumeration is unaffordable, so the
-    left side is the closed form over the retained eigenvalues only and the
-    result is flagged inexact (it omits the univariate tail that the right
-    side includes).
-
-    The right side ``(1 + L(tau)/d^tau)^d`` is evaluated in log space; its
-    logarithm is reported alongside since the value itself can overflow for
-    small ``tau`` and large ``d``.  Either side past double range is ``inf``.
-    """
-    d = _count(d, "d")
-    ltau = power_sum(spectrum, tau)
-    log_rhs = d * math.log1p(ltau * d ** (-tau))
-    rhs = _exp_or_inf(log_rhs)
-    if spectrum.is_finite:
-        n = spectrum.n_eigenvalues
-        n_labels = sum(math.comb(n + l - 1, l) for l in range(d + 1))
-        if n_labels > ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"{n_labels} labels exceed the enumeration cap of "
-                f"{ENUMERATION_CAP}: exhaustive enumeration keeps every label "
-                "in memory"
-            )
-        lhs = math.fsum(
-            entry.multiplicity * entry.value**tau for entry in TensorEigenStream(d, spectrum)
-        )
-        return PowerSumIdentity(lhs=lhs, rhs=rhs, log_rhs=log_rhs, exact=True)
-    partial = partial_power_sum(spectrum, tau)
-    lhs = _exp_or_inf(d * math.log1p(partial * d ** (-tau)))
-    return PowerSumIdentity(lhs=lhs, rhs=rhs, log_rhs=log_rhs, exact=False)
-
-
-def eigenvalue_decay_bound(d: int, k: int, spectrum: Spectrum, tau: float) -> float:
-    """Upper bound ``e^{L(tau) d^{1-tau}/tau} k^{-1/tau}`` on the k-th tensor eigenvalue.
-
-    Taken in log space; a bound beyond double range raises
-    :class:`UnsupportedScaleError`.
-    """
-    d, k = _count(d, "d"), _count(k, "k")
-    return _exp_or_raise(
-        (power_sum(spectrum, tau) * d ** (1.0 - tau) - math.log(k)) / tau,
-        f"the decay bound exceeds double range at tau = {tau}",
     )

@@ -34,10 +34,8 @@ from .spectrum import (
     _INT,
     EigenfunctionTable,
     Spectrum,
-    _count,
     _exp_or_inf,
     _exp_or_raise,
-    _finite_positive,
     _fsum_or_inf,
     _integers,
     _logsumexp,
@@ -52,8 +50,6 @@ __all__ = [
     "h_norm",
     "g_norm_exact",
     "GNormResult",
-    "embedding_norm_bound",
-    "embedding_norm_special",
     "eval_pointwise",
 ]
 
@@ -274,29 +270,6 @@ def _combine_errors(c0: float, sq: list[float], orthogonal: bool) -> float:
     return math.fsum([abs(c0)] + list(map(math.sqrt, sq)))
 
 
-def embedding_norm_bound(d: int, c0sq: float) -> float:
-    """General upper bound ``(1 + C_0^2/d)^{d/2}`` on the embedding norm.
-
-    Taken in log space; a bound beyond double range raises
-    :class:`UnsupportedScaleError`.
-    """
-    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    msg = f"the embedding norm bound exceeds double range at d = {d}"
-    return _exp_or_raise(0.5 * d * math.log1p(c0sq / d), msg)
-
-
-def embedding_norm_special(d: int, c0sq: float) -> float:
-    """Sharp embedding norm ``max_{0<=k<=d} (C_0^2/d)^{k/2}`` for zero-mean kernels.
-
-    The k-th factor is geometric, so the maximum sits at an endpoint; both
-    endpoints are evaluated in log space.  A norm beyond double range raises
-    :class:`UnsupportedScaleError`.
-    """
-    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    msg = f"the embedding norm exceeds double range at d = {d}"
-    return max(1.0, _exp_or_raise(0.5 * d * (math.log(c0sq) - math.log(d)), msg))
-
-
 def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
     """Evaluate ``f`` at sample points (rows of ``x``), for test/MC purposes.
 
@@ -316,7 +289,10 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
     gather.  Points go through in blocks of about ``_BLOCK_DOUBLES`` live
     doubles, so memory stays bounded whatever their number.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    try:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("points must be a rectangular array of reals") from None
     if x.shape[1] != f.d:
         raise InvalidArgumentError(f"points have {x.shape[1]} coordinates, need {f.d}")
     out = np.full(x.shape[0], f.constant, dtype=float)

@@ -21,7 +21,6 @@ from .spectrum import (
     _count,
     _demand,
     _exp_or_inf,
-    _exp_or_raise,
     _finite_positive,
     _fsum_or_inf,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "truncation_level",
     "factorial_majorant",
     "orthogonal_truncation_level",
-    "orthogonal_level_bound",
 ]
 
 # Past 2^1024 an ulp of ln C(d,k) is above 1e-13; 1024 kept bits err far less.
@@ -202,17 +200,3 @@ def orthogonal_truncation_level(
         return d
     k = math.ceil(log_thr / log_ratio) - 1
     return min(d, max(0, k))
-
-
-def orthogonal_level_bound(epsilon: float, lambda11: float, delta: float) -> float:
-    """Dimension-free bound ``max(lambda_1 e^{1/delta}, delta ln(1/eps^2))``.
-
-    ``epsilon`` is a real in ``(0, 1)``; ``lambda11`` and ``delta`` are
-    finite positive reals.  ``lambda_1 e^{1/delta}`` is taken in log space;
-    a bound beyond double range raises :class:`UnsupportedScaleError`.
-    """
-    epsilon = _demand(epsilon)
-    lambda11, delta = _finite_positive(lambda11, "lambda11"), _finite_positive(delta, "delta")
-    msg = f"the level bound exceeds double range at delta = {delta}"
-    scale = _exp_or_raise(math.log(lambda11) + 1.0 / delta, msg)
-    return max(scale, -2.0 * delta * math.log(epsilon))

@@ -102,6 +102,55 @@ def mp_term_bound(eps_eff: float, d: int, ltau: float, tau: float):
         return mp.exp(mp.mpf(ltau) * mp.mpf(d) ** (1 - tau) - 2 * tau * mp.log(mp.mpf(eps_eff)))
 
 
+# The paper's lemmas, as 50-digit formulas of float inputs returning mpfs.
+# Tests hold library outputs to them; nothing here checks its inputs.
+
+
+def mp_growth_bound(d: int, level: int, tau: float):
+    """Bound on a plan's ``R^(1+tau)``: ``(factorial, exponential, applicable)``.
+
+    ``d^m1 / ((m1 - 1)!)^(1+tau)`` applies when ``d > m1^(1+tau)``, and
+    ``m1 e^m1`` otherwise (``m1`` is the plan's level, at least 1).
+    """
+    with mp.workdps(50):
+        power = 1 + mp.mpf(tau)
+        factorial = mp.mpf(d) ** level / mp.factorial(level - 1) ** power
+        exponential = level * mp.e**level
+        return factorial, exponential, factorial if d > level**power else exponential
+
+
+def mp_orthogonal_level_bound(epsilon: float, lambda11: float, delta: float):
+    """Dimension-free bound ``max(lambda_1 e^(1/delta), delta ln(1/eps^2))`` on ``m2``."""
+    with mp.workdps(50):
+        delta = mp.mpf(delta)
+        return max(mp.mpf(lambda11) * mp.e ** (1 / delta), -2 * delta * mp.log(epsilon))
+
+
+def mp_power_sum_identity(d: int, ltau: float, tau: float):
+    """``(1 + L(tau)/d^tau)^d``: the ``tau``-th power sum of the tensor spectrum."""
+    with mp.workdps(50):
+        return (1 + mp.mpf(ltau) / mp.mpf(d) ** tau) ** d
+
+
+def mp_decay_bound(d: int, k: int, ltau: float, tau: float):
+    """``e^(L(tau) d^(1-tau) / tau) k^(-1/tau)``, a bound on the k-th tensor eigenvalue."""
+    with mp.workdps(50):
+        tau = mp.mpf(tau)
+        return mp.exp(mp.mpf(ltau) * mp.mpf(d) ** (1 - tau) / tau) * mp.mpf(k) ** (-1 / tau)
+
+
+def mp_embedding_norm_bound(d: int, c0sq: float):
+    """``(1 + C_0^2/d)^(d/2)``: the embedding norm bound for any kernel."""
+    with mp.workdps(50):
+        return (1 + mp.mpf(c0sq) / d) ** (mp.mpf(d) / 2)
+
+
+def mp_embedding_norm_special(d: int, c0sq: float):
+    """``max(1, (C_0^2/d)^(d/2))``: the embedding norm of a zero-mean kernel."""
+    with mp.workdps(50):
+        return max(mp.mpf(1), (mp.mpf(c0sq) / d) ** (mp.mpf(d) / 2))
+
+
 def brownian_operator_eigenvalues(n_grid: int = 10_000, k: int = 3) -> np.ndarray:
     """Leading eigenvalues of the integral operator with kernel min(x, y).
 

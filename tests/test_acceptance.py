@@ -24,7 +24,7 @@ from activevars import (
     g_norm_exact,
     korobov_kernel,
     mc_l2_error,
-    power_sum_identity,
+    power_sum,
     random_function,
     table_check,
     truncation_level,
@@ -147,12 +147,13 @@ def test_criterion_5_eigenvalue_machinery():
                 got.append((de.value, de.multiplicity))
             assert got == oracles.exhaustive_tensor_values(d, lams), (d, lams)
 
-    # power-sum identity on the reference instance
+    # power-sum identity on the reference instance: the exhaustive stream
+    # sum against (1 + L(tau)/d^tau)^d
     pair = build_spectrum(custom_kernel([0.5, 0.125]))
-    res = power_sum_identity(2, pair, 1.0)
-    assert res.exact
-    assert abs(res.lhs - 1.72265625) <= 1e-12 * 1.72265625
-    assert abs(res.lhs - res.rhs) <= 1e-12 * res.rhs
+    lhs = math.fsum(e.multiplicity * e.value for e in TensorEigenStream(2, pair))
+    rhs = float(oracles.mp_power_sum_identity(2, power_sum(pair, 1.0), 1.0))
+    assert abs(lhs - 1.72265625) <= 1e-12 * 1.72265625
+    assert abs(lhs - rhs) <= 1e-12 * rhs
 
     # trace of the brownian-path kernel at depth 10^5
     n = 100_000
@@ -187,18 +188,19 @@ def test_criterion_7_active_variable_ceilings(cda_runs, complexity_run):
 
 def test_criterion_8_divergence_witness(korobov):
     tau = 0.75
+    ltau = power_sum(korobov, tau)
+
+    def closed_form(d):
+        return oracles.mp_power_sum_identity(d, ltau, tau)
+
     grid = [10, 100, 1000, 10_000]
-    values = [power_sum_identity(d, korobov, tau) for d in grid]
-    rhs = [v.rhs for v in values]
+    rhs = [closed_form(d) for d in grid]
     # exact strict growth along the stated grid
     assert rhs[0] < rhs[1] < rhs[2] < rhs[3]
     # doubling the dimension always grows the closed form
     d = 10
     while d <= 10_000:
-        assert (
-            power_sum_identity(2 * d, korobov, tau).rhs
-            > power_sum_identity(d, korobov, tau).rhs
-        )
+        assert closed_form(2 * d) > closed_form(d)
         d *= 2
     # the closed form crosses 10^3 along the geometric continuation; with
     # this kernel's eigenvalue normalization the crossing lands near
@@ -206,16 +208,15 @@ def test_criterion_8_divergence_witness(korobov):
     crossing = None
     d = 10_000
     while d <= 10**7:
-        if power_sum_identity(d, korobov, tau).rhs > 1e3:
+        if closed_form(d) > 1e3:
             crossing = d
             break
         d *= 2
     assert crossing is not None
-    assert power_sum_identity(crossing, korobov, tau).rhs > 1e3
     _report(
         8,
         "closed form strictly increasing on {10..10^4} "
-        f"(value {rhs[-1]:.1f} at d=10^4) and exceeds 10^3 by d={crossing:.0e}",
+        f"(value {float(rhs[-1]):.1f} at d=10^4) and exceeds 10^3 by d={crossing:.0e}",
     )
 
 

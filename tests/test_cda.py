@@ -22,12 +22,11 @@ from activevars import (
     h_norm,
     korobov_kernel,
     price_plan,
-    r_growth_bounds,
     random_function,
     single_subset_function,
     wiener_kernel,
 )
-from activevars import cda, optimal
+from activevars import optimal
 from activevars.optimal import _RankOracle, arrangement_count
 from activevars.spectrum import _logsumexp
 from activevars.errors import (
@@ -70,6 +69,18 @@ class TestPlan:
         with pytest.raises(DivergenceError):
             build_plan(0.1, 4, korobov1, tau=0.5)
 
+    def test_row_takes_only_a_cardinality_of_the_plan(self, korobov1):
+        # Only 1..level name a row: 0 and -1 must not index rows from the end.
+        plan = build_plan(0.01, 5, korobov1)
+        assert plan.level == 2
+        assert [plan.row(c) for c in (1, 2)] == list(plan.rows)
+        assert plan.row(np.int64(2)) == plan.rows[1]
+        for c in (0, -1, 3, True, 1.0):
+            with pytest.raises(InvalidArgumentError, match="cardinality must"):
+                plan.row(c)
+        with pytest.raises(InvalidArgumentError, match=r"lie in \[1, 0\]"):
+            build_plan(0.3, 5, korobov1, level=0).row(1)
+
     def test_plans_are_deterministic(self, korobov1):
         a = build_plan(0.01, 10, korobov1)
         b = build_plan(0.01, 10, korobov1)
@@ -95,41 +106,51 @@ class TestPlan:
                 assert _split_total(plan) == pytest.approx(eps * eps, rel=1e-10)
 
 
+def _r_power(plan):
+    """The plan's ``R^(1+tau)`` at 50 digits, from its float ``R``."""
+    with oracles.mp.workdps(50):
+        return oracles.mp.mpf(plan.big_r) ** (1 + oracles.mp.mpf(plan.tau))
+
+
 class TestRGrowthBounds:
+    # A plan's R^(1+tau) against the lemma's bounds (oracles.mp_growth_bound).
     def test_exponential_regime(self, korobov1):
         plan = build_plan(0.3, 4, korobov1, tau=1.0, level=2)
-        rb = r_growth_bounds(plan)
-        assert rb.applicable == "exponential"
-        assert rb.r_power == pytest.approx(12.25, rel=1e-12)
-        assert rb.exponential_bound == pytest.approx(2.0 * math.e**2, rel=1e-12)
-        assert rb.certified
+        _, exponential, applicable = oracles.mp_growth_bound(4, 2, 1.0)
+        assert applicable is exponential
+        assert float(exponential) == pytest.approx(2.0 * math.e**2, rel=1e-12)
+        assert float(_r_power(plan)) == pytest.approx(12.25, rel=1e-12)
+        assert _r_power(plan) <= applicable
 
     def test_factorial_regime(self, korobov1):
         plan = build_plan(0.3, 100, korobov1, tau=1.0, level=2)
-        rb = r_growth_bounds(plan)
-        assert rb.applicable == "factorial"
-        assert rb.factorial_bound == pytest.approx(1.0e4, rel=1e-12)
-        assert rb.certified
+        factorial, _, applicable = oracles.mp_growth_bound(100, 2, 1.0)
+        assert applicable is factorial
+        assert float(factorial) == pytest.approx(1.0e4, rel=1e-12)
+        assert _r_power(plan) <= applicable
 
     def test_single_level_boundary(self, korobov1):
         # level 1: R = d^{1/(1+tau)}, so R^{1+tau} = d = factorial bound.
         plan = build_plan(0.3, 9, korobov1, tau=1.0, level=1)
-        rb = r_growth_bounds(plan)
-        assert rb.r_power == pytest.approx(9.0, rel=1e-12)
-        assert rb.factorial_bound == pytest.approx(9.0, rel=1e-12)
-        assert rb.certified
+        factorial, _, _ = oracles.mp_growth_bound(9, 1, 1.0)
+        assert float(_r_power(plan)) == pytest.approx(9.0, rel=1e-12)
+        assert float(factorial) == pytest.approx(9.0, rel=1e-12)
+        assert _r_power(plan) <= factorial * (1 + 1e-12)
 
     def test_certified_away_from_regime_boundary(self, korobov1):
         # Deep inside either regime the applicable closed form holds.
         for d, eps in [(2, 0.1), (2, 0.001), (5, 0.1), (50, 0.01), (100, 0.001), (1000, 0.001)]:
-            rb = r_growth_bounds(build_plan(eps, d, korobov1))
-            assert rb.certified, (d, eps, rb)
+            plan = build_plan(eps, d, korobov1)
+            _, _, applicable = oracles.mp_growth_bound(d, plan.level, plan.tau)
+            assert _r_power(plan) <= applicable * (1 + 1e-12), (d, eps)
 
-    def test_growth_past_double_range_is_inf_and_not_certified(self, korobov1):
-        # Both ended in a raw OverflowError from math.exp; inf <= inf would
-        # certify a growth that nothing computed.
-        rb = r_growth_bounds(build_plan(0.1, 10**6, korobov1, tau=0.6, level=100))
-        assert (rb.r_power, rb.factorial_bound, rb.certified) == (math.inf, math.inf, False)
+    def test_growth_past_double_range_holds_at_50_digits(self, korobov1):
+        # R^(1+tau) ~ 1e347 leaves double range; at 50 digits the factorial
+        # bound, ~1e350, still holds.
+        plan = build_plan(0.1, 10**6, korobov1, tau=0.6, level=100)
+        factorial, _, applicable = oracles.mp_growth_bound(10**6, 100, 0.6)
+        assert plan.big_r < math.inf and _r_power(plan) > 1e308
+        assert applicable is factorial and _r_power(plan) <= factorial
         # R itself leaves double range: no term budget follows from it.
         with pytest.raises(UnsupportedScaleError, match="outside double range"):
             build_plan(0.1, 10**6, korobov1, tau=0.6, level=300)
@@ -138,11 +159,11 @@ class TestRGrowthBounds:
         # At d = 10, tau = 1.1 the level is 3 and d sits just below
         # m1^{1+tau} = 10.04: the exponential closed form m1 e^{m1} = 60.3
         # undershoots R^{1+tau} = 132.5 even though the factorial form
-        # still holds.  The certificate reports this honestly.
-        rb = r_growth_bounds(build_plan(0.001, 10, korobov1))
-        assert rb.applicable == "exponential"
-        assert not rb.certified
-        assert rb.r_power <= rb.factorial_bound
+        # still holds.
+        plan = build_plan(0.001, 10, korobov1)
+        factorial, exponential, applicable = oracles.mp_growth_bound(10, plan.level, plan.tau)
+        assert plan.level == 3 and applicable is exponential
+        assert exponential < _r_power(plan) <= factorial
 
 
 # Custom spectra from a small value set: repeated values and products such

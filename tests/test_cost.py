@@ -2,12 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from activevars import (
     CostModel,
     complexity_curve,
-    eigencount,
     eval_cost,
     tractability_classify,
 )
@@ -164,7 +164,9 @@ class TestComplexityCurve:
             korobov1_deep, 1.0, CostModel(family="constant"), [0.5, 0.1, 0.01], [1]
         )
         for p in rep.points:
-            assert p.comp == eigencount(p.epsilon, 1, korobov1_deep)
+            # The constant plus each univariate eigenvalue above eps^2.
+            above = np.count_nonzero(korobov1_deep.leading() > p.epsilon**2)
+            assert p.comp == 1 + above
 
     def test_wiener_points_count_every_priced_functional(self, wiener):
         # The changing-dimension cost prices the constant term too.

@@ -16,7 +16,6 @@ from activevars import (
     eval_pointwise,
     g_norm_exact,
     h_norm,
-    majorant_table,
     mc_l2_error,
     mean_function,
     random_function,
@@ -35,7 +34,7 @@ import oracles
 
 class TestMajorantTable:
     def test_reference_row(self):
-        assert tuple(v for _, v in majorant_table()) == GOLDEN_MAJORANT_CEILINGS
+        assert tuple(v for _, v in table_check()[0]) == GOLDEN_MAJORANT_CEILINGS
 
     def test_check_reports_no_diffs(self):
         rows, diffs = table_check()
@@ -45,7 +44,7 @@ class TestMajorantTable:
         assert rows[4] == (5, 10)
 
     def test_byte_identical_across_runs(self):
-        assert majorant_table() == majorant_table()
+        assert table_check() == table_check()
 
 
 class TestMeanFunction:

@@ -1,11 +1,10 @@
 """Scalar inputs at the public entry points: one rule per kind of input.
 
 Integers (``d``, ``m``, ``k``, ``level``, grid dimensions, harness counts)
-are Python or numpy integers, and ``bool`` is not one; ``c0sq``, ``lambda11``,
-``delta`` and stream thresholds are finite positive reals; a demand
-``epsilon`` is a real in ``(0, 1)`` (``(0, 1]`` for ``eigencount`` and
-``optimal_algorithm``); the orthogonality constant is a finite real ``>= 1``;
-``tau`` is a positive real.  Anything else raises
+are Python or numpy integers, and ``bool`` is not one; ``c0sq`` and stream
+thresholds are finite positive reals; a demand ``epsilon`` is a real in
+``(0, 1)`` (``(0, 1]`` for ``optimal_algorithm``); the orthogonality constant
+is a finite real ``>= 1``; ``tau`` is a positive real.  Anything else raises
 :class:`InvalidArgumentError`, and a malformed cost parameter
 :class:`InvalidModelError`.
 """
@@ -27,19 +26,14 @@ from activevars import (
     build_spectrum,
     complexity_curve,
     custom_kernel,
-    eigencount,
-    eigenvalue_decay_bound,
-    embedding_norm_bound,
-    embedding_norm_special,
     eval_cost,
+    eval_pointwise,
     factorial_majorant,
     korobov_kernel,
     mc_l2_error,
     optimal_algorithm,
-    orthogonal_level_bound,
     orthogonal_truncation_level,
     power_sum,
-    power_sum_identity,
     random_function,
     single_subset_function,
     truncation_level,
@@ -63,13 +57,8 @@ LISTED = {
     "orthogonal_truncation_level(0.1, 2.5, 0.5)": lambda: orthogonal_truncation_level(0.1, 2.5, 0.5),
     "truncation_level(0.1, True, 0.5)": lambda: truncation_level(0.1, True, 0.5),
     "TensorEigenStream(True, s)": lambda: TensorEigenStream(True, S),
-    "embedding_norm_bound(5, nan)": lambda: embedding_norm_bound(5, nan),
-    "embedding_norm_special(5, nan)": lambda: embedding_norm_special(5, nan),
-    "embedding_norm_bound(2.5, 0.5)": lambda: embedding_norm_bound(2.5, 0.5),
     "binomial_tail(5, True, 0.5)": lambda: binomial_tail(5, True, 0.5),
     "build_plan(0.1, 3, s, level=True)": lambda: build_plan(0.1, 3, S, level=True),
-    "power_sum_identity(2.5, s, 1.0)": lambda: power_sum_identity(2.5, S, 1.0),
-    "eigenvalue_decay_bound(2, 1.5, s, 1.0)": lambda: eigenvalue_decay_bound(2, 1.5, S, 1.0),
     "orthogonal_truncation_level(0.1, 5, 0.5, True)": (
         lambda: orthogonal_truncation_level(0.1, 5, 0.5, True)
     ),
@@ -87,7 +76,6 @@ LISTED = {
     "truncation_level(0.1, 5, '0.5')": lambda: truncation_level(0.1, 5, "0.5"),
     "build_plan(0.1, 2.5, s)": lambda: build_plan(0.1, 2.5, S),
     "build_plan(0.1, 3, s, level=1.5)": lambda: build_plan(0.1, 3, S, level=1.5),
-    "eigencount(0.1, 2.5, s)": lambda: eigencount(0.1, 2.5, S),
     "optimal_algorithm(0.1, 2.5, s)": lambda: optimal_algorithm(0.1, 2.5, S),
     # Demands, constants, exponents, grids, cost parameters and harness
     # counts.  Silently wrong results:
@@ -100,7 +88,6 @@ LISTED = {
     "complexity_curve(s, 1, m, ['0.1', '0.05'], [2, 3])": (
         lambda: complexity_curve(S, 1, EXP, ["0.1", "0.05"], [2, 3])
     ),
-    "eigencount(True, 3, s)": lambda: eigencount(True, 3, S),
     "optimal_algorithm(True, 3, s)": lambda: optimal_algorithm(True, 3, S),
     "TensorEigenStream(2, custom).above(nan)": (
         lambda: list(TensorEigenStream(2, CUSTOM).above(nan))
@@ -108,8 +95,6 @@ LISTED = {
     "TensorEigenStream(2, custom).require_certified(nan)": (
         lambda: TensorEigenStream(2, CUSTOM).require_certified(nan)
     ),
-    "orthogonal_level_bound(0.1, nan, 1)": lambda: orthogonal_level_bound(0.1, nan, 1),
-    "orthogonal_level_bound(0.1, 0.5, nan)": lambda: orthogonal_level_bound(0.1, 0.5, nan),
     "power_sum(s, True)": lambda: power_sum(S, True),
     "CostModel(family='exponential', q=True)": lambda: CostModel(family="exponential", q=True),
     "CostModel(family='exponential', q=1, c=5)": (
@@ -129,8 +114,6 @@ LISTED = {
     # Raw exceptions.
     "truncation_level('0.1', 5, 0.5)": lambda: truncation_level("0.1", 5, 0.5),
     "build_plan('0.1', 3, s)": lambda: build_plan("0.1", 3, S),
-    "eigencount('0.1', 3, s)": lambda: eigencount("0.1", 3, S),
-    "orthogonal_level_bound('0.1', 0.5, 1)": lambda: orthogonal_level_bound("0.1", 0.5, 1),
     "optimal_algorithm(0.1, 3, s, c_const='2')": (
         lambda: optimal_algorithm(0.1, 3, S, c_const="2")
     ),
@@ -138,6 +121,13 @@ LISTED = {
     "CostModel(family='exponential', q='1')": lambda: CostModel(family="exponential", q="1"),
     "mc_l2_error(f, approx, s, samples=2.5)": lambda: mc_l2_error(F, ZERO, S, samples=2.5),
     "random_function(2.5, s, seed=1)": lambda: random_function(2.5, S, seed=1),
+    "complexity_curve(s, 1.0, m, 0.1, [2])": lambda: complexity_curve(S, 1.0, EXP, 0.1, [2]),
+    "complexity_curve(s, 1.0, m, [0.1], 2)": lambda: complexity_curve(S, 1.0, EXP, [0.1], 2),
+    "eval_pointwise(f, s, [['a']])": lambda: eval_pointwise(F, S, [["a"]]),
+    "single_subset_function(3, (1,))": lambda: single_subset_function(3, (1,)),
+    "single_subset_function(3, (1,), ('a',))": lambda: single_subset_function(3, (1,), ("a",)),
+    # A k that does not match u was silently dropped.
+    "single_subset_function(3, (), (1,))": lambda: single_subset_function(3, (), (1,)),
     # Integers outside their range; RANGE holds the range each message names.
     "build_plan(0.1, 3, s, level=4)": lambda: build_plan(0.1, 3, S, level=4),
     "binomial_tail(5, -1, 0.5)": lambda: binomial_tail(5, -1, 0.5),
@@ -171,16 +161,11 @@ ENTRY_POINTS = {
     "orthogonal_truncation_level": (
         lambda d=5, c0sq=0.5: orthogonal_truncation_level(0.1, d, c0sq)
     ),
-    "embedding_norm_bound": (lambda d=5, c0sq=0.5: embedding_norm_bound(d, c0sq)),
-    "embedding_norm_special": (lambda d=5, c0sq=0.5: embedding_norm_special(d, c0sq)),
     "TensorEigenStream": (lambda d=3: next(TensorEigenStream(d, S))),
-    "eigencount": (lambda d=3: eigencount(0.3, d, S)),
     "optimal_algorithm": (lambda d=3: optimal_algorithm(0.3, d, S)),
-    "power_sum_identity": (lambda d=3: power_sum_identity(d, S, 1.0)),
-    "eigenvalue_decay_bound": (lambda d=3, k=2: eigenvalue_decay_bound(d, k, S, 1.0)),
     "build_plan": (lambda d=3, level=1: build_plan(0.3, d, S, level=level)),
 }
-INTEGER_ARGS = ("d", "m", "k", "level")
+INTEGER_ARGS = ("d", "m", "level")
 
 not_an_integer = st.one_of(
     st.floats(),
@@ -241,13 +226,7 @@ SCALAR_ENTRY_POINTS = {
     "orthogonal_truncation_level": (
         lambda epsilon=0.1, c_const=1.0: orthogonal_truncation_level(epsilon, 5, 0.5, c_const)
     ),
-    "orthogonal_level_bound": (
-        lambda epsilon=0.1, lambda11=0.5, delta=1.0: orthogonal_level_bound(
-            epsilon, lambda11, delta
-        )
-    ),
     "build_plan": (lambda epsilon=0.3, tau=1.5: build_plan(epsilon, 3, S, tau=tau)),
-    "eigencount": (lambda epsilon=0.3: eigencount(epsilon, 3, S)),
     "optimal_algorithm": (
         lambda epsilon=0.3, c_const=1.0: optimal_algorithm(epsilon, 3, S, c_const=c_const)
     ),
@@ -278,8 +257,6 @@ KIND = {
     "c_const": "constant",
     "tau": "tau",
     "threshold": "positive",
-    "lambda11": "positive",
-    "delta": "positive",
     "d_entry": "count",
     "d": "count",
     "max_index": "count",
@@ -288,7 +265,7 @@ KIND = {
     "q": "q",
     "c": "c",
 }
-CLOSED_DEMAND = ("eigencount", "optimal_algorithm")  # they accept epsilon = 1
+CLOSED_DEMAND = ("optimal_algorithm",)  # it accepts epsilon = 1
 
 SPOILERS = {
     "True": True,
@@ -342,10 +319,6 @@ def test_numpy_demands_constants_and_costs_are_stored_as_python_numbers():
     alg = optimal_algorithm(np.float32(0.5), 3, S, c_const=np.int64(2))
     assert alg == optimal_algorithm(0.5, 3, S, c_const=2.0)
     assert type(alg.epsilon_effective) is float
-    assert eigencount(np.float16(0.25), 3, S) == eigencount(0.25, 3, S)
-    assert orthogonal_level_bound(np.float64(0.1), np.float32(0.5), np.int64(1)) == (
-        orthogonal_level_bound(0.1, 0.5, 1.0)
-    )
     assert power_sum(S, np.float32(1.5)) == power_sum(S, 1.5)
     report = complexity_curve(
         S, np.int64(1), EXP, [np.float64(0.1), np.float32(0.25)], [np.int64(2), np.uint8(3)]

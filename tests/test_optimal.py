@@ -15,13 +15,10 @@ from activevars import (
     build_spectrum,
     complexity_curve,
     custom_kernel,
-    eigencount,
-    eigenvalue_decay_bound,
     korobov_kernel,
     optimal_algorithm,
     orthogonal_truncation_level,
     power_sum,
-    power_sum_identity,
 )
 from activevars import optimal
 from activevars.spectrum import _exp_or_inf
@@ -30,7 +27,6 @@ from activevars.errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
     TailCertificateError,
-    UnsupportedScaleError,
 )
 
 import oracles
@@ -44,6 +40,16 @@ def drain_distinct(stream):
         except StopIteration:
             return out
         out.append((de.value, de.multiplicity))
+
+
+def count_above(epsilon, d, spectrum):
+    """Tensor eigenvalues above ``epsilon^2``, with multiplicity: the per-subset counts summed."""
+    return optimal._total_count(d, optimal._cardinality_counts(epsilon, d, spectrum))
+
+
+def stream_power_sum(d, spectrum, tau):
+    """``sum multiplicity * value^tau`` over the whole stream of a finite spectrum."""
+    return math.fsum(e.multiplicity * e.value**tau for e in TensorEigenStream(d, spectrum))
 
 
 class TestStream:
@@ -155,10 +161,10 @@ class TestStream:
         visited = len(stream._seen)
         assert visited > 20
         monkeypatch.setattr(optimal, "ENUMERATION_CAP", visited)
-        assert eigencount(0.01, 5, korobov1) == count
+        assert count_above(0.01, 5, korobov1) == count
         monkeypatch.setattr(optimal, "ENUMERATION_CAP", visited - 1)
         with pytest.raises(EnumerationCapError, match="memory"):
-            eigencount(0.01, 5, korobov1)
+            count_above(0.01, 5, korobov1)
 
 
 class TestAbove:
@@ -186,12 +192,12 @@ class TestAbove:
 
 class TestEigencount:
     def test_reference_point(self, custom_pair):
-        assert eigencount(math.sqrt(0.1), 2, custom_pair) == 3
+        assert count_above(math.sqrt(0.1), 2, custom_pair) == 3
 
     def test_only_the_constant_exceeds_a_loose_demand(self, custom_pair, korobov1):
         eps = math.sqrt(1.0 - 1e-12)
-        assert eigencount(eps, 2, custom_pair) == 1
-        assert eigencount(eps, 5, korobov1) == 1
+        assert count_above(eps, 2, custom_pair) == 1
+        assert count_above(eps, 5, korobov1) == 1
 
     def test_matches_exhaustive_count(self, custom_quad):
         lams = list(custom_quad.leading())
@@ -199,14 +205,14 @@ class TestEigencount:
             grouped = oracles.exhaustive_tensor_values(d, lams)
             for eps_sq in (0.9, 0.3, 0.1, 0.01, 1e-4):
                 want = sum(cnt for v, cnt in grouped if v > eps_sq)
-                assert eigencount(math.sqrt(eps_sq), d, custom_quad) == want
+                assert count_above(math.sqrt(eps_sq), d, custom_quad) == want
 
     def test_closed_form_cap(self, korobov1):
         # n <= ceil(e^{L(tau) d^{1-tau}} eps^{-2 tau}) - 1 at tau = 1.
         ltau = power_sum(korobov1, 1.0)
         for d in (1, 2, 10, 50):
             for eps in (0.5, 0.1, 0.01):
-                n = eigencount(eps, d, korobov1)
+                n = count_above(eps, d, korobov1)
                 cap = math.ceil(math.exp(ltau) * eps**-2.0) - 1
                 assert n <= cap
 
@@ -236,7 +242,7 @@ class TestEigencount:
             __import__("activevars").korobov_kernel(1.0), 10
         )
         with pytest.raises(TailCertificateError):
-            eigencount(1e-6, 2, shallow)
+            count_above(1e-6, 2, shallow)
 
 
 class TestOptimalAlgorithm:
@@ -312,87 +318,59 @@ class TestOptimalAlgorithm:
 
 
 class TestPowerSumIdentity:
+    # The exhaustive stream sum against (1 + L(tau)/d^tau)^d at 50 digits.
     def test_reference_instance(self, custom_pair):
-        res = power_sum_identity(2, custom_pair, 1.0)
-        assert res.exact
-        assert res.lhs == pytest.approx(1.72265625, rel=1e-15)
-        assert res.rhs == pytest.approx(1.72265625, rel=1e-15)
-        assert res.lhs == 1.0 + 0.625 + 0.09765625
+        lhs = stream_power_sum(2, custom_pair, 1.0)
+        rhs = oracles.mp_power_sum_identity(2, power_sum(custom_pair, 1.0), 1.0)
+        assert lhs == 1.0 + 0.625 + 0.09765625
+        assert float(rhs) == pytest.approx(1.72265625, rel=1e-15)
 
     def test_d1_reduces_to_univariate_sum(self, custom_quad):
-        res = power_sum_identity(1, custom_quad, 1.0)
-        assert res.lhs == pytest.approx(1.0 + power_sum(custom_quad, 1.0), rel=1e-15)
-        assert res.rhs == pytest.approx(res.lhs, rel=1e-15)
+        lhs = stream_power_sum(1, custom_quad, 1.0)
+        rhs = oracles.mp_power_sum_identity(1, power_sum(custom_quad, 1.0), 1.0)
+        assert lhs == pytest.approx(1.0 + power_sum(custom_quad, 1.0), rel=1e-15)
+        assert float(rhs) == pytest.approx(lhs, rel=1e-15)
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_exact_for_finite_spectra(self, custom_quad, d, tau):
-        res = power_sum_identity(d, custom_quad, tau)
-        assert res.lhs == pytest.approx(res.rhs, rel=1e-12)
+        rhs = oracles.mp_power_sum_identity(d, power_sum(custom_quad, tau), tau)
+        assert stream_power_sum(d, custom_quad, tau) == pytest.approx(float(rhs), rel=1e-12)
 
     def test_divergence_witness_grows_without_bound(self, korobov1):
         # Sub-unit exponents make the closed form blow up with dimension.
         tau = 0.75
-        rhs = [power_sum_identity(d, korobov1, tau).rhs for d in (10, 100, 1000, 10_000)]
+        ltau = power_sum(korobov1, tau)
+        rhs = [oracles.mp_power_sum_identity(d, ltau, tau) for d in (10, 100, 1000, 10_000)]
         assert all(a < b for a, b in zip(rhs, rhs[1:]))
         d = 10
         while d <= 10_000:
-            assert (
-                power_sum_identity(2 * d, korobov1, tau).rhs
-                > power_sum_identity(d, korobov1, tau).rhs
-            )
+            assert oracles.mp_power_sum_identity(
+                2 * d, ltau, tau
+            ) > oracles.mp_power_sum_identity(d, ltau, tau)
             d *= 2
-
-    def test_label_count_over_the_cap_is_refused_before_enumerating(self):
-        # 30 eigenvalues at d = 8 give C(38, 8) ~ 4.9e7 labels.
-        s = build_spectrum(custom_kernel([0.5 / n for n in range(1, 31)]))
-        with pytest.raises(EnumerationCapError, match="memory"):
-            power_sum_identity(8, s, 1.0)
-
-    def test_truncated_spectra_are_flagged(self, korobov1):
-        res = power_sum_identity(4, korobov1, 1.0)
-        assert not res.exact
-        assert res.lhs <= res.rhs
-
-    @pytest.mark.parametrize("tau", [0.75, 1.0, 1.1, 2.0])
-    def test_truncated_lhs_is_bit_identical_to_the_power_genexpr(self, korobov1, wiener, tau):
-        for s in (korobov1, wiener):
-            if tau <= 1.0 / s.alpha:
-                continue
-            for d in (1, 4, 50):
-                partial = oracles.genexpr_partial_power_sum(s, tau)
-                expected = math.exp(d * math.log1p(partial * d ** (-tau)))
-                assert power_sum_identity(d, s, tau).lhs == expected
 
 
 class TestDecayBound:
+    # Streamed values against e^(L(tau) d^(1-tau)/tau) k^(-1/tau) at 50 digits.
     def test_first_eigenvalue_bounded_by_one(self, custom_pair, korobov1):
         for s in (custom_pair, korobov1):
+            first = next(TensorEigenStream(5, s)).value
             for tau in (1.0, 2.0):
-                assert eigenvalue_decay_bound(5, 1, s, tau) >= 1.0
-
-    def test_overflow_only_where_the_bound_leaves_double_range(self):
-        s = build_spectrum(korobov_kernel(1.0), 200)
-        with pytest.raises(UnsupportedScaleError):
-            eigenvalue_decay_bound(10**7, 2, s, 0.6)
-        # The prefactor alone overflows; divided by k^(1/tau) it does not.
-        k = 10**400
-        log_want = power_sum(s, 0.6) * (10**7) ** 0.4 / 0.6 - math.log(k) / 0.6
-        assert log_want < 0.0
-        got = eigenvalue_decay_bound(10**7, k, s, 0.6)
-        assert math.log(got) == pytest.approx(log_want, rel=1e-12)
+                bound = oracles.mp_decay_bound(5, 1, power_sum(s, tau), tau)
+                assert first == 1.0 <= bound
 
     def test_dominates_streamed_values(self, custom_pair):
-        bound_stream = TensorEigenStream(2, custom_pair)
+        ltau = power_sum(custom_pair, 1.0)
         k = 0
-        for entry in bound_stream:
+        for entry in TensorEigenStream(2, custom_pair):
             for _ in range(entry.multiplicity):
                 k += 1
-                assert entry.value <= eigenvalue_decay_bound(2, k, custom_pair, 1.0)
+                assert entry.value <= oracles.mp_decay_bound(2, k, ltau, 1.0)
 
     def test_dominates_korobov_prefix(self, korobov1):
         # Same inequality, with the prefactor hoisted out of the loop.
-        prefactor = eigenvalue_decay_bound(8, 1, korobov1, 1.0)
+        prefactor = float(oracles.mp_decay_bound(8, 1, power_sum(korobov1, 1.0), 1.0))
         stream = TensorEigenStream(8, korobov1)
         k = 0
         for entry in stream:

@@ -1,4 +1,4 @@
-"""Function input checks, weighted-space norms, embedding bounds, pointwise evaluation."""
+"""Function input checks, weighted-space norms, embedding lemmas, pointwise evaluation."""
 
 import math
 
@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 
 from activevars import (
     AnovaFunction,
-    embedding_norm_bound,
-    embedding_norm_special,
     eval_eigenfunction,
     eval_pointwise,
     g_norm_exact,
     h_norm,
     mc_l2_error,
     mean_function,
-    power_sum_identity,
+    random_function,
 )
 from activevars import build_spectrum, custom_kernel, korobov_kernel, space, wiener_kernel
 from activevars.errors import (
@@ -211,38 +209,25 @@ class TestGNorm:
         assert abs(est - exact) <= 3.0 * se
 
 
-class TestEmbeddingNorms:
-    def test_general_bound_d1(self):
-        assert embedding_norm_bound(1, 0.5) == pytest.approx(math.sqrt(1.5), rel=1e-15)
-
-    def test_special_is_one_for_small_c0sq(self):
-        assert embedding_norm_special(10, 0.5) == 1.0
-        assert embedding_norm_special(1, 0.9) == 1.0
-
-    def test_special_large_c0sq(self):
-        assert embedding_norm_special(2, 8.0) == pytest.approx(4.0, rel=1e-12)
-
-    def test_bound_approaches_exponential_limit(self):
-        c = 0.5
-        val = embedding_norm_bound(10**6, c)
-        assert val <= math.exp(c / 2.0)
-        assert abs(val - math.exp(c / 2.0)) < 1e-6
-
-    def test_bound_at_least_one(self):
-        for d in (1, 10, 1000):
-            assert embedding_norm_bound(d, 0.25) >= 1.0
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_embedding_lemmas_bound_g_norm_by_h_norm(korobov1, wiener, d, seed):
+    # Zero-mean korobov: subsets are orthogonal in G, and the exact norm is
+    # within max(1, (C_0^2/d)^(d/2)) of the weighted norm.  Wiener: the
+    # triangle bound sums the subset norms, within (1 + C_0^2/d)^(d/2) by
+    # Cauchy-Schwarz over all subsets.
+    f = random_function(d, korobov1, seed=seed)
+    bound = oracles.mp_embedding_norm_special(d, korobov1.c0sq)
+    assert g_norm_exact(f, korobov1, True).value <= bound * h_norm(f) * (1 + 1e-12)
+    f = random_function(d, wiener, seed=seed)
+    bound = oracles.mp_embedding_norm_bound(d, wiener.c0sq)
+    assert g_norm_exact(f, wiener, False).value <= bound * h_norm(f) * (1 + 1e-12)
 
 
-# Each call ended in a raw OverflowError from math.exp.  The identity's sides
-# are values, so past double range they are inf; the bounds refuse, as their
-# sibling bounds do.  h_norm's squared norm leaves double range but its norm,
-# 1e180, does not, so it is summed in log space and returned.
+# h_norm's squared norm leaves double range but its norm, 1e180, does not,
+# so it is summed in log space and returned; a norm past double range is
+# refused.
 PAST_DOUBLE_RANGE = {
-    "power_sum_identity": lambda: power_sum_identity(
-        10**8, build_spectrum(korobov_kernel(1.0), 1000), 0.6
-    ),
-    "embedding_norm_bound": lambda: embedding_norm_bound(10**6, 2000.0),
-    "embedding_norm_special": lambda: embedding_norm_special(1000, 1e4),
     "h_norm": lambda: h_norm(
         AnovaFunction(d=10**6, terms={tuple(range(1, 61)): {(1,) * 60: 1.0}})
     ),
@@ -251,18 +236,11 @@ PAST_DOUBLE_RANGE = {
 
 @pytest.mark.parametrize("name", PAST_DOUBLE_RANGE)
 def test_values_past_double_range_are_inf_or_typed_errors(name):
-    if name == "power_sum_identity":
-        identity = PAST_DOUBLE_RANGE[name]()
-        assert (identity.lhs, identity.rhs, identity.exact) == (math.inf, math.inf, False)
-    elif name == "h_norm":
-        assert PAST_DOUBLE_RANGE[name]() == pytest.approx(1e180, rel=1e-12)
-        # Past double range the norm itself refuses: here it is 1e360.
-        f = AnovaFunction(d=10**6, terms={tuple(range(1, 121)): {(1,) * 120: 1.0}})
-        with pytest.raises(UnsupportedScaleError, match="exceeds double range"):
-            h_norm(f)
-    else:
-        with pytest.raises(UnsupportedScaleError, match="exceeds double range"):
-            PAST_DOUBLE_RANGE[name]()
+    assert PAST_DOUBLE_RANGE[name]() == pytest.approx(1e180, rel=1e-12)
+    # Past double range the norm itself refuses: here it is 1e360.
+    f = AnovaFunction(d=10**6, terms={tuple(range(1, 121)): {(1,) * 120: 1.0}})
+    with pytest.raises(UnsupportedScaleError, match="exceeds double range"):
+        h_norm(f)
 
 
 analytic = st.one_of(

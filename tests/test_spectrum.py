@@ -17,7 +17,6 @@ from activevars import (
     eval_eigenfunction,
     korobov_kernel,
     power_sum,
-    power_sum_identity,
     spectrum_to_json,
     wiener_kernel,
 )
@@ -391,8 +390,6 @@ class TestPowerSum:
         assert power_sum(wiener, tau) == 0.0
         assert power_sum(korobov1, tau) == 0.0
         assert power_sum(build_spectrum(custom_kernel([1.0, 1.0, 0.5])), tau) == 2.0
-        identity = power_sum_identity(3, korobov1, tau)
-        assert (identity.lhs, identity.rhs, identity.log_rhs) == (1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize(
         "kernel", [wiener_kernel(), korobov_kernel(1.0)], ids=["wiener", "korobov1"]

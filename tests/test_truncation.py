@@ -15,7 +15,6 @@ from activevars import (
     factorial_majorant,
     g_norm_exact,
     h_norm,
-    orthogonal_level_bound,
     orthogonal_truncation_level,
     random_function,
     truncation_level,
@@ -285,32 +284,13 @@ class TestOrthogonalLevel:
 
 
 class TestOrthogonalLevelBound:
-    def test_direct_formula(self):
-        assert orthogonal_level_bound(0.1, 0.5, 1.0) == pytest.approx(
-            math.log(100.0), rel=1e-14
-        )
-
-    def test_loose_demand_limit(self):
-        assert orthogonal_level_bound(1.0 - 1e-12, 0.5, 1.0) == pytest.approx(
-            0.5 * math.e, rel=1e-9
-        )
-
-    def test_bound_in_range_with_an_out_of_range_factor(self):
-        # e^(1/delta) = e^750 leaves double range, the bound does not.
-        got = orthogonal_level_bound(0.1, 1e-300, 1.0 / 750.0)
-        assert got == pytest.approx(math.exp(math.log(1e-300) + 750.0), rel=1e-12)
-        assert got == pytest.approx(5.258494541454928e25, rel=1e-12)
-
-    def test_bound_beyond_double_range_is_refused(self):
-        with pytest.raises(UnsupportedScaleError):
-            orthogonal_level_bound(0.1, 0.5, 1e-3)
-
+    # The level against max(lambda_1 e^(1/delta), delta ln(1/eps^2)) at 50 digits.
     def test_dominates_level_on_grid(self):
         lam = 0.5
         for delta in (0.25, 0.5, 1.0, 2.0):
             for q in range(1, 9):
                 eps = 10.0**-q
-                bound = orthogonal_level_bound(eps, lam, delta)
+                bound = oracles.mp_orthogonal_level_bound(eps, lam, delta)
                 for d in (1, 2, 5, 10, 50, 100, 500, 1000):
                     assert orthogonal_truncation_level(eps, d, lam, 1.0) <= bound
 
