@@ -4,8 +4,8 @@ A library plus CLI for approximation in weighted tensor-product Hilbert
 spaces whose product weights ``d^{-|u|}`` penalize high interaction orders.
 It computes certified interaction-truncation levels, builds and prices the
 changing-dimension algorithm, enumerates the sorted tensor eigenvalues that
-drive the spectral-optimal algorithm, and fits empirical tractability
-regimes to priced complexity grids.
+drive the spectral-optimal algorithm, and prices complexity grids with
+least-squares fits over them.
 """
 
 from .cda import (
@@ -20,7 +20,6 @@ from .cost import (
     CostModel,
     complexity_curve,
     eval_cost,
-    tractability_classify,
 )
 from .errors import ActiveVarsError, EnumerationCapError
 from .harness import (
@@ -98,7 +97,6 @@ __all__ = [
     "single_subset_function",
     "spectrum_to_json",
     "table_check",
-    "tractability_classify",
     "truncation_level",
     "wiener_kernel",
 ]

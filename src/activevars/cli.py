@@ -6,12 +6,13 @@ bounds      truncation levels over an (eps, d) grid as CSV/JSON
 spectrum    serialize a univariate spectrum
 cda         plan and price the changing-dimension algorithm
 optimal     the spectral algorithm: term count, error, active variables
-complexity  complexity grid plus tractability fits
+complexity  complexity grid plus least-squares fits over it
 table       reproduce the factorial-majorant reference table
 mc-check    Monte Carlo cross-check of exact truncation errors
 
 Each subcommand accepts only the flags it reads.  Exit codes: 0 on success,
-2 when a reference check fails, 1 on usage errors.
+2 when a reference check fails, 1 on usage errors, 141 (128 + SIGPIPE) when
+standard output is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .cda import build_plan, price_plan
-from .cost import _FAMILIES, CostModel, complexity_curve, tractability_classify
+from .cost import _FAMILIES, CostModel, complexity_curve
 from .errors import ActiveVarsError, InvalidArgumentError, InvalidModelError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
@@ -46,6 +48,7 @@ from .truncation import factorial_majorant, orthogonal_truncation_level, truncat
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,18 +234,12 @@ def _run_complexity(args: argparse.Namespace) -> int:
         [p.d, p.epsilon, p.comp, p.bound, p.n_terms, p.max_act, int(p.within_bound)]
         for p in report.points
     ]
-    try:
-        labels = tractability_classify(report)
-    except ActiveVarsError:
-        labels = []
     summary = {
         "p_str_fit": report.p_str_fit,
         "p_str_residual": report.p_str_residual,
         "qpt_t_fit": report.qpt_t_fit,
         "qpt_c_fit": report.qpt_c_fit,
         "qpt_residual": report.qpt_residual,
-        "weak_max": report.weak_max,
-        "labels": labels,
         "flags": list(report.flags),
     }
     _emit(
@@ -345,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mc-check", _run_mc_check)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--samples", type=_at_least(2), default=100_000)
     p.add_argument("--trials", type=_at_least(1), default=50)
 
@@ -359,7 +356,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left: point stdout at devnull so the flush at exit is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ActiveVarsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -3,10 +3,10 @@
 Evaluating a linear functional is priced by how many variables it touches:
 a cost model maps the active count ``k`` to ``$(k)`` with ``$(0) >= 1`` and
 ``$`` nondecreasing.  Pricing the spectral-truncation algorithm on a grid of
-``(eps, d)`` pairs yields empirical complexity curves; the fits reported
-here (strong exponent, quasi-polynomial coefficient, weak-tractability
-diagnostic) are evidence about growth regimes, never proofs, and no fit is
-extrapolated outside the sampled grid.
+``(eps, d)`` pairs yields complexity curves.  The two fits reported with
+them (a strong exponent and a quasi-polynomial coefficient) describe the
+given grid only: tractability is a bound for every ``d``, which no finite
+grid decides, so no regime verdict is reported.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "GridPoint",
     "ComplexityReport",
     "complexity_curve",
-    "tractability_classify",
 ]
 
 
@@ -188,14 +187,15 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Complexity grid plus regression summaries.
+    """Complexity grid plus two least-squares fits over it.
 
-    ``p_str_fit`` is the least-squares slope of ``ln comp`` against
-    ``ln(1/eps)`` over the three smallest demands at the largest dimension;
-    ``strong_fit_residual`` is the residual of the same regression over the
-    whole priced grid.  ``qpt_t_fit`` regresses ``ln comp`` on ``(1 + ln d)(1 + ln(1/eps))``
-    over the whole priced grid.  All residuals are root-mean-square in log
-    space.  Flagged (unpriceable) points are excluded from every fit.
+    ``p_str_fit`` is the slope of ``ln comp`` against ``ln(1/eps)`` over the
+    three smallest demands at the largest dimension.  ``qpt_t_fit`` and
+    ``qpt_c_fit`` are the slope and ``e^intercept`` of ``ln comp`` against
+    ``(1 + ln d)(1 + ln(1/eps))`` over the whole priced grid.  Both
+    residuals are root-mean-square in log space.  Flagged (unpriceable)
+    points are excluded from both fits.  The fits describe this grid only
+    and carry no tractability verdict.
     """
 
     points: tuple[GridPoint, ...]
@@ -203,12 +203,9 @@ class ComplexityReport:
     d_grid: tuple[int, ...]
     p_str_fit: float
     p_str_residual: float
-    strong_fit_residual: float
     qpt_t_fit: float
     qpt_c_fit: float
     qpt_residual: float
-    weak_max: float
-    weak_trend_ok: bool
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -332,64 +329,20 @@ def _summarize(
     y = np.array([math.log(p.comp) for p in head])
     p_str_fit, _, p_str_resid = _lsq(x, y)
 
-    x_all = np.array([math.log(1.0 / p.epsilon) for p in priced])
     y_all = np.array([math.log(p.comp) for p in priced])
-    _, _, strong_resid = _lsq(x_all, y_all)
-
     x_qpt = np.array(
         [(1.0 + math.log(p.d)) * (1.0 + math.log(1.0 / p.epsilon)) for p in priced]
     )
     qpt_t, qpt_log_c, qpt_resid = _lsq(x_qpt, y_all)
-
-    scale = np.array([p.d + 1.0 / p.epsilon for p in priced])
-    weak_vals = y_all / scale
-    order = np.argsort(scale)
-    half = len(order) // 2
-    head_mean = float(np.mean(weak_vals[order[:half]])) if half else 0.0
-    tail_mean = float(np.mean(weak_vals[order[half:]]))
     return ComplexityReport(
         points=tuple(points),
         eps_grid=eps_grid,
         d_grid=d_grid,
         p_str_fit=p_str_fit,
         p_str_residual=p_str_resid,
-        strong_fit_residual=strong_resid,
         qpt_t_fit=qpt_t,
         qpt_c_fit=_exp_or_inf(qpt_log_c),
         qpt_residual=qpt_resid,
-        weak_max=float(np.max(weak_vals)),
-        weak_trend_ok=tail_mean <= head_mean + 1e-9,
         flags=tuple(flags),
     )
 
-
-_STRONG_RMS = 1.0
-_QPT_RMS = 3.0
-_WEAK_MAX = 0.1
-
-
-def tractability_classify(report: ComplexityReport) -> list[str]:
-    """Empirical growth-regime labels supported by the grid.
-
-    Returns the subset of ``{"strong-poly fit OK", "quasi-poly fit OK",
-    "weak diagnostic OK"}`` whose fit residuals stay under fixed, documented
-    thresholds (RMS log residual <= 1.0 for the strong fit, <= 3.0 for the
-    quasi-polynomial fit; peak ``ln(comp)/(d + 1/eps)`` <= 0.1 with a
-    nonincreasing trend for the weak diagnostic).  Absence of a label is
-    never a claim that the regime fails; a finite grid cannot show that.
-
-    Raises
-    ------
-    InsufficientDataError
-        On grids with fewer than 4 demand or 4 dimension points.
-    """
-    if len(report.eps_grid) < 4 or len(report.d_grid) < 4:
-        raise InsufficientDataError("classification needs >= 4 eps and >= 4 d points")
-    labels: list[str] = []
-    if report.strong_fit_residual <= _STRONG_RMS:
-        labels.append("strong-poly fit OK")
-    if report.qpt_residual <= _QPT_RMS:
-        labels.append("quasi-poly fit OK")
-    if report.weak_max <= _WEAK_MAX and report.weak_trend_ok:
-        labels.append("weak diagnostic OK")
-    return labels

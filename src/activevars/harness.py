@@ -72,8 +72,10 @@ def mean_function(d: int, spectrum: Spectrum) -> AnovaFunction:
     ``x = sum_n (-1)^{n+1} sqrt(2 lambda_n) zeta_n(x)``.  Each singleton
     gets that vector scaled by ``1/d``, truncated at ``MEAN_INDEX_BOUND``;
     the full expansion has unit weighted norm, the truncation keeps it
-    within about ``1/MEAN_INDEX_BOUND`` of one.
+    within about ``1/MEAN_INDEX_BOUND`` of one.  ``d`` is a Python or numpy
+    integer ``>= 1``.
     """
+    d = _count(d, "d")
     if spectrum.kind != "wiener":
         raise InvalidConfigurationError("the mean expansion is wiener-specific")
     n = np.arange(1, MEAN_INDEX_BOUND + 1)
@@ -109,10 +111,12 @@ def random_function(
     Draws 6 distinct subsets of size up to ``min(d, 5)``, a handful of
     coefficients on each at indices up to ``max_index``, then rescales
     everything to ``h_norm == 1``.  The same seed always reproduces the
-    same coefficient map.  ``d`` and ``max_index`` are Python or numpy
-    integers ``>= 1`` (``bool`` not).
+    same coefficient map.  ``d``, ``max_index`` and ``seed`` are Python or
+    numpy integers (``bool`` not): ``d >= 1``, ``max_index`` in
+    ``[1, 2^63 - 2]`` (indices are drawn as int64) and ``seed >= 0``.
     """
-    d, max_index = _count(d, "d"), _count(max_index, "max_index")
+    d, seed = _count(d, "d"), _count(seed, "seed", low=0)
+    max_index = _count(max_index, "max_index", high=2**63 - 2)
     sparsity, max_card = 6, min(d, 5)
     rng = np.random.default_rng(seed)
     subsets: set[tuple[int, ...]] = set()
@@ -164,15 +168,16 @@ def mc_l2_error(
     the points drawn.  Its cost is
     ``sum_u |u| (coefficients on u) * samples`` term-point products, and
     runs above 10^9 of them are refused before any sample is drawn; the
-    dimension itself is not limited.  ``samples`` is a Python or numpy
-    integer; runs of fewer than 2 samples are refused.
+    dimension itself is not limited.  ``samples`` and ``seed`` are Python
+    or numpy integers; runs of fewer than 2 samples and negative seeds are
+    refused.
 
     Raises
     ------
     UnsupportedScaleError
         If the run would exceed 10^9 term-point products.
     """
-    samples = _count(samples, "samples", low=2)
+    samples, seed = _count(samples, "samples", low=2), _count(seed, "seed", low=0)
     if f.d != approx.d:
         raise InvalidArgumentError("functions live in different dimensions")
     diff = _difference(f, approx)

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from activevars import CostModel, build_spectrum, eval_cost, korobov_kernel, pow
 from activevars.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def run(capsys, *argv):
@@ -181,6 +185,9 @@ class TestOptimal:
         assert summary["n"] <= summary["n_cap"]
 
 
+SUMMARY_KEYS = {"flags", "p_str_fit", "p_str_residual", "qpt_c_fit", "qpt_residual", "qpt_t_fit"}
+
+
 class TestComplexity:
     def test_wiener_refuses_an_orthogonality_constant(self, capsys):
         # --c-const 4 used to print the grid of --c-const 1, byte for byte.
@@ -257,24 +264,18 @@ class TestComplexity:
         assert "2,0.01,49.0,10869.0404952124,49,2,1" in lines
 
     def test_summary_fields(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "complexity",
-            "--kernel",
-            "korobov:1",
-            "--eps-grid",
-            "0.1,0.01",
-            "--d-grid",
-            "2,5",
-            "--cost",
-            "exp:1",
-            "--format",
-            "json",
-        )
+        argv = ["complexity", "--kernel", "korobov:1", "--eps-grid", "0.1,0.01"]
+        argv += ["--d-grid", "2,5", "--cost", "exp:1"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert "p_str_fit" in doc["summary"]
+        # Fits over the given grid only: no tractability label, no verdict.
+        assert set(doc["summary"]) == SUMMARY_KEYS
         assert all(row["within_bound"] == 1 for row in doc["rows"])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        keys = {line[2:].split("=", 1)[0] for line in out.splitlines() if line.startswith("# ")}
+        assert keys == SUMMARY_KEYS
 
 
 class TestDeterminism:
@@ -317,6 +318,22 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_a_closed_output_pipe_exits_141_quietly():
+    # `activevars spectrum ... | head -c 10` printed "error: [Errno 32] Broken
+    # pipe" and exited 1.  The reader closes after 10 bytes of a ~1 MB document.
+    argv = ["spectrum", "--kernel", "korobov:1", "--n-eigenvalues", "40000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "activevars.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "wat")[0] == 1
@@ -356,6 +373,8 @@ class TestUsageErrors:
             ["mc-check", "--kernel", "korobov:1", "--d", "2", "--samples", "0"],
             ["mc-check", "--kernel", "korobov:1", "--d", "2", "--samples", "1"],
             ["optimal", "--kernel", "korobov:1", "--epsilon", "0.1", "--d", "2", "--top", "-1"],
+            # A negative seed ended in a numpy ValueError traceback.
+            ["mc-check", "--kernel", "korobov:1", "--d", "2", "--seed", "-1"],
         ],
     )
     def test_counts_below_their_minimum_are_usage_errors(self, capsys, argv):
@@ -488,7 +507,7 @@ _SUBCOMMANDS = {
     "table": {},
     "mc-check": {
         "--d": _DIM,
-        "--seed": _values("0 1 7", "x"),
+        "--seed": _values("0 1 7", "-1 x"),
         "--samples": _values("2 10 100", "1 0 x"),
         "--trials": _values("1 3", "0 x"),
     },

@@ -1,4 +1,4 @@
-"""Cost families, complexity grids, and tractability fits."""
+"""Cost families, complexity grids, and the fits over them."""
 
 import math
 
@@ -9,7 +9,6 @@ from activevars import (
     CostModel,
     complexity_curve,
     eval_cost,
-    tractability_classify,
 )
 from activevars import (
     build_plan,
@@ -20,7 +19,7 @@ from activevars import (
     price_plan,
 )
 from activevars import cda, cost
-from activevars.cost import GridPoint, _summarize, log_eval_cost
+from activevars.cost import log_eval_cost
 from activevars.errors import (
     CertificationError,
     InsufficientDataError,
@@ -222,6 +221,8 @@ class TestComplexityCurve:
         flagged = [p for p in rep.points if p.flagged]
         assert len(flagged) == 1
         assert rep.flags
+        with pytest.raises(InsufficientDataError, match="no grid point could be priced"):
+            complexity_curve(shallow, 1.0, CostModel(family="constant"), [1e-6], [2])
 
 
 class TestOnePricingPath:
@@ -279,52 +280,3 @@ class TestOnePricingPath:
             complexity_curve(wiener, 4.0, model, [0.1, 0.01], [3, 5])
         assert complexity_curve(wiener, 1.0, model, [0.1], [3]).points[0].n_terms == 301
 
-
-class TestClassification:
-    def test_korobov_exponential_cost_supports_strong_fit(self, korobov_curve):
-        labels = tractability_classify(korobov_curve)
-        assert "strong-poly fit OK" in labels
-
-    def test_wiener_cda_bound_supports_quasi_fit(self, wiener):
-        rep = complexity_curve(
-            wiener,
-            1.0,
-            CostModel(family="exponential", q=1.0),
-            [1e-2, 1e-3, 1e-4, 1e-5],
-            [1, 2, 5, 10, 50, 100],
-            tau=1.0,
-        )
-        assert all(p.within_bound for p in rep.points)
-        labels = tractability_classify(rep)
-        assert "quasi-poly fit OK" in labels
-
-    def test_constant_grid_supports_everything(self):
-        eps_grid = (0.1, 0.01, 0.001, 0.0001)
-        d_grid = (1, 2, 3, 4)
-        points = [
-            GridPoint(
-                d=d,
-                epsilon=e,
-                comp=1.0,
-                bound=2.0,
-                n_terms=1,
-                max_act=0,
-                m2_ceiling=0,
-                within_bound=True,
-            )
-            for d in d_grid
-            for e in eps_grid
-        ]
-        rep = _summarize(points, eps_grid, d_grid, [])
-        assert set(tractability_classify(rep)) == {
-            "strong-poly fit OK",
-            "quasi-poly fit OK",
-            "weak diagnostic OK",
-        }
-
-    def test_degenerate_grid_is_rejected(self, korobov1_deep):
-        rep = complexity_curve(
-            korobov1_deep, 1.0, CostModel(family="constant"), [0.1, 0.01], [2, 3]
-        )
-        with pytest.raises(InsufficientDataError):
-            tractability_classify(rep)

@@ -31,18 +31,21 @@ from activevars import (
     factorial_majorant,
     korobov_kernel,
     mc_l2_error,
+    mean_function,
     optimal_algorithm,
     orthogonal_truncation_level,
     power_sum,
     random_function,
     single_subset_function,
     truncation_level,
+    wiener_kernel,
 )
 from activevars.cost import log_eval_cost
 from activevars.errors import InvalidArgumentError, InvalidModelError
 
 S = build_spectrum(korobov_kernel(1.0), 200)
 CUSTOM = build_spectrum(custom_kernel([0.9, 0.5, 0.2]), 3)
+WIENER = build_spectrum(wiener_kernel(), 200)
 EXP = CostModel(family="exponential", q=1.0)
 F = single_subset_function(2, (1,), (1,))
 ZERO = single_subset_function(2, (1,), (1,), value=0.0)
@@ -134,6 +137,18 @@ LISTED = {
     "binomial_tail(5, 6, 0.5)": lambda: binomial_tail(5, 6, 0.5),
     "mc_l2_error(f, approx, s, samples=1)": lambda: mc_l2_error(F, ZERO, S, samples=1),
     "eval_cost(m, -1)": lambda: eval_cost(EXP, -1),
+    # Seeds and bounds of the seeded generators.  numpy raised ValueError or
+    # TypeError, seed=None drew fresh entropy, and mean_function(0, s) warned
+    # of a division by zero before its typed error.
+    "random_function(3, s, seed=-1)": lambda: random_function(3, S, seed=-1),
+    "random_function(3, s, seed=1.5)": lambda: random_function(3, S, seed=1.5),
+    "random_function(3, s, seed=None)": lambda: random_function(3, S, seed=None),
+    "random_function(3, s, seed=1, max_index=10**20)": (
+        lambda: random_function(3, S, seed=1, max_index=10**20)
+    ),
+    "mc_l2_error(f, approx, s, seed=-1)": lambda: mc_l2_error(F, ZERO, S, seed=-1),
+    "mean_function(0, wiener)": lambda: mean_function(0, WIENER),
+    "mean_function('a', wiener)": lambda: mean_function("a", WIENER),
 }
 RANGE = {
     "build_plan(0.1, 3, s, level=4)": "level must lie in [0, 3]",
@@ -141,6 +156,12 @@ RANGE = {
     "binomial_tail(5, 6, 0.5)": "m must lie in [0, 5]",
     "mc_l2_error(f, approx, s, samples=1)": "samples must be at least 2",
     "eval_cost(m, -1)": "active-variable count must be at least 0",
+    "random_function(3, s, seed=-1)": "seed must be at least 0",
+    "random_function(3, s, seed=1, max_index=10**20)": (
+        f"max_index must lie in [1, {2**63 - 2}]"
+    ),
+    "mc_l2_error(f, approx, s, seed=-1)": "seed must be at least 0",
+    "mean_function(0, wiener)": "d must be at least 1",
 }
 
 
@@ -247,9 +268,12 @@ SCALAR_ENTRY_POINTS = {
     "eval_cost": (lambda k=2: eval_cost(EXP, k)),
     "log_eval_cost": (lambda k=2: log_eval_cost(EXP, k)),
     "random_function": (
-        lambda d=3, max_index=3: random_function(d, S, seed=1, max_index=max_index)
+        lambda d=3, max_index=3, seed=1: random_function(d, S, seed=seed, max_index=max_index)
     ),
-    "mc_l2_error": (lambda samples=100: mc_l2_error(F, ZERO, S, samples=samples)),
+    "mc_l2_error": (
+        lambda samples=100, seed=0: mc_l2_error(F, ZERO, S, samples=samples, seed=seed)
+    ),
+    "mean_function": (lambda d=2: mean_function(d, WIENER)),
 }
 KIND = {
     "epsilon": "demand",
@@ -261,6 +285,7 @@ KIND = {
     "d": "count",
     "max_index": "count",
     "samples": "count",
+    "seed": "seed",
     "k": "k",
     "q": "q",
     "c": "c",
@@ -291,6 +316,7 @@ ACCEPTS = {
     "positive": ("1.0", "2.5", "np.float32(2.5)"),
     "count": (),
     "k": ("0", "np.int64(0)"),
+    "seed": ("0", "np.int64(0)"),
     "q": ("0", "np.int64(0)", "1.0", "2.5", "np.float32(2.5)"),
     "c": ("1.0", "2.5", "np.float32(2.5)"),
 }
@@ -333,7 +359,12 @@ def test_numpy_demands_constants_and_costs_are_stored_as_python_numbers():
     assert list(TensorEigenStream(2, CUSTOM).above(np.float32(0.5))) == list(
         TensorEigenStream(2, CUSTOM).above(0.5)
     )
-    assert random_function(np.int64(3), S, seed=1, max_index=np.int16(3)) == (
-        random_function(3, S, seed=1, max_index=3)
+    # A numpy seed draws the stream of the equal Python seed.
+    assert random_function(np.int64(3), S, seed=np.int64(7), max_index=np.int16(3)) == (
+        random_function(3, S, seed=7, max_index=3)
     )
-    assert mc_l2_error(F, ZERO, S, samples=np.int64(100)) == mc_l2_error(F, ZERO, S, samples=100)
+    assert mc_l2_error(F, ZERO, S, samples=np.int64(100), seed=np.int64(7)) == (
+        mc_l2_error(F, ZERO, S, samples=100, seed=7)
+    )
+    assert mean_function(np.int64(2), WIENER) == mean_function(2, WIENER)
+
