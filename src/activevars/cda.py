@@ -34,12 +34,11 @@ from .space import AnovaFunction, _combine_errors, _term_g_sq
 from .spectrum import (
     Spectrum,
     _count,
-    _demand,
     _exp_or_inf,
-    _exponent,
     _fsum_or_inf,
     _log_comb,
     _logsumexp,
+    _real,
     power_sum,
 )
 from .truncation import truncation_level
@@ -97,35 +96,29 @@ def _dust_floor(x: float) -> int:
 
 
 def build_plan(
-    epsilon: float,
-    d: int,
-    spectrum: Spectrum,
-    tau: float | None = None,
-    level: int | None = None,
+    epsilon: float, d: int, spectrum: Spectrum, tau: float | None = None
 ) -> CdaPlan:
     """Compute the full plan for one ``(eps, d)`` configuration.
 
     ``tau`` defaults to 1.1 (``_DEFAULT_TAU``); exponents at or below
-    ``1/alpha`` are rejected by the underlying power sum (divergent).
-    ``level`` overrides the truncation level, which is otherwise the
-    minimal certified one for ``eps`` and the spectrum's ``C_0^2``.
-    ``epsilon`` is a real in ``(0, 1)`` and ``tau`` a positive real, stored
-    as ``float``; ``d`` and ``level`` are Python or numpy integers (``bool``
-    not), stored as ``int``.
+    ``1/alpha`` are rejected by the underlying power sum (divergent).  The
+    truncation level is always the minimal certified one,
+    ``truncation_level(epsilon, d, spectrum.c0sq).level``: the smallest
+    whose weighted binomial tail is at most ``eps^2``, which the
+    ``eps * sqrt(2)`` error certificate needs.  ``epsilon`` is a real in
+    ``(0, 1)`` and ``tau`` a positive real, stored as ``float``; ``d`` is a
+    Python or numpy integer (``bool`` not), stored as ``int``.
 
     Identical inputs yield bit-identical plans: everything below is a pure
     float computation with a fixed summation order.  A term budget that
     leaves double range (a large ``tau``: ``eps_l^(2 tau)`` underflows)
     raises :class:`UnsupportedScaleError`.
     """
-    epsilon = _demand(epsilon)
+    epsilon = _real(epsilon, "epsilon", 0.0, 1.0)
     d = _count(d, "d")
-    tau = _DEFAULT_TAU if tau is None else _exponent(tau)
+    tau = _DEFAULT_TAU if tau is None else _real(tau, "tau", 0.0, math.inf, "(]")
     ltau = power_sum(spectrum, tau)  # validates tau > 1/alpha
-    if level is None:
-        level = truncation_level(epsilon, d, spectrum.c0sq).level
-    else:
-        level = _count(level, "level", low=0, high=d)
+    level = truncation_level(epsilon, d, spectrum.c0sq).level
 
     log_d = math.log(d)
     log_terms = [_log_comb(d, k) - k * tau / (1.0 + tau) * log_d for k in range(1, level + 1)]

@@ -28,14 +28,12 @@ from .errors import (
 from .optimal import _cardinality_counts, _log_term_bound, _spectral_ceiling, _total_count
 from .spectrum import (
     Spectrum,
-    _constant,
     _count,
-    _demand,
     _exp_or_inf,
-    _exponent,
     _integers,
     _log_comb,
     _logsumexp,
+    _real,
     _real_tuple,
     power_sum,
 )
@@ -194,13 +192,14 @@ class ComplexityReport:
     ``qpt_c_fit`` are the slope and ``e^intercept`` of ``ln comp`` against
     ``(1 + ln d)(1 + ln(1/eps))`` over the whole priced grid.  Both
     residuals are root-mean-square in log space.  Flagged (unpriceable)
-    points are excluded from both fits.  The fits describe this grid only
-    and carry no tractability verdict.
+    points are excluded from both fits.  A fit whose abscissae do not
+    spread (one demand, or one grid point) defines no line: its slope,
+    intercept and residual are NaN.  The fits describe this grid only and
+    carry no tractability verdict.  Each point carries its own ``d`` and
+    ``epsilon``.
     """
 
     points: tuple[GridPoint, ...]
-    eps_grid: tuple[float, ...]
-    d_grid: tuple[int, ...]
     p_str_fit: float
     p_str_residual: float
     qpt_t_fit: float
@@ -210,9 +209,9 @@ class ComplexityReport:
 
 
 def _lsq(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Slope, intercept and RMS residual of a 1-D least-squares line."""
+    """Slope, intercept and RMS residual of a 1-D least-squares line; NaN if ``x`` has no spread."""
     if np.ptp(x) == 0.0:
-        return 0.0, float(np.mean(y)), float(np.sqrt(np.mean((y - np.mean(y)) ** 2)))
+        return math.nan, math.nan, math.nan
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
@@ -260,17 +259,18 @@ def complexity_curve(
 
     ``c_const`` is a finite real ``>= 1``, both grids are sequences, each
     demand a real in ``(0, 1)``, each dimension an integer ``>= 1`` and
-    ``tau`` a positive real; the report's grids hold Python numbers.
+    ``tau`` a positive real; each point's ``d`` and ``epsilon`` are Python
+    numbers.
     """
     from .cda import _certified, _log_plan_bound, build_plan  # local: keeps modules acyclic
 
-    c_const = _constant(c_const)
+    c_const = _real(c_const, "c_const", 1.0, math.inf, "[)")
     eps_reals = _real_tuple(eps_grid)
     if eps_reals is None:
         raise InvalidArgumentError(f"eps_grid must be a sequence of reals, not {eps_grid!r}")
-    eps_grid = tuple(sorted(map(_demand, eps_reals), reverse=True))
-    d_grid = tuple(sorted(_count(d, "d") for d in _integers(d_grid, "d_grid")))
-    tau = _exponent(tau)
+    eps_grid = sorted((_real(e, "epsilon", 0.0, 1.0) for e in eps_reals), reverse=True)
+    d_grid = sorted(_count(d, "d") for d in _integers(d_grid, "d_grid"))
+    tau = _real(tau, "tau", 0.0, math.inf, "(]")
     ltau = power_sum(spectrum, tau)
     by_plan = spectrum.kernel.zero_mean is False
     if by_plan and c_const != 1.0:
@@ -308,15 +308,10 @@ def complexity_curve(
             bound, within = _exp_or_inf(log_bound), verdict(log_comp, log_bound)
             points.append(GridPoint(d, eps, comp, bound, n_terms, max_act, m2, within, False, reason))
 
-    return _summarize(points, eps_grid, d_grid, flags)
+    return _summarize(points, flags)
 
 
-def _summarize(
-    points: list[GridPoint],
-    eps_grid: tuple[float, ...],
-    d_grid: tuple[int, ...],
-    flags: list[str],
-) -> ComplexityReport:
+def _summarize(points: list[GridPoint], flags: list[str]) -> ComplexityReport:
     priced = [p for p in points if not p.flagged and math.isfinite(p.comp)]
     if not priced:
         raise InsufficientDataError("no grid point could be priced")
@@ -336,8 +331,6 @@ def _summarize(
     qpt_t, qpt_log_c, qpt_resid = _lsq(x_qpt, y_all)
     return ComplexityReport(
         points=tuple(points),
-        eps_grid=eps_grid,
-        d_grid=d_grid,
         p_str_fit=p_str_fit,
         p_str_residual=p_str_resid,
         qpt_t_fit=qpt_t,

@@ -100,23 +100,18 @@ def single_subset_function(
     return AnovaFunction(d=d, terms={u: {k: value}}, max_index=max(64, *k))
 
 
-def random_function(
-    d: int,
-    spectrum: Spectrum,
-    seed: int,
-    max_index: int = 8,
-) -> AnovaFunction:
+def random_function(d: int, spectrum: Spectrum, seed: int) -> AnovaFunction:
     """Seeded sparse function with unit weighted norm.
 
-    Draws 6 distinct subsets of size up to ``min(d, 5)``, a handful of
-    coefficients on each at indices up to ``max_index``, then rescales
-    everything to ``h_norm == 1``.  The same seed always reproduces the
-    same coefficient map.  ``d``, ``max_index`` and ``seed`` are Python or
-    numpy integers (``bool`` not): ``d >= 1``, ``max_index`` in
-    ``[1, 2^63 - 2]`` (indices are drawn as int64) and ``seed >= 0``.
+    Draws up to 6 distinct subsets of size up to ``min(d, 5)`` (fewer when
+    ``d`` has fewer), a handful of coefficients on each at indices up to
+    ``min(8, N)``, so that every index has an eigenvalue in ``spectrum``,
+    then rescales everything to ``h_norm == 1``.  The same seed always
+    reproduces the same coefficient map.  ``d`` and ``seed`` are Python or
+    numpy integers (``bool`` not): ``d >= 1`` and ``seed >= 0``.
     """
     d, seed = _count(d, "d"), _count(seed, "seed", low=0)
-    max_index = _count(max_index, "max_index", high=2**63 - 2)
+    max_index = min(8, spectrum.n_eigenvalues)
     sparsity, max_card = 6, min(d, 5)
     rng = np.random.default_rng(seed)
     subsets: set[tuple[int, ...]] = set()

@@ -29,14 +29,7 @@ from .errors import (
     InvalidConfigurationError,
     TailCertificateError,
 )
-from .spectrum import (
-    Spectrum,
-    _constant,
-    _count,
-    _demand,
-    _finite_positive,
-    _table_product,
-)
+from .spectrum import Spectrum, _count, _real, _table_product
 from .truncation import orthogonal_truncation_level
 
 __all__ = [
@@ -156,7 +149,7 @@ class TensorEigenStream:
         ``lambda_{N+1} / d`` (above 0 for a finite spectrum).  ``epsilon`` is
         a finite positive real.
         """
-        epsilon = _finite_positive(epsilon, "epsilon")
+        epsilon = _real(epsilon, "epsilon", 0.0, math.inf)
         thr = 0.0
         if not self.spectrum.is_finite:
             thr = self.spectrum.eigenvalue(self._max_index + 1) * self._inv_d
@@ -218,7 +211,7 @@ class TensorEigenStream:
         :attr:`first_excluded`; that attribute stays 0 when the stream runs
         out first.
         """
-        epsilon = _finite_positive(epsilon, "epsilon")
+        epsilon = _real(epsilon, "epsilon", 0.0, math.inf)
         self.require_certified(epsilon)
         thr = epsilon * epsilon
         for entry in self:
@@ -547,7 +540,8 @@ def optimal_algorithm(
         its embedded norms are not orthogonal across subsets, so the
         construction would not be optimal there.  Custom spectra are taken.
     """
-    epsilon, c_const = _demand(epsilon, closed=True), _constant(c_const)
+    epsilon = _real(epsilon, "epsilon", 0.0, 1.0, "(]")
+    c_const = _real(c_const, "c_const", 1.0, math.inf, "[)")
     if spectrum.kernel.zero_mean is False:
         raise InvalidConfigurationError(
             "the spectral algorithm is optimal only for kernels whose "

@@ -274,8 +274,9 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
     """Evaluate ``f`` at sample points (rows of ``x``), for test/MC purposes.
 
     Requires an analytic kernel so the eigenfunctions can be evaluated.
-    ``x`` has shape ``(n_points, d)``; the coordinates ``f`` uses must lie
-    in ``[0, 1]`` (NaN does not), the others are not looked at.
+    ``x`` has shape ``(n_points, d)`` (one point may come as a 1-D row, and
+    more dimensions are refused); the coordinates ``f`` uses must lie in
+    ``[0, 1]`` (NaN does not), the others are not looked at.
 
     Each used coordinate gets the table rows of the indices ``f`` uses on
     it, from one :class:`EigenfunctionTable` per distinct index set (the
@@ -293,6 +294,8 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
     except (TypeError, ValueError):
         raise InvalidArgumentError("points must be a rectangular array of reals") from None
+    if x.ndim != 2:
+        raise InvalidArgumentError(f"points must be a 2-D array, not of shape {x.shape}")
     if x.shape[1] != f.d:
         raise InvalidArgumentError(f"points have {x.shape[1]} coordinates, need {f.d}")
     out = np.full(x.shape[0], f.constant, dtype=float)

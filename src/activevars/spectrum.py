@@ -94,13 +94,7 @@ class KernelSpec:
                     f"{name}={getattr(self, name)!r} for {self.kind}"
                 )
         if self.kind == "korobov":
-            r = _real_tuple([self.r])
-            if r is None or not 0.5 < r[0] < math.inf:
-                raise InvalidArgumentError(
-                    "korobov smoothness r must be a finite real r > 1/2 (finite trace), "
-                    f"not {self.r!r}"
-                )
-            object.__setattr__(self, "r", r[0])
+            object.__setattr__(self, "r", _real(self.r, "korobov smoothness r", 0.5, math.inf))
         if self.kind == "custom":
             values = _real_tuple(self.eigenvalues)
             if values is None:
@@ -173,39 +167,19 @@ def _real_tuple(values) -> tuple[float, ...] | None:
     return None
 
 
-def _finite_positive(value, what: str) -> float:
-    """``value`` as a ``float``: a finite positive Python or numpy real, ``bool`` not."""
-    (v,) = _real_tuple((value,)) or (math.nan,)
-    if not 0.0 < v < math.inf:
-        raise InvalidArgumentError(f"{what} must be a finite positive real, not {value!r}")
-    return v
+def _real(value, what: str, low: float, high: float, ends: str = "()") -> float:
+    """A real such as ``epsilon`` or ``tau`` in an interval, as a ``float``; ``bool`` is not one.
 
-
-def _demand(epsilon, closed: bool = False) -> float:
-    """``epsilon`` as a ``float``: a Python or numpy real in ``(0, 1)``, ``bool`` not.
-
-    With ``closed`` the demand 1 is accepted too (the empty algorithm).
+    The one rule for every real range, as :func:`_count` is for integers:
+    ``ends`` holds the interval's brackets (``"(]"`` is ``(low, high]``),
+    NaN lies in no interval, and a refusal names the interval.
     """
-    (e,) = _real_tuple((epsilon,)) or (math.nan,)
-    if not (0.0 < e < 1.0 or (closed and e == 1.0)):
-        raise InvalidArgumentError(f"epsilon must lie in (0, 1{']' if closed else ')'}")
-    return e
-
-
-def _constant(c_const) -> float:
-    """The orthogonality constant ``C`` as a ``float``: a finite real ``>= 1``, ``bool`` not."""
-    (c,) = _real_tuple((c_const,)) or (math.nan,)
-    if not 1.0 <= c < math.inf:
-        raise InvalidArgumentError("orthogonality constant must be a finite real >= 1")
-    return c
-
-
-def _exponent(tau) -> float:
-    """``tau`` as a ``float``: a positive Python or numpy real, ``inf`` included, ``bool`` not."""
-    (t,) = _real_tuple((tau,)) or (math.nan,)
-    if not t > 0.0:
-        raise InvalidArgumentError("tau must be positive")
-    return t
+    (v,) = _real_tuple((value,)) or (math.nan,)
+    above = low <= v if ends[0] == "[" else low < v
+    below = v <= high if ends[1] == "]" else v < high
+    if not (above and below):
+        raise InvalidArgumentError(f"{what} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+    return v
 
 
 # e^x is finite exactly for x <= _LOG_MAX, the log of the largest double.
@@ -213,8 +187,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 def _exp_or_inf(x: float) -> float:
-    """``e^x`` for ``x <= _LOG_MAX`` (~709.78), else ``inf``; every log-space value leaves here."""
-    return math.exp(x) if x <= _LOG_MAX else math.inf
+    """``e^x``, ``inf`` for ``x > _LOG_MAX`` (~709.78); every log-space value leaves here.
+
+    NaN stays NaN: a missing value never reads as an overflow.
+    """
+    return math.inf if x > _LOG_MAX else math.exp(x)
 
 
 def _exp_or_raise(x: float, message: str) -> float:
@@ -588,7 +565,7 @@ def power_sum(s: Spectrum, tau: float) -> float:
         If ``tau`` is not a positive real (NaN and ``bool`` included;
         ``inf`` is accepted).
     """
-    tau = _exponent(tau)
+    tau = _real(tau, "tau", 0.0, math.inf, "(]")
     if not s.is_finite and tau <= 1.0 / s.alpha:
         raise DivergenceError(
             f"power sum diverges for tau={tau} <= 1/alpha={1.0 / s.alpha}"
@@ -614,7 +591,7 @@ def eval_eigenfunction(s: Spectrum, n, x):
         Must be an analytic kind (wiener or korobov); custom spectra carry
         no eigenfunction data.
     n : int
-        1-based eigenvalue index.
+        1-based eigenvalue index: a Python or numpy integer ``>= 1``.
     x : float or ndarray
         Points in the kernel domain ``[0, 1]``; others, NaN included, raise
         :class:`InvalidArgumentError`.
@@ -629,8 +606,7 @@ def eval_eigenfunction(s: Spectrum, n, x):
     """
     if s.is_finite:
         raise UnsupportedOperationError("custom spectra carry no eigenfunction data")
-    if n < 1:
-        raise InvalidArgumentError("eigenfunction index is 1-based")
+    n = _count(n, "eigenfunction index")
     x_arr = np.asarray(x, dtype=float)
     if _outside_unit_interval(x_arr):
         raise InvalidArgumentError("evaluation points must lie in [0, 1]")

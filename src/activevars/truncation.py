@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import UnsupportedScaleError
-from .spectrum import (
-    _constant,
-    _count,
-    _demand,
-    _exp_or_inf,
-    _finite_positive,
-    _fsum_or_inf,
-)
+from .spectrum import _count, _exp_or_inf, _fsum_or_inf, _real
 
 __all__ = [
     "TruncationReport",
@@ -71,7 +64,7 @@ def binomial_tail(d: int, m: int, c0sq: float) -> float:
     ``d`` and ``m`` are Python or numpy integers and ``c0sq`` a finite
     positive real; ``bool`` is neither.
     """
-    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
+    d, c0sq = _count(d, "d"), _real(c0sq, "c0sq", 0.0, math.inf)
     m = _count(m, "m", low=0, high=d)
     return _fsum_or_inf(_tail_terms(d, c0sq)[m:])
 
@@ -99,8 +92,8 @@ def truncation_level(epsilon: float, d: int, c0sq: float) -> TruncationReport:
     nonnegative terms.  ``epsilon`` is a real in ``(0, 1)``; ``d`` and
     ``c0sq`` are checked as in :func:`binomial_tail`.
     """
-    epsilon = _demand(epsilon)
-    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
+    epsilon = _real(epsilon, "epsilon", 0.0, 1.0)
+    d, c0sq = _count(d, "d"), _real(c0sq, "c0sq", 0.0, math.inf)
     eps_sq = epsilon * epsilon
     terms = _tail_terms(d, c0sq)
     m = next((k for k in range(len(terms), 0, -1) if terms[k - 1] > eps_sq), 0)
@@ -130,8 +123,8 @@ def factorial_majorant(epsilon: float, c0sq: float, refined: bool = False) -> fl
     unrefined mode does so when the root lies past the bracket.
     ``epsilon`` is a real in ``(0, 1)`` and ``c0sq`` a finite positive real.
     """
-    epsilon = _demand(epsilon)
-    c0sq = _finite_positive(c0sq, "c0sq")
+    epsilon = _real(epsilon, "epsilon", 0.0, 1.0)
+    c0sq = _real(c0sq, "c0sq", 0.0, math.inf)
     log_c = math.log(c0sq)
     if refined:
         if c0sq > 1e12:
@@ -188,9 +181,9 @@ def orthogonal_truncation_level(
     ``epsilon`` is a real in ``(0, 1)``, ``d`` and ``c0sq`` are checked as
     in :func:`binomial_tail`, and ``c_const`` must be a finite real ``>= 1``.
     """
-    epsilon = _demand(epsilon)
-    d, c0sq = _count(d, "d"), _finite_positive(c0sq, "c0sq")
-    c_const = _constant(c_const)
+    epsilon = _real(epsilon, "epsilon", 0.0, 1.0)
+    d, c0sq = _count(d, "d"), _real(c0sq, "c0sq", 0.0, math.inf)
+    c_const = _real(c_const, "c_const", 1.0, math.inf, "[)")
     log_thr = 2.0 * math.log(epsilon) - math.log(c_const)
     log_ratio = math.log(c0sq) - math.log(d)
     if d < c0sq:

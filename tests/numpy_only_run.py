@@ -53,7 +53,7 @@ est, se = av.mc_l2_error(g, av.AnovaFunction(d=4), korobov, samples=2000, seed=2
 assert abs(est - av.g_norm_exact(g, korobov, orthogonal=True).value) <= 4 * se
 
 for s, exact in ((korobov, True), (wiener, False), (custom, False)):
-    h = av.random_function(3, s, seed=0, max_index=3)
+    h = av.random_function(3, s, seed=0)
     assert av.CdaApplier(av.build_plan(0.3, 3, s), s).apply(h).exact is exact
 
 try:

@@ -24,6 +24,7 @@ from activevars import (
     price_plan,
     random_function,
     single_subset_function,
+    truncation_level,
     wiener_kernel,
 )
 from activevars import optimal
@@ -47,8 +48,10 @@ def _split_total(plan) -> float:
 
 
 class TestPlan:
-    def test_two_term_r_sum(self, korobov1):
-        plan = build_plan(0.3, 4, korobov1, tau=1.0, level=2)
+    def test_two_term_r_sum(self, custom_pair):
+        # C_0^2 = 0.5 reaches level 2 at eps = 0.3, d = 4.
+        plan = build_plan(0.3, 4, custom_pair, tau=1.0)
+        assert plan.level == 2
         # C(4,1) 4^{-1/2} + C(4,2) 4^{-1} = 2 + 1.5
         assert plan.big_r == pytest.approx(3.5, rel=1e-12)
         assert plan.ell_star == 2
@@ -56,10 +59,23 @@ class TestPlan:
     def test_term_budget_formula(self):
         # n = floor(L^l / eps_l^{2 tau}) at eps_l = 0.1, L = 0.5, l = 1, tau = 1.
         s = build_spectrum(custom_kernel([0.3, 0.2]))  # L(1) = 0.5
-        plan = build_plan(0.1, 1, s, tau=1.0, level=1)
+        plan = build_plan(0.1, 1, s, tau=1.0)
+        assert plan.level == 1
         # eps_1 = 0.1 * 1^{1/4} / sqrt(R) with R = 1 at d = 1.
         assert plan.rows[0].eps_l == pytest.approx(0.1, rel=1e-14)
         assert plan.rows[0].n_l == 50
+
+    def test_the_level_is_always_the_certified_one(self, wiener):
+        # A plan forced below its certified level priced within_bound, yet
+        # certified 0.2013 > eps sqrt(2) for this unit-norm function at
+        # level 0.  The certificate needs the level whose tail is <= eps^2.
+        plan = build_plan(0.1, 10, wiener)
+        assert plan.level == truncation_level(0.1, 10, wiener.c0sq).level == 2
+        with pytest.raises(TypeError):
+            build_plan(0.1, 10, wiener, level=0)
+        f = AnovaFunction(d=10, terms={(1,): {(1,): 10**-0.5}})
+        assert h_norm(f) == pytest.approx(1.0, rel=1e-12)
+        assert CdaApplier(plan, wiener).apply(f).error_cert <= 0.1 * math.sqrt(2.0)
 
     def test_default_tau_exceeds_inverse_decay(self, korobov1, wiener):
         assert build_plan(0.1, 4, korobov1).tau == pytest.approx(1.1)
@@ -79,7 +95,7 @@ class TestPlan:
             with pytest.raises(InvalidArgumentError, match="cardinality must"):
                 plan.row(c)
         with pytest.raises(InvalidArgumentError, match=r"lie in \[1, 0\]"):
-            build_plan(0.3, 5, korobov1, level=0).row(1)
+            build_plan(0.3, 5, korobov1).row(1)
 
     def test_plans_are_deterministic(self, korobov1):
         a = build_plan(0.01, 10, korobov1)
@@ -112,26 +128,38 @@ def _r_power(plan):
         return oracles.mp.mpf(plan.big_r) ** (1 + oracles.mp.mpf(plan.tau))
 
 
+def _one_value(c):
+    """The custom spectrum ``[c]``, whose ``C_0^2`` is ``c``.
+
+    ``R`` depends on ``(d, level, tau)`` only, and the level on ``(eps, d,
+    C_0^2)``, so ``c`` picks the level a plan reaches.
+    """
+    return build_spectrum(custom_kernel([c]))
+
+
 class TestRGrowthBounds:
     # A plan's R^(1+tau) against the lemma's bounds (oracles.mp_growth_bound).
-    def test_exponential_regime(self, korobov1):
-        plan = build_plan(0.3, 4, korobov1, tau=1.0, level=2)
+    def test_exponential_regime(self, custom_pair):
+        plan = build_plan(0.3, 4, custom_pair, tau=1.0)
+        assert plan.level == 2
         _, exponential, applicable = oracles.mp_growth_bound(4, 2, 1.0)
         assert applicable is exponential
         assert float(exponential) == pytest.approx(2.0 * math.e**2, rel=1e-12)
         assert float(_r_power(plan)) == pytest.approx(12.25, rel=1e-12)
         assert _r_power(plan) <= applicable
 
-    def test_factorial_regime(self, korobov1):
-        plan = build_plan(0.3, 100, korobov1, tau=1.0, level=2)
+    def test_factorial_regime(self, custom_pair):
+        plan = build_plan(0.3, 100, custom_pair, tau=1.0)
+        assert plan.level == 2
         factorial, _, applicable = oracles.mp_growth_bound(100, 2, 1.0)
         assert applicable is factorial
         assert float(factorial) == pytest.approx(1.0e4, rel=1e-12)
         assert _r_power(plan) <= applicable
 
-    def test_single_level_boundary(self, korobov1):
+    def test_single_level_boundary(self):
         # level 1: R = d^{1/(1+tau)}, so R^{1+tau} = d = factorial bound.
-        plan = build_plan(0.3, 9, korobov1, tau=1.0, level=1)
+        plan = build_plan(0.3, 9, _one_value(0.25), tau=1.0)
+        assert plan.level == 1
         factorial, _, _ = oracles.mp_growth_bound(9, 1, 1.0)
         assert float(_r_power(plan)) == pytest.approx(9.0, rel=1e-12)
         assert float(factorial) == pytest.approx(9.0, rel=1e-12)
@@ -144,16 +172,18 @@ class TestRGrowthBounds:
             _, _, applicable = oracles.mp_growth_bound(d, plan.level, plan.tau)
             assert _r_power(plan) <= applicable * (1 + 1e-12), (d, eps)
 
-    def test_growth_past_double_range_holds_at_50_digits(self, korobov1):
+    def test_growth_past_double_range_holds_at_50_digits(self):
         # R^(1+tau) ~ 1e347 leaves double range; at 50 digits the factorial
         # bound, ~1e350, still holds.
-        plan = build_plan(0.1, 10**6, korobov1, tau=0.6, level=100)
+        plan = build_plan(0.1, 10**6, _one_value(36.3), tau=0.6)
+        assert plan.level == 100
         factorial, _, applicable = oracles.mp_growth_bound(10**6, 100, 0.6)
         assert plan.big_r < math.inf and _r_power(plan) > 1e308
         assert applicable is factorial and _r_power(plan) <= factorial
-        # R itself leaves double range: no term budget follows from it.
+        # At level 300 R itself leaves double range: no term budget follows.
+        assert truncation_level(0.1, 10**6, 110.0).level == 300
         with pytest.raises(UnsupportedScaleError, match="outside double range"):
-            build_plan(0.1, 10**6, korobov1, tau=0.6, level=300)
+            build_plan(0.1, 10**6, _one_value(110.0), tau=0.6)
 
     def test_exponential_form_fails_near_regime_boundary(self, korobov1):
         # At d = 10, tau = 1.1 the level is 3 and d sits just below
@@ -181,6 +211,13 @@ _apply_spectra = st.one_of(
     st.integers(1, 8).map(lambda n: build_spectrum(korobov_kernel(1.0), n)),
     st.integers(1, 8).map(lambda n: build_spectrum(wiener_kernel(), n)),
 )
+
+
+# Demands that reach every truncation level from 0 to d = 3 on the spectra
+# above: half from [0.05, 0.99], where most plans stop at level 0 to 2, and
+# half log-uniform from [1e-4, 0.05], where the deep ones lie (korobov
+# reaches level 3 only below eps = 7.8e-4).
+_demands = st.one_of(st.floats(0.05, 0.99), st.floats(-4.0, -1.3).map(lambda e: 10.0**e))
 
 
 # Kernels with eigenfunctions, for certificates checked by quadrature.
@@ -520,12 +557,7 @@ class TestApply:
     @given(values=_tie_spectra, d=st.integers(1, 3), data=st.data())
     def test_keeps_exactly_the_brute_force_ranking(self, values, d, data):
         s = build_spectrum(custom_kernel(values))
-        plan = build_plan(
-            data.draw(st.floats(0.05, 0.95), label="eps"),
-            d,
-            s,
-            level=data.draw(st.integers(0, d), label="level"),
-        )
+        plan = build_plan(data.draw(_demands, label="eps"), d, s)
         subsets = [u for l in range(1, d + 1) for u in combinations(range(1, d + 1), l)]
         terms = {}
         for u in data.draw(st.sets(st.sampled_from(subsets)), label="subsets"):
@@ -558,12 +590,15 @@ class TestApply:
     def test_index_past_a_custom_table_is_dropped_and_refused(self):
         # The pair budget exhausts the 2 x 2 pairs of the table.  Index 3
         # lies past it: dropped, with no eigenvalue to certify the drop,
-        # whether the pair is ranked (level 2) or above the level (1).
+        # whether the pair is ranked (level 2 at eps = 0.05) or above the
+        # level (1 at eps = 0.3).
         s = build_spectrum(custom_kernel([0.5, 0.25]))
-        assert build_plan(0.05, 2, s, level=2).row(2).n_l >= 4
+        assert build_plan(0.05, 2, s).row(2).n_l >= 4
         f = AnovaFunction(d=2, terms={(1, 2): {(1, 1): 0.5, (3, 1): 0.25}})
-        for level in (2, 1):
-            applier = CdaApplier(build_plan(0.05, 2, s, level=level), s)
+        for eps, level in ((0.05, 2), (0.3, 1)):
+            plan = build_plan(eps, 2, s)
+            assert plan.level == level
+            applier = CdaApplier(plan, s)
             with pytest.raises(InvalidArgumentError):
                 applier.apply(f)
             with pytest.raises(InvalidArgumentError):
@@ -576,9 +611,13 @@ class TestApply:
     def test_dropped_products_keep_the_index_order(self, kernel, n, k, level):
         # One dropped coefficient 1.0 certifies sqrt(lambda_k1 lambda_k2 lambda_k3),
         # multiplied in k's order; in sorted order its last bit differs here.
-        # Korobov's (5, 6, 1) lies past N = 4, in the closed form.
+        # Korobov's (5, 6, 1) lies past N = 4, in the closed form.  At level
+        # 3 the triple is ranked and falls outside the budget (wiener's
+        # n_3 = 41) or the table (korobov); at level 0 it lies above the level.
         s = build_spectrum(kernel, n)
-        plan = build_plan(0.5, 3, s, level=level)
+        eps = 0.9 if level == 0 else {"wiener": 0.045, "korobov": 5e-4}[s.kind]
+        plan = build_plan(eps, 3, s)
+        assert plan.level == level
         f = AnovaFunction(d=3, terms={(1, 2, 3): {k: 1.0}}, max_index=8)
         res = CdaApplier(plan, s).apply(f)
         assert res.max_act == 0
@@ -589,12 +628,7 @@ class TestApply:
     @settings(max_examples=150, deadline=None)
     @given(s=_apply_spectra, d=st.integers(1, 3), data=st.data())
     def test_matches_the_reference_apply_bit_for_bit(self, s, d, data):
-        plan = build_plan(
-            data.draw(st.floats(0.05, 0.95), label="eps"),
-            d,
-            s,
-            level=data.draw(st.integers(0, d), label="level"),
-        )
+        plan = build_plan(data.draw(_demands, label="eps"), d, s)
         applier = CdaApplier(plan, s)
         # Analytic indices run past N, into the closed form.
         top = s.n_eigenvalues if s.is_finite else s.n_eigenvalues + 4
@@ -644,7 +678,7 @@ class TestApply:
             for eps in (0.2, 0.05):
                 applier = CdaApplier(build_plan(eps, d, s), s)
                 for seed in range(20):
-                    f = random_function(d, s, seed=seed, max_index=min(8, s.n_eigenvalues))
+                    f = random_function(d, s, seed=seed)
                     res = applier.apply(f)
                     want = g_norm_exact(
                         oracles.dropped_part(f, res.approx), s, orthogonal=kind == "korobov"
@@ -653,7 +687,8 @@ class TestApply:
                     assert res.exact is not want.is_upper_bound
 
     def test_retained_coefficients_are_unchanged(self, custom_quad):
-        plan = build_plan(0.2, 2, custom_quad, tau=1.0, level=2)
+        plan = build_plan(0.2, 2, custom_quad, tau=1.0)
+        assert plan.level == 2
         f = AnovaFunction(
             d=2, terms={(1,): {(1,): 0.5, (4,): 0.25}, (1, 2): {(2, 3): 0.1}}
         )

@@ -277,6 +277,16 @@ class TestComplexity:
         keys = {line[2:].split("=", 1)[0] for line in out.splitlines() if line.startswith("# ")}
         assert keys == SUMMARY_KEYS
 
+    def test_a_fit_without_spread_prints_nan(self, capsys):
+        # One demand at one dimension defines no line; the fits printed
+        # slopes and residuals of 0.0 and qpt_c_fit=4.999999999999999.
+        argv = ["complexity", "--kernel", "korobov:1", "--eps-grid", "0.1", "--d-grid", "2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        summary = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+        for key in ("p_str_fit", "p_str_residual", "qpt_t_fit", "qpt_c_fit", "qpt_residual"):
+            assert summary[key] == "nan", key
+
 
 class TestDeterminism:
     def test_identical_configs_write_identical_files(self, capsys, tmp_path):

@@ -211,6 +211,20 @@ class TestComplexityCurve:
         with pytest.raises(CertificationError, match="closed-form budget"):
             price_plan(build_plan(0.1, 3, wiener), exp1)
 
+    def test_fits_without_spread_are_nan(self, korobov1):
+        # A line through abscissae that do not spread is not defined: its
+        # slope, intercept (so qpt_c_fit) and residual are NaN, not 0.
+        exp1 = CostModel(family="exponential", q=1.0)
+        rep = complexity_curve(korobov1, 1.0, exp1, [0.1], [2])
+        fits = (rep.p_str_fit, rep.p_str_residual, rep.qpt_t_fit, rep.qpt_c_fit, rep.qpt_residual)
+        assert all(math.isnan(v) for v in fits)
+        # One demand over two dimensions: only the strong fit lacks spread,
+        # and two points make an exact quasi-polynomial line.
+        rep = complexity_curve(korobov1, 1.0, exp1, [0.1], [2, 5])
+        assert math.isnan(rep.p_str_fit) and math.isnan(rep.p_str_residual)
+        assert math.isfinite(rep.qpt_t_fit) and math.isfinite(rep.qpt_c_fit)
+        assert rep.qpt_residual == pytest.approx(0.0, abs=1e-12)
+
     def test_flagged_points_are_reported_not_fatal(self):
         from activevars import build_spectrum, korobov_kernel
 

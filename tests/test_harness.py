@@ -12,15 +12,19 @@ from activevars import (
     AnovaFunction,
     CdaApplier,
     build_plan,
+    build_spectrum,
+    custom_kernel,
     GOLDEN_MAJORANT_CEILINGS,
     eval_pointwise,
     g_norm_exact,
     h_norm,
+    korobov_kernel,
     mc_l2_error,
     mean_function,
     random_function,
     single_subset_function,
     table_check,
+    wiener_kernel,
 )
 from activevars import harness, space
 from activevars.errors import (
@@ -89,6 +93,31 @@ class TestGenerators:
         assert (1, 2) in g.terms
         h = random_function(4, wiener, seed=9)
         assert h_norm(h) == pytest.approx(1.0, rel=1e-12)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.one_of(
+            st.lists(st.floats(0.01, 1.0), min_size=1, max_size=7).map(
+                lambda v: build_spectrum(custom_kernel(sorted(v, reverse=True)))
+            ),
+            st.sampled_from(
+                [build_spectrum(korobov_kernel(1.0), 64), build_spectrum(wiener_kernel(), 64)]
+            ),
+        ),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_indices_have_eigenvalues(self, s, d, seed):
+        # On a custom spectrum of N < 8 eigenvalues, indices up to 8 left
+        # every function unusable: g_norm_exact and apply refused them.
+        f = random_function(d, s, seed=seed)
+        assert max(max(k) for coeffs in f.terms.values() for k in coeffs) <= s.n_eigenvalues
+        assert f.max_index == min(8, s.n_eigenvalues)
+        orthogonal = s.kernel.zero_mean is True
+        assert g_norm_exact(f, s, orthogonal=orthogonal).value > 0.0
+        res = CdaApplier(build_plan(0.1, d, s), s).apply(f)
+        assert res.exact is orthogonal
 
 
 class TestMonteCarlo:

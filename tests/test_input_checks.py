@@ -1,12 +1,13 @@
 """Scalar inputs at the public entry points: one rule per kind of input.
 
-Integers (``d``, ``m``, ``k``, ``level``, grid dimensions, harness counts)
-are Python or numpy integers, and ``bool`` is not one; ``c0sq`` and stream
-thresholds are finite positive reals; a demand ``epsilon`` is a real in
-``(0, 1)`` (``(0, 1]`` for ``optimal_algorithm``); the orthogonality constant
-is a finite real ``>= 1``; ``tau`` is a positive real.  Anything else raises
+Integers (``d``, ``m``, ``k``, grid dimensions, harness counts) are Python
+or numpy integers, and ``bool`` is not one; ``c0sq`` and stream thresholds
+are finite positive reals; a demand ``epsilon`` is a real in ``(0, 1)``
+(``(0, 1]`` for ``optimal_algorithm``); the orthogonality constant is a
+finite real ``>= 1``; ``tau`` is a positive real.  Anything else raises
 :class:`InvalidArgumentError`, and a malformed cost parameter
-:class:`InvalidModelError`.
+:class:`InvalidModelError`.  A refusal names the range: ``spectrum._count``
+for integers, ``spectrum._real`` for reals.
 """
 
 import inspect
@@ -27,6 +28,7 @@ from activevars import (
     complexity_curve,
     custom_kernel,
     eval_cost,
+    eval_eigenfunction,
     eval_pointwise,
     factorial_majorant,
     korobov_kernel,
@@ -61,7 +63,6 @@ LISTED = {
     "truncation_level(0.1, True, 0.5)": lambda: truncation_level(0.1, True, 0.5),
     "TensorEigenStream(True, s)": lambda: TensorEigenStream(True, S),
     "binomial_tail(5, True, 0.5)": lambda: binomial_tail(5, True, 0.5),
-    "build_plan(0.1, 3, s, level=True)": lambda: build_plan(0.1, 3, S, level=True),
     "orthogonal_truncation_level(0.1, 5, 0.5, True)": (
         lambda: orthogonal_truncation_level(0.1, 5, 0.5, True)
     ),
@@ -78,7 +79,6 @@ LISTED = {
     ),
     "truncation_level(0.1, 5, '0.5')": lambda: truncation_level(0.1, 5, "0.5"),
     "build_plan(0.1, 2.5, s)": lambda: build_plan(0.1, 2.5, S),
-    "build_plan(0.1, 3, s, level=1.5)": lambda: build_plan(0.1, 3, S, level=1.5),
     "optimal_algorithm(0.1, 2.5, s)": lambda: optimal_algorithm(0.1, 2.5, S),
     # Demands, constants, exponents, grids, cost parameters and harness
     # counts.  Silently wrong results:
@@ -127,12 +127,14 @@ LISTED = {
     "complexity_curve(s, 1.0, m, 0.1, [2])": lambda: complexity_curve(S, 1.0, EXP, 0.1, [2]),
     "complexity_curve(s, 1.0, m, [0.1], 2)": lambda: complexity_curve(S, 1.0, EXP, [0.1], 2),
     "eval_pointwise(f, s, [['a']])": lambda: eval_pointwise(F, S, [["a"]]),
+    # A numpy broadcast ValueError and a TypeError from comparing "a" with 1.
+    "eval_pointwise(f, s, np.zeros((2, 3, 4)))": lambda: eval_pointwise(F, S, np.zeros((2, 3, 4))),
+    "eval_eigenfunction(s, 'a', 0.3)": lambda: eval_eigenfunction(S, "a", 0.3),
     "single_subset_function(3, (1,))": lambda: single_subset_function(3, (1,)),
     "single_subset_function(3, (1,), ('a',))": lambda: single_subset_function(3, (1,), ("a",)),
     # A k that does not match u was silently dropped.
     "single_subset_function(3, (), (1,))": lambda: single_subset_function(3, (), (1,)),
     # Integers outside their range; RANGE holds the range each message names.
-    "build_plan(0.1, 3, s, level=4)": lambda: build_plan(0.1, 3, S, level=4),
     "binomial_tail(5, -1, 0.5)": lambda: binomial_tail(5, -1, 0.5),
     "binomial_tail(5, 6, 0.5)": lambda: binomial_tail(5, 6, 0.5),
     "mc_l2_error(f, approx, s, samples=1)": lambda: mc_l2_error(F, ZERO, S, samples=1),
@@ -143,23 +145,18 @@ LISTED = {
     "random_function(3, s, seed=-1)": lambda: random_function(3, S, seed=-1),
     "random_function(3, s, seed=1.5)": lambda: random_function(3, S, seed=1.5),
     "random_function(3, s, seed=None)": lambda: random_function(3, S, seed=None),
-    "random_function(3, s, seed=1, max_index=10**20)": (
-        lambda: random_function(3, S, seed=1, max_index=10**20)
-    ),
     "mc_l2_error(f, approx, s, seed=-1)": lambda: mc_l2_error(F, ZERO, S, seed=-1),
     "mean_function(0, wiener)": lambda: mean_function(0, WIENER),
     "mean_function('a', wiener)": lambda: mean_function("a", WIENER),
 }
 RANGE = {
-    "build_plan(0.1, 3, s, level=4)": "level must lie in [0, 3]",
     "binomial_tail(5, -1, 0.5)": "m must lie in [0, 5]",
     "binomial_tail(5, 6, 0.5)": "m must lie in [0, 5]",
     "mc_l2_error(f, approx, s, samples=1)": "samples must be at least 2",
     "eval_cost(m, -1)": "active-variable count must be at least 0",
+    "eval_pointwise(f, s, np.zeros((2, 3, 4)))": "points must be a 2-D array",
+    "eval_eigenfunction(s, 'a', 0.3)": "eigenfunction index must be integers",
     "random_function(3, s, seed=-1)": "seed must be at least 0",
-    "random_function(3, s, seed=1, max_index=10**20)": (
-        f"max_index must lie in [1, {2**63 - 2}]"
-    ),
     "mc_l2_error(f, approx, s, seed=-1)": "seed must be at least 0",
     "mean_function(0, wiener)": "d must be at least 1",
 }
@@ -170,6 +167,36 @@ def test_listed_inputs_are_refused(call):
     error = InvalidModelError if call.startswith("CostModel") else InvalidArgumentError
     with pytest.raises(error, match=re.escape(RANGE[call]) if call in RANGE else None):
         LISTED[call]()
+
+
+# Every real range is one checker, spectrum._real, whose refusal names the
+# interval with its open and closed ends.
+INTERVALS = {
+    "truncation_level(1.0, 5, 0.5)": (
+        lambda: truncation_level(1.0, 5, 0.5), "epsilon must lie in (0, 1)"
+    ),
+    "optimal_algorithm(1.5, 3, s)": (
+        lambda: optimal_algorithm(1.5, 3, S), "epsilon must lie in (0, 1]"
+    ),
+    "binomial_tail(5, 2, inf)": (lambda: binomial_tail(5, 2, inf), "c0sq must lie in (0, inf)"),
+    "orthogonal_truncation_level(0.1, 5, 0.5, 0.5)": (
+        lambda: orthogonal_truncation_level(0.1, 5, 0.5, 0.5), "c_const must lie in [1, inf)"
+    ),
+    "power_sum(s, 0)": (lambda: power_sum(S, 0), "tau must lie in (0, inf]"),
+    "TensorEigenStream(2, s).above(-1)": (
+        lambda: list(TensorEigenStream(2, S).above(-1)), "epsilon must lie in (0, inf)"
+    ),
+    "korobov_kernel(0.5)": (
+        lambda: korobov_kernel(0.5), "korobov smoothness r must lie in (0.5, inf)"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", INTERVALS)
+def test_real_refusals_name_the_interval(call):
+    run, message = INTERVALS[call]
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        run()
 
 
 # Each entry point with valid arguments; the named ones are the integers
@@ -184,9 +211,9 @@ ENTRY_POINTS = {
     ),
     "TensorEigenStream": (lambda d=3: next(TensorEigenStream(d, S))),
     "optimal_algorithm": (lambda d=3: optimal_algorithm(0.3, d, S)),
-    "build_plan": (lambda d=3, level=1: build_plan(0.3, d, S, level=level)),
+    "build_plan": (lambda d=3: build_plan(0.3, d, S)),
 }
-INTEGER_ARGS = ("d", "m", "level")
+INTEGER_ARGS = ("d", "m")
 
 not_an_integer = st.one_of(
     st.floats(),
@@ -212,10 +239,7 @@ def test_each_spoiled_input_is_a_typed_error(data):
     name = data.draw(st.sampled_from(sorted(ENTRY_POINTS)))
     entry = ENTRY_POINTS[name]
     arg = data.draw(st.sampled_from(list(inspect.signature(entry).parameters)))
-    if arg == "level":  # None is build_plan's own level, not a spoiled one.
-        bad = data.draw(not_an_integer.filter(lambda v: v is not None))
-    else:
-        bad = data.draw(not_an_integer if arg in INTEGER_ARGS else not_a_finite_positive_real)
+    bad = data.draw(not_an_integer if arg in INTEGER_ARGS else not_a_finite_positive_real)
     with pytest.raises(InvalidArgumentError):
         entry(**{arg: bad})
 
@@ -228,8 +252,8 @@ def test_numpy_scalars_are_accepted_and_stored_as_python_numbers():
     assert orthogonal_truncation_level(0.1, np.int64(5), 0.5, np.float64(1.0)) == (
         orthogonal_truncation_level(0.1, 5, 0.5)
     )
-    plan = build_plan(0.3, np.int64(3), S, level=np.int16(1))
-    assert plan == build_plan(0.3, 3, S, level=1) and type(plan.d) is int
+    plan = build_plan(0.3, np.int64(3), S)
+    assert plan == build_plan(0.3, 3, S) and type(plan.d) is int
     assert type(plan.level) is int
     assert type(TensorEigenStream(np.uint8(3), S).d) is int
     assert type(optimal_algorithm(0.3, np.int64(3), S).m2_ceiling) is int
@@ -267,9 +291,7 @@ SCALAR_ENTRY_POINTS = {
     "CostModel(c)": (lambda c=2.0: CostModel(family="linear_floor", c=c)),
     "eval_cost": (lambda k=2: eval_cost(EXP, k)),
     "log_eval_cost": (lambda k=2: log_eval_cost(EXP, k)),
-    "random_function": (
-        lambda d=3, max_index=3, seed=1: random_function(d, S, seed=seed, max_index=max_index)
-    ),
+    "random_function": (lambda d=3, seed=1: random_function(d, S, seed=seed)),
     "mc_l2_error": (
         lambda samples=100, seed=0: mc_l2_error(F, ZERO, S, samples=samples, seed=seed)
     ),
@@ -283,7 +305,6 @@ KIND = {
     "threshold": "positive",
     "d_entry": "count",
     "d": "count",
-    "max_index": "count",
     "samples": "count",
     "seed": "seed",
     "k": "k",
@@ -350,8 +371,8 @@ def test_numpy_demands_constants_and_costs_are_stored_as_python_numbers():
         S, np.int64(1), EXP, [np.float64(0.1), np.float32(0.25)], [np.int64(2), np.uint8(3)]
     )
     assert report == complexity_curve(S, 1.0, EXP, [0.1, 0.25], [2, 3])
-    assert {type(v) for v in report.eps_grid} == {float}
-    assert {type(d) for d in report.d_grid} == {int}
+    assert {type(p.epsilon) for p in report.points} == {float}
+    assert {type(p.d) for p in report.points} == {int}
     model = CostModel(family="exponential", q=np.int64(1))
     assert model == EXP and type(model.q) is float and model.describe() == EXP.describe()
     assert eval_cost(EXP, np.int64(2)) == eval_cost(EXP, 2)
@@ -360,9 +381,7 @@ def test_numpy_demands_constants_and_costs_are_stored_as_python_numbers():
         TensorEigenStream(2, CUSTOM).above(0.5)
     )
     # A numpy seed draws the stream of the equal Python seed.
-    assert random_function(np.int64(3), S, seed=np.int64(7), max_index=np.int16(3)) == (
-        random_function(3, S, seed=7, max_index=3)
-    )
+    assert random_function(np.int64(3), S, seed=np.int64(7)) == random_function(3, S, seed=7)
     assert mc_l2_error(F, ZERO, S, samples=np.int64(100), seed=np.int64(7)) == (
         mc_l2_error(F, ZERO, S, samples=100, seed=7)
     )
