@@ -24,11 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .cost import CostModel, _price, _within_bound, log_eval_cost
-from .errors import (
-    CertificationError,
-    DimensionMismatchError,
-    UnsupportedScaleError,
-)
+from .errors import CertificationError, InvalidArgumentError, UnsupportedScaleError
 from .optimal import _RankOracle
 from .space import AnovaFunction, _combine_errors, _term_g_sq
 from .spectrum import (
@@ -210,10 +206,12 @@ class CdaApplier:
         ``approx`` holds ``f``'s constant and its kept coefficients, in fresh
         dicts that share nothing with ``f``, and is not checked again: its
         subsets, indices and values are ``f``'s, which were checked when
-        ``f`` was built.
+        ``f`` was built.  An ``f`` whose ``d`` is not the plan's raises
+        :class:`InvalidArgumentError`, as ``mc_l2_error`` does for two
+        functions of different dimensions.
         """
         if f.d != self.plan.d:
-            raise DimensionMismatchError(
+            raise InvalidArgumentError(
                 f"function has d={f.d}, plan was built for d={self.plan.d}"
             )
         table, level = self._table, self.plan.level

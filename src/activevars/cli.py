@@ -27,7 +27,7 @@ import sys
 
 from .cda import build_plan, price_plan
 from .cost import _FAMILIES, CostModel, complexity_curve
-from .errors import ActiveVarsError, InvalidArgumentError, InvalidModelError
+from .errors import ActiveVarsError, InvalidArgumentError
 from .harness import (
     GOLDEN_MAJORANT_CEILINGS,
     mc_l2_error,
@@ -80,7 +80,7 @@ def _parse_cost(text: str) -> CostModel:
             value = float(text.split(":", 1)[1])
             try:
                 return CostModel(family=family, **{row.parameter: value})
-            except InvalidModelError as exc:
+            except InvalidArgumentError as exc:
                 raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"unknown cost model {text!r}")
 
@@ -113,9 +113,7 @@ def _spectrum(args: argparse.Namespace) -> Spectrum:
                 values = json.load(fh)
             except ValueError as exc:
                 raise InvalidArgumentError(f"{custom_path} is not JSON: {exc}") from exc
-        if type(values) is not list or any(type(v) not in (int, float) for v in values):
-            raise InvalidArgumentError(f"{custom_path} must hold a JSON list of numbers")
-        spec = KernelSpec(kind="custom", eigenvalues=tuple(values))
+        spec = KernelSpec(kind="custom", eigenvalues=values)
     else:
         spec = KernelSpec(kind=kind, r=r)
     c0sq_mode = "paper_bound" if args.c0sq_mode == "paper" else "exact"
@@ -130,14 +128,24 @@ def _write(out: str | None, text: str) -> None:
         print(text)
 
 
+def _json_value(v):
+    """``v``, or ``None`` for a non-finite float, which RFC 8259 JSON cannot hold."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit(
     args: argparse.Namespace, header: list[str], rows: list[list], summary: dict
 ) -> None:
+    """Rows and summary as JSON, with ``null`` for NaN and infinities, or as CSV."""
     if args.format == "json":
         text = json.dumps(
-            {"rows": [dict(zip(header, row)) for row in rows], "summary": summary},
+            {
+                "rows": [dict(zip(header, map(_json_value, row))) for row in rows],
+                "summary": {key: _json_value(v) for key, v in summary.items()},
+            },
             sort_keys=True,
             indent=2,
+            allow_nan=False,
         )
     else:
         buf = io.StringIO()
@@ -156,8 +164,8 @@ def _emit(
 def _run_bounds(args: argparse.Namespace) -> int:
     s = _spectrum(args)
     rows = []
-    for d in args.d_grid:
-        for eps in args.eps_grid:
+    for d in dict.fromkeys(args.d_grid):  # each distinct point once, in the order given
+        for eps in dict.fromkeys(args.eps_grid):
             rep = truncation_level(eps, d, s.c0sq)
             rows.append(
                 [

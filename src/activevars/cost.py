@@ -18,10 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (
-    InsufficientDataError,
     InvalidArgumentError,
     InvalidConfigurationError,
-    InvalidModelError,
     TailCertificateError,
     UnsupportedScaleError,
 )
@@ -78,8 +76,11 @@ class CostModel:
     Families: ``constant`` (1), ``polynomial`` ``(k+1)^q``, ``exponential``
     ``e^{qk}``, ``double_exponential`` ``e^{e^{qk}}``, and ``linear_floor``
     ``c (k+1)``.  Each of ``q`` and ``c`` is required by the families that
-    read it and refused by the others; it must be a finite Python or numpy
-    real (``bool`` not), and is stored as ``float``.
+    read it and refused by the others.  ``q`` is a real in ``[0, inf)`` and
+    ``c`` one in ``[1, inf)``, checked by ``spectrum._real`` and stored as
+    ``float``; that alone makes ``$(0) >= 1`` and ``$`` nondecreasing.
+    Every refusal, an unknown family included, is an
+    :class:`InvalidArgumentError`.
     """
 
     family: str
@@ -88,26 +89,17 @@ class CostModel:
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
-            raise InvalidModelError(f"unknown cost family {self.family!r}")
-        for name in ("q", "c"):
+            raise InvalidArgumentError(f"unknown cost family {self.family!r}")
+        for name, low in (("q", 0.0), ("c", 1.0)):
             value = getattr(self, name)
             if (value is None) == (_FAMILIES[self.family].parameter == name):
                 owners = ", ".join(f for f, row in _FAMILIES.items() if row.parameter == name)
-                raise InvalidModelError(
+                raise InvalidArgumentError(
                     f"{name} is for the {owners} families only, and required there: "
                     f"got {name}={value!r} for {self.family}"
                 )
             if value is not None:
-                (v,) = _real_tuple((value,)) or (math.nan,)
-                if not -math.inf < v < math.inf:
-                    raise InvalidModelError(
-                        f"q and c must be finite, not q={self.q!r}, c={self.c!r}"
-                    )
-                object.__setattr__(self, name, v)
-        if self.q is not None and self.q < 0:
-            raise InvalidModelError("q must be >= 0 to keep $ monotone")
-        if eval_cost(self, 0) < 1.0:
-            raise InvalidModelError("cost models must satisfy $(0) >= 1")
+                object.__setattr__(self, name, _real(value, name, low, math.inf, "[)"))
 
     def describe(self) -> str:
         name = _FAMILIES[self.family].parameter
@@ -260,7 +252,9 @@ def complexity_curve(
     ``c_const`` is a finite real ``>= 1``, both grids are sequences, each
     demand a real in ``(0, 1)``, each dimension an integer ``>= 1`` and
     ``tau`` a positive real; each point's ``d`` and ``epsilon`` are Python
-    numbers.
+    numbers.  The grid is the distinct values of each sequence, dimensions
+    ascending and demands descending, so a repeated entry is priced once.
+    A grid with no point to price raises :class:`InvalidArgumentError`.
     """
     from .cda import _certified, _log_plan_bound, build_plan  # local: keeps modules acyclic
 
@@ -268,8 +262,8 @@ def complexity_curve(
     eps_reals = _real_tuple(eps_grid)
     if eps_reals is None:
         raise InvalidArgumentError(f"eps_grid must be a sequence of reals, not {eps_grid!r}")
-    eps_grid = sorted((_real(e, "epsilon", 0.0, 1.0) for e in eps_reals), reverse=True)
-    d_grid = sorted(_count(d, "d") for d in _integers(d_grid, "d_grid"))
+    eps_grid = sorted({_real(e, "epsilon", 0.0, 1.0) for e in eps_reals}, reverse=True)
+    d_grid = sorted({_count(d, "d") for d in _integers(d_grid, "d_grid")})
     tau = _real(tau, "tau", 0.0, math.inf, "(]")
     ltau = power_sum(spectrum, tau)
     by_plan = spectrum.kernel.zero_mean is False
@@ -314,7 +308,7 @@ def complexity_curve(
 def _summarize(points: list[GridPoint], flags: list[str]) -> ComplexityReport:
     priced = [p for p in points if not p.flagged and math.isfinite(p.comp)]
     if not priced:
-        raise InsufficientDataError("no grid point could be priced")
+        raise InvalidArgumentError("no grid point could be priced")
 
     # Strong-exponent estimate: three smallest demands at the largest dimension.
     d_max = max(p.d for p in priced)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per kind of decision."""
 
 
 class ActiveVarsError(Exception):
@@ -6,27 +6,18 @@ class ActiveVarsError(Exception):
 
 
 class InvalidArgumentError(ActiveVarsError, ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition: a value out of its
+    range, a malformed kernel or cost parameter, functions and plans of
+    different dimensions, or a grid with no point to price."""
 
 
-class InvalidSpectrumError(ActiveVarsError, ValueError):
-    """A custom eigenvalue sequence is not positive and nonincreasing."""
+class InvalidConfigurationError(ActiveVarsError, ValueError):
+    """A kernel/operation combination is not meaningful (e.g. eigenfunctions
+    of a custom spectrum, which carries none)."""
 
 
 class DivergenceError(ActiveVarsError, ValueError):
     """A series does not converge for the requested exponent."""
-
-
-class UnsupportedOperationError(ActiveVarsError, RuntimeError):
-    """The operation needs data the object does not carry (e.g. eigenfunctions)."""
-
-
-class InvalidConfigurationError(ActiveVarsError, ValueError):
-    """A kernel/flag combination is not meaningful."""
-
-
-class DimensionMismatchError(ActiveVarsError, ValueError):
-    """Objects built for different ambient dimensions were combined."""
 
 
 class TailCertificateError(ActiveVarsError, RuntimeError):
@@ -35,14 +26,6 @@ class TailCertificateError(ActiveVarsError, RuntimeError):
 
 class EnumerationCapError(ActiveVarsError, RuntimeError):
     """An enumeration would visit more labels than fit in memory (the cap)."""
-
-
-class InvalidModelError(ActiveVarsError, ValueError):
-    """A cost-model parameterization violates $(0) >= 1 or monotonicity."""
-
-
-class InsufficientDataError(ActiveVarsError, ValueError):
-    """A fit was requested on a degenerate grid."""
 
 
 class UnsupportedScaleError(ActiveVarsError, ValueError):

@@ -137,17 +137,19 @@ class TensorEigenStream:
         self._heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, ())]
         self._seen: set[tuple[int, ...]] = {()}
         self._last_value = math.inf
-        # Value of the first entry :meth:`above` stopped at (0 until one is).
+        # Largest value :meth:`above` left out (0 until it is called).
         self.first_excluded = 0.0
 
     # -- certification -------------------------------------------------
 
-    def require_certified(self, epsilon: float) -> None:
+    def require_certified(self, epsilon: float) -> float:
         """Fail fast when counting down to ``epsilon^2`` is not certified.
 
         Enumeration is exact for every value strictly above
-        ``lambda_{N+1} / d`` (above 0 for a finite spectrum).  ``epsilon`` is
-        a finite positive real.
+        ``lambda_{N+1} / d`` (above 0 for a finite spectrum), the value
+        returned: the largest of any label that uses an index past ``N``,
+        which the singleton ``(N+1,)`` attains.  ``epsilon`` is a finite
+        positive real.
         """
         epsilon = _real(epsilon, "epsilon", 0.0, math.inf)
         thr = 0.0
@@ -159,6 +161,7 @@ class TensorEigenStream:
                 f"certificate {thr:.3e} of a spectrum truncated at "
                 f"N={self._max_index}; rebuild the spectrum with a larger N"
             )
+        return thr
 
     # -- enumeration -----------------------------------------------------
 
@@ -207,16 +210,17 @@ class TensorEigenStream:
 
         The demand, a finite positive real, is certified
         (:meth:`require_certified`) before the first entry.  The first entry
-        at or below ``epsilon^2`` is popped too, and its value kept as
-        :attr:`first_excluded`; that attribute stays 0 when the stream runs
-        out first.
+        at or below ``epsilon^2`` is popped too.  :attr:`first_excluded`
+        becomes the largest value left out of the untruncated spectrum: the
+        larger of that entry's value (0 when the stream runs out first) and
+        ``lambda_{N+1} / d``, the largest value past the table.
         """
         epsilon = _real(epsilon, "epsilon", 0.0, math.inf)
-        self.require_certified(epsilon)
+        self.first_excluded = self.require_certified(epsilon)
         thr = epsilon * epsilon
         for entry in self:
             if entry.value <= thr:
-                self.first_excluded = entry.value
+                self.first_excluded = max(self.first_excluded, entry.value)
                 return
             yield entry
 
@@ -467,8 +471,10 @@ class OptimalAlgorithm:
 
     ``entries`` lists the retained labels (every tensor eigenvalue above
     ``epsilon_effective^2``), ``n_terms`` their total multiplicity.  The
-    worst-case error over the unit ball is the square root of the first
-    eigenvalue left out (0 when a finite spectrum is exhausted).
+    worst-case error over the unit ball is the square root of the largest
+    eigenvalue left out, :attr:`TensorEigenStream.first_excluded`: for a
+    truncated infinite spectrum at least ``lambda_{N+1} / d``, so none of
+    the three depends on ``N``; 0 when a custom spectrum is exhausted.
     """
 
     epsilon_effective: float

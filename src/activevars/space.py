@@ -34,6 +34,7 @@ from .spectrum import (
     _INT,
     EigenfunctionTable,
     Spectrum,
+    _count,
     _exp_or_inf,
     _exp_or_raise,
     _fsum_or_inf,
@@ -114,8 +115,8 @@ class AnovaFunction:
 
     Construction checks every input and stores it in one form:
 
-    * ``d >= 1`` and ``max_index`` are Python or numpy integers, stored as
-      ``int``;
+    * ``d`` and ``max_index`` are Python or numpy integers ``>= 1``,
+      checked by ``spectrum._count`` and stored as ``int``;
     * coordinates lie in ``1..d``, strictly increasing, and indices in
       ``1..max_index``, one per coordinate: Python or numpy integers,
       stored as tuples of ``int``;
@@ -136,9 +137,7 @@ class AnovaFunction:
     max_index: int = DEFAULT_MAX_INDEX
 
     def __post_init__(self) -> None:
-        (d, max_index) = _integers((self.d, self.max_index), "d and max_index")
-        if d < 1:
-            raise InvalidArgumentError("dimension must be >= 1")
+        d, max_index = _count(self.d, "d"), _count(self.max_index, "max_index")
         constant = _finite_floats((self.constant,))
         if constant is None:
             raise InvalidArgumentError(f"the constant must be a finite real, not {self.constant!r}")

@@ -42,8 +42,6 @@ from .errors import (
     DivergenceError,
     InvalidArgumentError,
     InvalidConfigurationError,
-    InvalidSpectrumError,
-    UnsupportedOperationError,
     UnsupportedScaleError,
 )
 
@@ -75,9 +73,10 @@ class KernelSpec:
         The custom list: one or more positive, finite, nonincreasing Python
         or numpy integers or floats (``bool`` and strings are not).
 
-    Each parameter is required by its kind and refused by the others
-    (:class:`InvalidArgumentError`, as for a malformed ``r``); a malformed
-    custom list raises :class:`InvalidSpectrumError`.
+    Each parameter is required by its kind and refused by the others, and
+    a malformed ``r`` or custom list is refused too, all with
+    :class:`InvalidArgumentError`.  The CLI's ``custom:FILE`` hands the
+    file's JSON value to this check as it is.
     """
 
     kind: str
@@ -98,16 +97,16 @@ class KernelSpec:
         if self.kind == "custom":
             values = _real_tuple(self.eigenvalues)
             if values is None:
-                raise InvalidSpectrumError(
+                raise InvalidArgumentError(
                     "custom eigenvalues must be a sequence of integers or floats "
                     "(bool and str are not)"
                 )
             if not values or not all(0.0 < v < math.inf for v in values):
-                raise InvalidSpectrumError(
+                raise InvalidArgumentError(
                     "custom eigenvalues must be one or more positive finite values"
                 )
             if any(a < b for a, b in zip(values, values[1:])):
-                raise InvalidSpectrumError("custom eigenvalues must be nonincreasing")
+                raise InvalidArgumentError("custom eigenvalues must be nonincreasing")
             object.__setattr__(self, "eigenvalues", values)
 
     @property
@@ -589,7 +588,7 @@ def eval_eigenfunction(s: Spectrum, n, x):
     ----------
     s : Spectrum
         Must be an analytic kind (wiener or korobov); custom spectra carry
-        no eigenfunction data.
+        no eigenfunction data and raise :class:`InvalidConfigurationError`.
     n : int
         1-based eigenvalue index: a Python or numpy integer ``>= 1``.
     x : float or ndarray
@@ -605,7 +604,7 @@ def eval_eigenfunction(s: Spectrum, n, x):
         frequency ``k = ceil(n/2)``, scaled by ``sqrt(2 lambda_n)``.
     """
     if s.is_finite:
-        raise UnsupportedOperationError("custom spectra carry no eigenfunction data")
+        raise InvalidConfigurationError("custom spectra carry no eigenfunction data")
     n = _count(n, "eigenfunction index")
     x_arr = np.asarray(x, dtype=float)
     if _outside_unit_interval(x_arr):
@@ -646,7 +645,8 @@ class EigenfunctionTable:
     ``k = ceil(n/2)``; for wiener (``theta = pi x``) they are
     ``Im(w z^(n-1)) = sin((n - 1/2) pi x)`` with ``w = exp(i theta / 2)``.
     Cosine rows come first in the table, then sine rows; ``layout[j]`` is the
-    table row of ``indices[j]``.
+    table row of ``indices[j]``.  A custom spectrum, which carries no
+    eigenfunctions, raises :class:`InvalidConfigurationError`.
 
     :meth:`fill` takes one ``tan`` per point, of the half angle of ``z``
     (wiener one more, of the half angle of ``w``), and squares ``z`` into
@@ -672,7 +672,7 @@ class EigenfunctionTable:
 
     def __init__(self, s: Spectrum, indices) -> None:
         if s.is_finite:
-            raise UnsupportedOperationError("custom spectra carry no eigenfunction data")
+            raise InvalidConfigurationError("custom spectra carry no eigenfunction data")
         n = [int(i) for i in indices]
         if n[-1] > _TABLE_INDEX_CAP:
             raise UnsupportedScaleError(

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from activevars import AnovaFunction, ApplyResult, eval_cost, eval_eigenfunction
 from activevars.cda import PriceResult
 from activevars.cost import log_eval_cost
-from activevars.errors import CertificationError, DimensionMismatchError
+from activevars.errors import CertificationError, InvalidArgumentError
 from activevars.spectrum import _LOG_MAX, _exp_or_inf, _fsum_or_inf, _log_comb, _logsumexp
 from activevars.truncation import TruncationReport, _tail_terms
 
@@ -411,7 +411,7 @@ def reference_apply(applier, f) -> ApplyResult:
     """
     plan, spectrum = applier.plan, applier.spectrum
     if f.d != plan.d:
-        raise DimensionMismatchError(f"function has d={f.d}, plan was built for d={plan.d}")
+        raise InvalidArgumentError(f"function has d={f.d}, plan was built for d={plan.d}")
     kept = {}
     residual_sq = []
     residual_norms = []

@@ -31,7 +31,6 @@ from activevars import optimal
 from activevars.optimal import _RankOracle, arrangement_count
 from activevars.spectrum import _logsumexp
 from activevars.errors import (
-    DimensionMismatchError,
     DivergenceError,
     InvalidArgumentError,
     UnsupportedScaleError,
@@ -550,7 +549,7 @@ class TestApply:
 
     def test_dimension_mismatch(self, korobov1):
         plan = build_plan(0.1, 4, korobov1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidArgumentError):
             CdaApplier(plan, korobov1).apply(AnovaFunction(d=5, constant=1.0))
 
     @settings(max_examples=100, deadline=None)

@@ -58,6 +58,14 @@ class TestBounds:
         assert first[:3] == ["0.1", "10", "3"]
         assert first[5] == "1"
 
+    def test_each_distinct_point_prints_once_in_the_order_given(self, capsys):
+        # A repeated entry printed its rows twice.
+        _, repeated, _ = run(capsys, "bounds", "--eps-grid", "0.01,0.1,0.01", "--d-grid", "3,2,3")
+        _, distinct, _ = run(capsys, "bounds", "--eps-grid", "0.01,0.1", "--d-grid", "3,2")
+        assert repeated == distinct
+        points = [line.split(",")[:2] for line in distinct.splitlines()[1:]]
+        assert points == [["0.01", "3"], ["0.1", "3"], ["0.01", "2"], ["0.1", "2"]]
+
     def test_missing_grid_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bounds", "--eps-grid", "0.1")
         assert code == 1
@@ -277,6 +285,43 @@ class TestComplexity:
         keys = {line[2:].split("=", 1)[0] for line in out.splitlines() if line.startswith("# ")}
         assert keys == SUMMARY_KEYS
 
+    @pytest.mark.parametrize(
+        "argv, nulls",
+        [
+            # A fit without spread: NaN slopes and residuals.
+            (
+                ["--kernel", "korobov:1", "--eps-grid", "0.1", "--d-grid", "2"],
+                {"p_str_fit", "p_str_residual", "qpt_t_fit", "qpt_c_fit", "qpt_residual"},
+            ),
+            # Points below the tail certificate: NaN prices and bounds.
+            (
+                ["--kernel", "korobov:1", "--n-eigenvalues", "100"]
+                + ["--eps-grid", "0.1,0.01,0.001", "--d-grid", "2,5"],
+                {"comp", "bound"},
+            ),
+            # Prices past double range: Infinity.
+            (
+                ["--kernel", "wiener", "--eps-grid", "0.2,0.1,0.01", "--d-grid", "5"]
+                + ["--cost", "doubleexp:2"],
+                {"comp", "bound"},
+            ),
+        ],
+        ids=["no-spread", "flagged", "overflow"],
+    )
+    def test_json_writes_non_finite_values_as_null(self, capsys, argv, nulls):
+        # json.dumps wrote NaN and Infinity, which RFC 8259 JSON does not allow.
+        def refuse(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        code, out, err = run(capsys, "complexity", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=refuse)
+        found = {key for key, v in doc["summary"].items() if v is None}
+        found |= {key for row in doc["rows"] for key, v in row.items() if v is None}
+        assert found == nulls
+        code, csv_out, _ = run(capsys, "complexity", *argv)
+        assert code == 0 and ("nan" in csv_out or "inf" in csv_out)
+
     def test_a_fit_without_spread_prints_nan(self, capsys):
         # One demand at one dimension defines no line; the fits printed
         # slopes and residuals of 0.0 and qpt_c_fit=4.999999999999999.
@@ -360,10 +405,10 @@ class TestUsageErrors:
         "text, reason",
         [
             ('[0.5, "x"', "is not JSON"),
-            ("3", "must hold a JSON list of numbers"),
-            ('[0.5, "x"]', "must hold a JSON list of numbers"),
-            ("[0.5, true]", "must hold a JSON list of numbers"),
-            ('{"1": 0.5}', "must hold a JSON list of numbers"),
+            ("3", "custom eigenvalues must be a sequence of integers or floats"),
+            ('[0.5, "x"]', "custom eigenvalues must be a sequence of integers or floats"),
+            ("[0.5, true]", "custom eigenvalues must be a sequence of integers or floats"),
+            ('{"1": 0.5}', "custom eigenvalues must be a sequence of integers or floats"),
             ("[]", "one or more positive finite values"),
             ("[0.5, NaN]", "one or more positive finite values"),
         ],
@@ -399,14 +444,15 @@ class TestUsageErrors:
         )
         assert code == 1
         assert out == ""
-        assert "q must be >= 0 to keep $ monotone" in err
+        assert "argument --cost: q must lie in [0, inf)" in err
 
     @pytest.mark.parametrize("cost", ["poly:nan", "exp:inf", "linfloor:inf", "linfloor:nan"])
     def test_non_finite_cost_parameters_are_usage_errors(self, capsys, cost):
         code, out, err = run(capsys, "cda", "--epsilon", "0.01", "--d", "10", "--cost", cost)
         assert code == 1
         assert out == ""
-        assert "q and c must be finite" in err
+        interval = "c must lie in [1, inf)" if "linfloor" in cost else "q must lie in [0, inf)"
+        assert f"argument --cost: {interval}" in err
 
     @pytest.mark.parametrize(
         "argv",

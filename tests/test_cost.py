@@ -22,9 +22,8 @@ from activevars import cda, cost
 from activevars.cost import log_eval_cost
 from activevars.errors import (
     CertificationError,
-    InsufficientDataError,
+    InvalidArgumentError,
     InvalidConfigurationError,
-    InvalidModelError,
     UnsupportedScaleError,
 )
 
@@ -72,11 +71,11 @@ class TestCostModel:
             assert costs[0] >= 1.0
 
     def test_invalid_models(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidArgumentError):
             CostModel(family="linear_floor", c=0.5)  # $(0) < 1
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidArgumentError):
             CostModel(family="exponential", q=-1.0)
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidArgumentError):
             CostModel(family="nonsense")
 
 
@@ -93,7 +92,7 @@ class TestCostModel:
         # NaN passed both `q < 0` and `$(0) >= 1`, so pricing failed its own
         # certificate on exp(nan); c = inf priced plans at inf "within bound".
         for value in (math.nan, math.inf):
-            with pytest.raises(InvalidModelError):
+            with pytest.raises(InvalidArgumentError):
                 CostModel(family=family, **{param: value})
 
     def test_costs_beyond_double_range_raise_typed_errors(self):
@@ -225,6 +224,19 @@ class TestComplexityCurve:
         assert math.isfinite(rep.qpt_t_fit) and math.isfinite(rep.qpt_c_fit)
         assert rep.qpt_residual == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kernel", ["korobov1", "wiener"])
+    def test_repeated_grid_entries_are_priced_once(self, request, kernel):
+        # Each repeat was priced again, and the strong-exponent fit ran
+        # through two distinct demands of its three.
+        s = request.getfixturevalue(kernel)
+        model = CostModel(family="exponential", q=1.0)
+        distinct = complexity_curve(s, 1.0, model, [0.1, 0.05, 0.01], [2, 5])
+        repeated = complexity_curve(s, 1.0, model, [0.01, 0.1, 0.1, 0.05, 0.01], [5, 2, 2, 5])
+        assert repeated == distinct
+        assert [(p.d, p.epsilon) for p in distinct.points] == [
+            (d, eps) for d in (2, 5) for eps in (0.1, 0.05, 0.01)
+        ]
+
     def test_flagged_points_are_reported_not_fatal(self):
         from activevars import build_spectrum, korobov_kernel
 
@@ -235,7 +247,7 @@ class TestComplexityCurve:
         flagged = [p for p in rep.points if p.flagged]
         assert len(flagged) == 1
         assert rep.flags
-        with pytest.raises(InsufficientDataError, match="no grid point could be priced"):
+        with pytest.raises(InvalidArgumentError, match="no grid point could be priced"):
             complexity_curve(shallow, 1.0, CostModel(family="constant"), [1e-6], [2])
 
 

@@ -4,9 +4,9 @@ Integers (``d``, ``m``, ``k``, grid dimensions, harness counts) are Python
 or numpy integers, and ``bool`` is not one; ``c0sq`` and stream thresholds
 are finite positive reals; a demand ``epsilon`` is a real in ``(0, 1)``
 (``(0, 1]`` for ``optimal_algorithm``); the orthogonality constant is a
-finite real ``>= 1``; ``tau`` is a positive real.  Anything else raises
-:class:`InvalidArgumentError`, and a malformed cost parameter
-:class:`InvalidModelError`.  A refusal names the range: ``spectrum._count``
+finite real ``>= 1``; ``tau`` is a positive real; a cost's ``q`` lies in
+``[0, inf)`` and its ``c`` in ``[1, inf)``.  Anything else raises
+:class:`InvalidArgumentError`.  A refusal names the range: ``spectrum._count``
 for integers, ``spectrum._real`` for reals.
 """
 
@@ -43,7 +43,7 @@ from activevars import (
     wiener_kernel,
 )
 from activevars.cost import log_eval_cost
-from activevars.errors import InvalidArgumentError, InvalidModelError
+from activevars.errors import InvalidArgumentError
 
 S = build_spectrum(korobov_kernel(1.0), 200)
 CUSTOM = build_spectrum(custom_kernel([0.9, 0.5, 0.2]), 3)
@@ -164,8 +164,8 @@ RANGE = {
 
 @pytest.mark.parametrize("call", LISTED)
 def test_listed_inputs_are_refused(call):
-    error = InvalidModelError if call.startswith("CostModel") else InvalidArgumentError
-    with pytest.raises(error, match=re.escape(RANGE[call]) if call in RANGE else None):
+    match = re.escape(RANGE[call]) if call in RANGE else None
+    with pytest.raises(InvalidArgumentError, match=match):
         LISTED[call]()
 
 
@@ -188,6 +188,18 @@ INTERVALS = {
     ),
     "korobov_kernel(0.5)": (
         lambda: korobov_kernel(0.5), "korobov smoothness r must lie in (0.5, inf)"
+    ),
+    "CostModel(family='exponential', q=-1)": (
+        lambda: CostModel(family="exponential", q=-1), "q must lie in [0, inf)"
+    ),
+    "CostModel(family='polynomial', q=inf)": (
+        lambda: CostModel(family="polynomial", q=inf), "q must lie in [0, inf)"
+    ),
+    "CostModel(family='linear_floor', c=0.5)": (
+        lambda: CostModel(family="linear_floor", c=0.5), "c must lie in [1, inf)"
+    ),
+    "CostModel(family='linear_floor', c=nan)": (
+        lambda: CostModel(family="linear_floor", c=nan), "c must lie in [1, inf)"
     ),
 }
 
@@ -351,9 +363,8 @@ def test_each_spoiled_scalar_is_a_typed_error(data):
     arg = data.draw(st.sampled_from(list(inspect.signature(entry).parameters)))
     kind = "closed demand" if arg == "epsilon" and name in CLOSED_DEMAND else KIND[arg]
     spoiler = data.draw(st.sampled_from([v for v in SPOILERS if v not in ACCEPTS[kind]]))
-    error = InvalidModelError if name.startswith("CostModel") else InvalidArgumentError
     entry()  # the defaults are valid, so only the spoiled input can raise
-    with pytest.raises(error):
+    with pytest.raises(InvalidArgumentError):
         entry(**{arg: SPOILERS[spoiler]})
 
 

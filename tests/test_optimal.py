@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from activevars import (
@@ -280,6 +280,38 @@ class TestOptimalAlgorithm:
         alg = optimal_algorithm(1e-3, 1, custom_pair)
         assert alg.n_terms == 3
         assert alg.worst_case_error == 0.0
+
+    def test_a_truncated_stream_that_runs_out_reports_the_next_eigenvalue(self):
+        # korobov:1 at N = 2 and d = 1 keeps both eigenvalues above 0.08^2
+        # and runs out; the error read 0 there, and sqrt(lambda_3) at N = 3.
+        short, longer = (build_spectrum(korobov_kernel(1.0), n) for n in (2, 3))
+        want = math.sqrt(longer.eigenvalue(3))
+        assert optimal_algorithm(0.08, 1, short).worst_case_error == want
+        assert optimal_algorithm(0.08, 1, longer).worst_case_error == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.sampled_from([0.75, 1.0, 2.0]),
+        d=st.integers(1, 4),
+        n=st.integers(1, 30),
+        extra=st.integers(1, 30),
+        scale=st.floats(1.0, 3.0),
+    )
+    def test_certified_answers_do_not_depend_on_n(self, r, d, n, extra, scale):
+        # Every label with an index past N is worth at most lambda_{N+1}/d,
+        # which the singleton (N+1,) attains; a stream that ran out or
+        # stopped below it reported a smaller worst-case error than a
+        # longer spectrum.  Demands just above the certificate find it.
+        shallow = build_spectrum(korobov_kernel(r), n)
+        eps = min(1.0, math.sqrt(shallow.eigenvalue(n + 1) / d) * scale)
+        assume(eps * eps >= shallow.eigenvalue(n + 1) * (1.0 / d))  # certified at N
+        got, want = (
+            optimal_algorithm(eps, d, s)
+            for s in (shallow, build_spectrum(korobov_kernel(r), n + extra))
+        )
+        assert got.n_terms == want.n_terms
+        assert got.entries == want.entries
+        assert got.worst_case_error == want.worst_case_error
 
     def test_rescaled_demand(self, custom_pair):
         assert (

@@ -72,3 +72,35 @@ def test_algorithm_modules_compare_no_kernel_kind(name):
         )
     ]
     assert not lines, f"activevars.{name} compares a kernel kind on lines {lines}"
+
+
+ERROR_CLASSES = {
+    "ActiveVarsError",
+    "InvalidArgumentError",
+    "InvalidConfigurationError",
+    "DivergenceError",
+    "UnsupportedScaleError",
+    "TailCertificateError",
+    "EnumerationCapError",
+    "CertificationError",
+}
+
+
+def test_each_error_class_is_raised_somewhere():
+    # One class per kind of decision: a class that no library code raises
+    # splits a decision another class makes, or names none at all.
+    errors = importlib.import_module("activevars.errors")
+    defined = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    }
+    assert defined == ERROR_CLASSES
+    raised = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name):
+                    raised.add(target.id)
+    assert ERROR_CLASSES - {"ActiveVarsError"} <= raised

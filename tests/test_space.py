@@ -21,7 +21,6 @@ from activevars import build_spectrum, custom_kernel, korobov_kernel, space, wie
 from activevars.errors import (
     InvalidArgumentError,
     InvalidConfigurationError,
-    UnsupportedOperationError,
     UnsupportedScaleError,
 )
 
@@ -36,6 +35,7 @@ class TestAnovaFunctionInput:
             dict(d=2.5),
             dict(d=True),
             dict(d=2, max_index=2.5),
+            dict(d=2, max_index=0),
             dict(d=2, terms={(1.7,): {(1,): 0.5}}),
             dict(d=2, terms={(1,): {(1.9,): 0.5}}),
             dict(d=2, constant=math.nan),
@@ -374,7 +374,7 @@ class TestPointwise:
 
     def test_custom_spectra_and_shapes(self, custom_pair, korobov1):
         f = AnovaFunction(d=2, terms={(2,): {(1,): 1.0}})
-        with pytest.raises(UnsupportedOperationError):
+        with pytest.raises(InvalidConfigurationError):
             eval_pointwise(f, custom_pair, np.zeros((3, 2)))
         constant = AnovaFunction(d=2, constant=0.25)
         np.testing.assert_array_equal(
