@@ -64,11 +64,14 @@ def _parse_kernel(text: str) -> tuple[str, float | None, str | None]:
     if text == "wiener":
         return "wiener", None, None
     if text.startswith("korobov:"):
-        return "korobov", float(text.split(":", 1)[1]), None
+        try:
+            return "korobov", float(text.split(":", 1)[1]), None
+        except ValueError:
+            pass
     if text.startswith("custom:"):
         return "custom", None, text.split(":", 1)[1]
     raise argparse.ArgumentTypeError(
-        f"kernel must be wiener, korobov:R or custom:FILE, got {text!r}"
+        f"kernel must be wiener, korobov:R (R a real) or custom:FILE, got {text!r}"
     )
 
 
@@ -77,7 +80,11 @@ def _parse_cost(text: str) -> CostModel:
         if row.parameter is None and text == row.prefix:
             return CostModel(family=family)
         if row.parameter is not None and text.startswith(row.prefix + ":"):
-            value = float(text.split(":", 1)[1])
+            try:
+                value = float(text.split(":", 1)[1])
+            except ValueError:
+                form = f"{row.prefix}:{row.parameter}"
+                raise argparse.ArgumentTypeError(f"{form} needs a real, got {text!r}") from None
             try:
                 return CostModel(family=family, **{row.parameter: value})
             except InvalidArgumentError as exc:
@@ -86,11 +93,19 @@ def _parse_cost(text: str) -> CostModel:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        msg = f"must be comma-separated reals, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        msg = f"must be comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _at_least(minimum: int):
@@ -173,7 +188,7 @@ def _run_bounds(args: argparse.Namespace) -> int:
                     d,
                     rep.level,
                     rep.tail_at_level,
-                    math.ceil(factorial_majorant(eps, s.c0sq)),
+                    factorial_majorant(eps, s.c0sq),
                     orthogonal_truncation_level(eps, d, s.c0sq, args.c_const),
                 ]
             )

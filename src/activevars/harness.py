@@ -25,7 +25,7 @@ __all__ = [
     "mc_l2_error",
 ]
 
-# ceil(M(10^-q)) for q = 1..10 at C_0^2 = 1/2; the reference row the `table`
+# M(10^-q) for q = 1..10 at C_0^2 = 1/2; the reference row the `table`
 # subcommand must reproduce byte for byte.
 GOLDEN_MAJORANT_CEILINGS: tuple[int, ...] = (3, 5, 7, 8, 10, 11, 13, 14, 15, 17)
 
@@ -43,17 +43,11 @@ _MC_WORK_BUDGET = 10**9
 
 
 def table_check() -> tuple[list[tuple[int, int]], list[str]]:
-    """``(q, ceil(M(10^-q)))`` rows for ``q = 1..10`` at ``C_0^2 = 1/2``, and their diffs.
+    """``(q, M(10^-q))`` rows for ``q = 1..10`` at ``C_0^2 = 1/2``, and their diffs.
 
-    The rows use the refined (geometric-factor) majorant, which is what the
-    reference row was computed with; the plain factorial-equation root
-    gives the same ceilings everywhere except ``q = 9`` (16 instead of 15).
     Each diff names a row that differs from ``GOLDEN_MAJORANT_CEILINGS``.
     """
-    rows = [
-        (q, math.ceil(factorial_majorant(10.0**-q, 0.5, refined=True)))
-        for q in range(1, 11)
-    ]
+    rows = [(q, factorial_majorant(10.0**-q, 0.5)) for q in range(1, 11)]
     diffs = [
         f"q={q}: computed {got}, expected {want}"
         for (q, got), want in zip(rows, GOLDEN_MAJORANT_CEILINGS)

@@ -3,10 +3,10 @@
 An error demand ``eps`` and dimension ``d`` determine how many interacting
 variables matter.  The general level ``m1`` is the smallest ``m`` whose
 weighted binomial tail ``sum_{k>m} C(d,k) (C_0^2/d)^k`` drops to ``eps^2``;
-it never exceeds ``min(d, ceil(M))`` where ``M`` solves
-``(M+1)! / C_0^{2(M+1)} = e^{C_0^2} / eps^2``.  Under embedded-norm
-orthogonality a far smaller level ``m2`` applies, driven by the geometric
-ratio ``C_0^2/d``.
+it never exceeds ``min(d, M)``, where ``M`` is the least integer with
+``M + 1 > C_0^2`` and ``(M+1)! / C_0^{2(M+1)} >= 1/(eps^2 (1 - C_0^2/(M+1)))``.
+Under embedded-norm orthogonality a far smaller level ``m2`` applies,
+driven by the geometric ratio ``C_0^2/d``.
 """
 
 from __future__ import annotations
@@ -106,66 +106,44 @@ def truncation_level(epsilon: float, d: int, c0sq: float) -> TruncationReport:
     return TruncationReport(level=m, tail_at_level=tail, tail_above_level=prev)
 
 
-def factorial_majorant(epsilon: float, c0sq: float, refined: bool = False) -> float:
+def factorial_majorant(epsilon: float, c0sq: float) -> int:
     """Dimension-free majorant ``M(eps)`` of the truncation level.
 
-    Unrefined: the real root of ``(M+1)! / c0sq^{M+1} = e^{c0sq} / eps^2``
-    with the factorial extended through log-gamma, solved by bisection on
-    ``[0, 400]`` to absolute 1e-9 (clamped at 0 when the root is negative).
-
-    Refined: the minimal integer ``M`` with ``M + 1 > c0sq`` and
-    ``(M+1)!/c0sq^{M+1} >= 1/(eps^2 (1 - c0sq/(M+1)))``, which sharpens the
-    exponential factor to a geometric-series factor.  Past ``M + 1 > c0sq``
-    the left side grows and the right side falls with ``M``, so the minimum
-    is found by galloping, then bisecting, over the integers.  The test is
-    decided in floats, whose two sides cancel as ``c0sq`` grows: refined
-    mode refuses ``c0sq > 1e12`` with :class:`UnsupportedScaleError`, and
-    unrefined mode does so when the root lies past the bracket.
-    ``epsilon`` is a real in ``(0, 1)`` and ``c0sq`` a finite positive real.
+    The least integer ``M`` with ``M + 1 > c0sq`` and
+    ``(M+1)!/c0sq^{M+1} >= 1/(eps^2 (1 - c0sq/(M+1)))``: the tail past level
+    ``M`` is at most ``c0sq^{M+1}/(M+1)!`` times a geometric series of
+    ratio ``c0sq/(M+1)``.  Past ``M + 1 > c0sq`` the left side grows and the
+    right side falls with ``M``, so the minimum is found by galloping, then
+    bisecting, over the integers.  The test is decided in floats, whose two
+    sides cancel as ``c0sq`` grows: ``c0sq > 1e12`` is refused with
+    :class:`UnsupportedScaleError`.  ``epsilon`` is a real in ``(0, 1)``
+    and ``c0sq`` a finite positive real.
     """
     epsilon = _real(epsilon, "epsilon", 0.0, 1.0)
     c0sq = _real(c0sq, "c0sq", 0.0, math.inf)
-    log_c = math.log(c0sq)
-    if refined:
-        if c0sq > 1e12:
-            msg = f"the refined majorant's float test cancels above c0sq = 1e12: got {c0sq}"
-            raise UnsupportedScaleError(msg)
-        log_eps_sq = 2.0 * math.log(epsilon)
+    if c0sq > 1e12:
+        msg = f"the majorant's float test cancels above c0sq = 1e12: got {c0sq}"
+        raise UnsupportedScaleError(msg)
+    log_c, log_eps_sq = math.log(c0sq), 2.0 * math.log(epsilon)
 
-        def holds(m: int) -> bool:
-            ratio = c0sq / (m + 1)
-            if ratio >= 1.0:  # m + 1 within rounding of c0sq: 1 - ratio is not positive
-                return False
-            lhs = math.lgamma(m + 2) - (m + 1) * log_c
-            return lhs >= -log_eps_sq - math.log1p(-ratio)
+    def holds(m: int) -> bool:
+        ratio = c0sq / (m + 1)
+        if ratio >= 1.0:  # m + 1 within rounding of c0sq: 1 - ratio is not positive
+            return False
+        lhs = math.lgamma(m + 2) - (m + 1) * log_c
+        return lhs >= -log_eps_sq - math.log1p(-ratio)
 
-        hi, step = math.floor(c0sq), 1  # the least m >= 0 with m + 1 > c0sq
-        lo = hi - 1
-        while not holds(hi):
-            lo, hi, step = hi, hi + step, 2 * step
-        while hi - lo > 1:  # holds(hi); lo fails or lies below the search range
-            mid = (lo + hi) // 2
-            if holds(mid):
-                hi = mid
-            else:
-                lo = mid
-        return float(hi)
-
-    def g(m: float) -> float:
-        return math.lgamma(m + 2.0) - (m + 1.0) * log_c - c0sq + 2.0 * math.log(epsilon)
-
-    lo, hi = 0.0, 400.0
-    if g(lo) >= 0.0:
-        return 0.0
-    if g(hi) <= 0.0:
-        raise UnsupportedScaleError("majorant exceeds the supported bracket [0, 400]")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
+    hi, step = math.floor(c0sq), 1  # the least m >= 0 with m + 1 > c0sq
+    lo = hi - 1
+    while not holds(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:  # holds(hi); lo fails or lies below the search range
+        mid = (lo + hi) // 2
+        if holds(mid):
             hi = mid
-    return 0.5 * (lo + hi)
+        else:
+            lo = mid
+    return hi
 
 
 def orthogonal_truncation_level(

@@ -450,19 +450,19 @@ def genexpr_partial_power_sum(spectrum, tau) -> float:
     return math.fsum(v**tau for v in spectrum.leading())
 
 
-def refined_majorant_scan(epsilons, c0sq) -> list[float]:
-    """The refined majorant ``M(eps)`` for each demand, by a linear scan over ``m``.
+def majorant_linear_scan(epsilons, c0sq) -> list[int]:
+    """The majorant ``M(eps)`` for each demand, by a linear scan over ``m``.
 
-    The scan ``factorial_majorant(..., refined=True)`` ran before it
-    galloped: from ``m = ceil(c0sq - 1)`` up, the first ``m`` with
-    ``c0sq/(m+1) < 1`` and ``lgamma(m+2) - (m+1) ln c0sq >= -2 ln eps -
-    log1p(-c0sq/(m+1))``.  A smaller demand raises the right side, so it is
-    met no earlier than a larger one, and one pass serves every demand in
-    decreasing order.  The pass takes about ``1.7 c0sq`` steps.
+    The scan ``factorial_majorant`` ran before it galloped: from
+    ``m = ceil(c0sq - 1)`` up, the first ``m`` with ``c0sq/(m+1) < 1`` and
+    ``lgamma(m+2) - (m+1) ln c0sq >= -2 ln eps - log1p(-c0sq/(m+1))``.  A
+    smaller demand raises the right side, so it is met no earlier than a
+    larger one, and one pass serves every demand in decreasing order.  The
+    pass takes about ``1.7 c0sq`` steps.
     """
     log_c = math.log(c0sq)
     order = sorted(set(epsilons), reverse=True)
-    found: dict[float, float] = {}
+    found: dict[float, int] = {}
     m = max(0, math.ceil(c0sq - 1.0))
     while len(found) < len(order):
         ratio = c0sq / (m + 1)
@@ -472,13 +472,13 @@ def refined_majorant_scan(epsilons, c0sq) -> list[float]:
                 eps = order[len(found)]
                 if lhs < -2.0 * math.log(eps) - math.log1p(-ratio):
                     break
-                found[eps] = float(m)
+                found[eps] = m
         m += 1
     return [found[eps] for eps in epsilons]
 
 
-def mp_refined_majorant(epsilon: float, c0sq: float) -> float:
-    """The refined majorant ``M(eps)`` decided at 60 digits on the floats' exact values.
+def mp_majorant(epsilon: float, c0sq: float) -> int:
+    """The majorant ``M(eps)`` decided at 60 digits on the floats' exact values.
 
     The least integer ``m`` with ``m + 1 > c0sq`` and ``ln (m+1)! - (m+1)
     ln c0sq >= -ln eps^2 - ln(1 - c0sq/(m+1))``.  Past ``m + 1 > c0sq`` the
@@ -497,7 +497,7 @@ def mp_refined_majorant(epsilon: float, c0sq: float) -> float:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-        return float(hi)
+        return hi
 
 
 def ascending_truncation_level(epsilon, d, c0sq) -> TruncationReport:

@@ -91,13 +91,11 @@ def test_criterion_2_majorant_dominates_level():
     start = time.perf_counter()
     checked = 0
     for c0sq in (0.5, 4.0 / math.pi**2):
-        ceilings = {
-            q: math.ceil(factorial_majorant(10.0**-q, c0sq)) for q in range(1, 11)
-        }
+        majorants = {q: factorial_majorant(10.0**-q, c0sq) for q in range(1, 11)}
         for d in (1, 2, 5, 10, 100, 1000):
             for q in range(1, 11):
                 level = truncation_level(10.0**-q, d, c0sq).level
-                assert level <= min(d, ceilings[q]), (d, q, c0sq)
+                assert level <= min(d, majorants[q]), (d, q, c0sq)
                 checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -267,14 +267,20 @@ def _assert_key_matches(oracle, heap):
         assert oracle._key[1] == max(heap.boundary)
 
 
+# custom_quad scaled by 2e-100: three-index products lie below 1e-290, where
+# the rank cut's multiset walk prunes nothing.
+TINY_QUAD = build_spectrum(custom_kernel([1e-100, 5e-101, 2.5e-101, 1.25e-101]))
+
+
 class TestRankOracle:
     @pytest.mark.parametrize("cardinality", [1, 2, 3])
     @pytest.mark.parametrize("budget", [0, 1, 2, 3, 5, 9, 17, 64])
     def test_matches_brute_force(self, custom_quad, cardinality, budget):
-        oracle = _RankOracle(custom_quad, cardinality, budget)
-        brute = _BruteRank(custom_quad, cardinality, budget)
-        for k in iproduct(range(1, 5), repeat=cardinality):
-            assert oracle.retained(k) == brute.retained(k), (k, budget)
+        for s in (custom_quad, TINY_QUAD):
+            oracle = _RankOracle(s, cardinality, budget)
+            brute = _BruteRank(s, cardinality, budget)
+            for k in iproduct(range(1, 5), repeat=cardinality):
+                assert oracle.retained(k) == brute.retained(k), (k, budget, s.c0sq)
 
     def test_tie_split_is_lexicographic(self):
         # lambda = [0.5, 0.5]: all four pairs share one product; budget 2

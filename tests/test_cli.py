@@ -66,6 +66,20 @@ class TestBounds:
         points = [line.split(",")[:2] for line in distinct.splitlines()[1:]]
         assert points == [["0.01", "3"], ["0.1", "3"], ["0.01", "2"], ["0.1", "2"]]
 
+    def test_majorant_column_is_the_table_majorant(self, capsys, tmp_path):
+        # `bounds` prints the majorant `table` checks, at any C_0^2 up to 1e12.
+        path = tmp_path / "kernel.json"
+        path.write_text("[200.0]")
+        cases = [
+            (["--eps-grid", "0.01", "--d-grid", "10"], "4"),
+            (["--eps-grid", "1e-9", "--d-grid", "10", "--c0sq-mode", "paper"], "15"),
+            (["--eps-grid", "0.1", "--d-grid", "1000000", "--kernel", f"custom:{path}"], "544"),
+        ]
+        for argv, majorant in cases:
+            code, out, _ = run(capsys, "bounds", *argv)
+            assert code == 0
+            assert out.splitlines()[1].split(",")[4] == majorant
+
     def test_missing_grid_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bounds", "--eps-grid", "0.1")
         assert code == 1
@@ -437,6 +451,27 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert f"argument {argv[-2]}: must be at least" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, form",
+        [
+            ("--kernel", "korobov:abc", "korobov:R"),
+            ("--cost", "exp:abc", "exp:q"),
+            ("--eps-grid", "0.1,x", "comma-separated reals"),
+            ("--d-grid", "3,y", "comma-separated integers"),
+        ],
+    )
+    def test_malformed_values_name_the_form_they_expect(self, capsys, flag, value, form):
+        # argparse names a failing type function ("invalid _ints value").
+        if flag == "--cost":
+            argv = ["cda", "--epsilon", "0.1", "--d", "3", flag, value]
+        else:
+            argv = ["bounds", "--eps-grid", "0.1", "--d-grid", "3", flag, value]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: " in err and form in err
+        assert "invalid _" not in err
 
     def test_invalid_cost_model_is_a_usage_error(self, capsys):
         code, out, err = run(

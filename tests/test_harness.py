@@ -129,6 +129,12 @@ class TestMonteCarlo:
             with pytest.raises(InvalidArgumentError, match="at least 2"):
                 mc_l2_error(f, g, korobov1, samples=samples)
 
+    def test_functions_in_different_dimensions_are_refused(self, korobov1):
+        f = single_subset_function(3, (1, 2), (1, 1), value=0.4)
+        g = single_subset_function(2, (1, 2), (1, 1), value=0.4)
+        with pytest.raises(InvalidArgumentError, match="different dimensions"):
+            mc_l2_error(f, g, korobov1, samples=10)
+
     def test_identical_functions_have_zero_error(self, korobov1):
         f = single_subset_function(3, (1, 2), (1, 1), value=0.4)
         est, se = mc_l2_error(f, f, korobov1, samples=10_000, seed=0)

@@ -74,9 +74,7 @@ LISTED = {
     "orthogonal_truncation_level(0.1, 5, 0.5, inf)": (
         lambda: orthogonal_truncation_level(0.1, 5, 0.5, inf)
     ),
-    "factorial_majorant(0.1, inf, refined=True)": (
-        lambda: factorial_majorant(0.1, inf, refined=True)
-    ),
+    "factorial_majorant(0.1, inf)": lambda: factorial_majorant(0.1, inf),
     "truncation_level(0.1, 5, '0.5')": lambda: truncation_level(0.1, 5, "0.5"),
     "build_plan(0.1, 2.5, s)": lambda: build_plan(0.1, 2.5, S),
     "optimal_algorithm(0.1, 2.5, s)": lambda: optimal_algorithm(0.1, 2.5, S),
@@ -217,7 +215,6 @@ ENTRY_POINTS = {
     "binomial_tail": (lambda d=5, m=2, c0sq=0.5: binomial_tail(d, m, c0sq)),
     "truncation_level": (lambda d=5, c0sq=0.5: truncation_level(0.1, d, c0sq)),
     "factorial_majorant": (lambda c0sq=0.5: factorial_majorant(0.1, c0sq)),
-    "factorial_majorant(refined)": (lambda c0sq=0.5: factorial_majorant(0.1, c0sq, refined=True)),
     "orthogonal_truncation_level": (
         lambda d=5, c0sq=0.5: orthogonal_truncation_level(0.1, d, c0sq)
     ),
@@ -277,9 +274,6 @@ def test_numpy_scalars_are_accepted_and_stored_as_python_numbers():
 SCALAR_ENTRY_POINTS = {
     "truncation_level": (lambda epsilon=0.1: truncation_level(epsilon, 5, 0.5)),
     "factorial_majorant": (lambda epsilon=0.1: factorial_majorant(epsilon, 0.5)),
-    "factorial_majorant(refined)": (
-        lambda epsilon=0.1: factorial_majorant(epsilon, 0.5, refined=True)
-    ),
     "orthogonal_truncation_level": (
         lambda epsilon=0.1, c_const=1.0: orthogonal_truncation_level(epsilon, 5, 0.5, c_const)
     ),

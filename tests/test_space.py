@@ -42,6 +42,16 @@ class TestAnovaFunctionInput:
             dict(d=2, terms={(1,): {(1,): math.inf}}),
             dict(d=2, terms={(1,): {(1,): "0.5"}}),
             dict(d=2, terms={(1,): {(1,): True}}),
+            # Indices past max_index or of the wrong arity, coordinates out
+            # of order or range, the empty subset, and lists for mappings.
+            dict(d=2, terms={(1,): {(65,): 1.0}}),
+            dict(d=2, terms={(1, 2): {(1,): 1.0}}),
+            dict(d=3, terms={(2, 1): {(1, 1): 1.0}}),
+            dict(d=2, terms={(0,): {(1,): 1.0}}),
+            dict(d=2, terms={(3,): {(1,): 1.0}}),
+            dict(d=2, terms={(): {(): 1.0}}),
+            dict(d=2, terms=[((1,), {(1,): 1.0})]),
+            dict(d=2, terms={(1,): [((1,), 1.0)]}),
         ],
         ids=repr,
     )

@@ -348,6 +348,9 @@ class TestPowerSum:
         # bit-for-bit reproducible
         assert power_sum(custom_pair, 2.0) == power_sum(custom_pair, 2.0)
 
+    def test_a_power_past_double_range_is_inf(self):
+        assert power_sum(build_spectrum(custom_kernel([1e300, 1.0])), 2.0) == math.inf
+
     def test_korobov_closed_form(self, korobov1):
         # 2 (2 pi)^{-2} zeta(2) = 1/12 exactly.
         assert power_sum(korobov1, 1.0) == pytest.approx(1.0 / 12.0, rel=1e-14)

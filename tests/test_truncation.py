@@ -169,47 +169,35 @@ class TestTruncationLevel:
 
 class TestFactorialMajorant:
     def test_reference_ceilings(self):
-        # ceil(M) at eps = 10^-1, 10^-4, 10^-10 with c0sq = 1/2.
-        assert math.ceil(factorial_majorant(1e-1, 0.5)) == 3
-        assert math.ceil(factorial_majorant(1e-4, 0.5)) == 8
-        assert math.ceil(factorial_majorant(1e-10, 0.5)) == 17
-
-    def test_root_matches_mpmath(self):
-        for eps in (1e-2, 1e-5, 1e-8):
-            assert factorial_majorant(eps, 0.5) == pytest.approx(
-                oracles.mp_factorial_root(eps, 0.5), abs=2e-9
-            )
+        # M at eps = 10^-1, 10^-4, 10^-10 with c0sq = 1/2.
+        assert factorial_majorant(1e-1, 0.5) == 3
+        assert factorial_majorant(1e-4, 0.5) == 8
+        assert factorial_majorant(1e-10, 0.5) == 17
 
     def test_majorant_dominates_level(self):
-        # level <= min(d, ceil(M)) across the full grid, both constants.
+        # level <= min(d, M) across the full grid, both constants.
         for c0sq in (0.5, WIENER_C0SQ_SHARP):
-            ceilings = {
-                q: math.ceil(factorial_majorant(10.0**-q, c0sq)) for q in range(1, 11)
-            }
-            refined = {
-                q: int(factorial_majorant(10.0**-q, c0sq, refined=True))
-                for q in range(1, 11)
-            }
+            majorants = {q: factorial_majorant(10.0**-q, c0sq) for q in range(1, 11)}
             for d in range(1, 1001):
                 for q in range(1, 11):
                     level = truncation_level(10.0**-q, d, c0sq).level
-                    assert level <= min(d, ceilings[q])
-                    assert level <= min(d, refined[q])
+                    assert level <= min(d, majorants[q])
 
     def test_refined_never_much_larger(self):
-        observed = []
+        # M against the root of (M+1)!/c0sq^{M+1} = e^{c0sq}/eps^2: its
+        # ceiling, or one less.
         for c0sq in (0.5, WIENER_C0SQ_SHARP):
             for q in range(1, 11):
                 eps = 10.0**-q
-                plain = math.ceil(factorial_majorant(eps, c0sq))
-                refined = factorial_majorant(eps, c0sq, refined=True)
-                assert refined <= plain + 1
-                observed.append((c0sq, q, plain, int(refined)))
-        # log observed pairs for inspection under -s
-        print("\nmajorant (c0sq, q, ceil, refined):", observed)
+                plain = math.ceil(oracles.mp_factorial_root(eps, c0sq))
+                got = factorial_majorant(eps, c0sq)
+                assert type(got) is int
+                assert plain - 1 <= got <= plain
+        assert math.ceil(oracles.mp_factorial_root(1e-9, 0.5)) == 16
+        assert factorial_majorant(1e-9, 0.5) == 15
 
     def test_refined_reproduces_reference_row(self):
-        got = [int(factorial_majorant(10.0**-q, 0.5, refined=True)) for q in range(1, 11)]
+        got = [factorial_majorant(10.0**-q, 0.5) for q in range(1, 11)]
         assert got == [3, 5, 7, 8, 10, 11, 13, 14, 15, 17]
 
     def test_refined_equals_the_linear_scan(self):
@@ -217,28 +205,29 @@ class TestFactorialMajorant:
         epsilons = [10.0**-q for q in range(1, 11)]
         for i in range(200):
             c0sq = 0.01 * 10.0 ** (7 * i / 199)
-            got = [factorial_majorant(eps, c0sq, refined=True) for eps in epsilons]
-            assert got == oracles.refined_majorant_scan(epsilons, c0sq), c0sq
+            got = [factorial_majorant(eps, c0sq) for eps in epsilons]
+            assert got == oracles.majorant_linear_scan(epsilons, c0sq), c0sq
 
     def test_refined_matches_a_60_digit_decision(self):
-        # Every decade of c0sq from 1e-2 to 1e12, the largest one refined
-        # mode accepts; the gallop keeps each call fast at 1e12.
+        # Every decade of c0sq from 1e-2 to 1e12, the largest one accepted;
+        # the gallop keeps each call fast at 1e12.
         for k in range(-2, 13):
             c0sq = 10.0**k
             for eps in (0.1, 1e-5, 1e-10):
-                want = oracles.mp_refined_majorant(eps, c0sq)
-                assert factorial_majorant(eps, c0sq, refined=True) == want, (eps, c0sq)
+                want = oracles.mp_majorant(eps, c0sq)
+                assert factorial_majorant(eps, c0sq) == want, (eps, c0sq)
 
     def test_refined_refuses_c0sq_where_its_float_test_cancels(self):
         # At 1e15 the float test lands below the true majorant, at 1e17
         # about 1,250 above it.
         for c0sq in (math.nextafter(1e12, math.inf), 1e15, 1e17):
             with pytest.raises(UnsupportedScaleError, match="1e12"):
-                factorial_majorant(0.1, c0sq, refined=True)
+                factorial_majorant(0.1, c0sq)
 
-    def test_unrefined_refuses_a_root_past_its_bracket(self):
-        with pytest.raises(UnsupportedScaleError, match="bracket"):
-            factorial_majorant(0.1, 200.0)
+    def test_dominates_the_level_at_a_large_c0sq(self):
+        # At d = 10^6 the level reaches the majorant.
+        assert factorial_majorant(0.1, 200.0) == 544
+        assert truncation_level(0.1, 10**6, 200.0).level == 544
 
 
 class TestOrthogonalLevel:
