@@ -280,7 +280,7 @@ def complexity_curve(
     def spectral(eps: float, d: int):
         eps_eff = eps / math.sqrt(c_const)
         n = _cardinality_counts(eps_eff, d, spectrum)
-        m2 = _spectral_ceiling(eps_eff, d, spectrum.c0sq, len(n) - 1)
+        m2 = _spectral_ceiling(eps, d, spectrum.c0sq, c_const, len(n) - 1)
         return n, _log_term_bound(eps_eff, d, ltau, tau, log_eval_cost(model, m2)), m2
 
     algorithm, reason, verdict = spectral, "", _within_bound

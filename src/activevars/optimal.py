@@ -9,8 +9,11 @@ subsets, which are never materialized.
 
 Two walks read these values, and both stop at ``ENUMERATION_CAP`` because
 they hold what they visit.  :class:`TensorEigenStream` emits them in
-nonincreasing order from a best-first frontier; :class:`_RankOracle` cuts
-one cardinality at the changing-dimension algorithm's budget from the
+nonincreasing order from a best-first frontier whose entries carry each
+label's orderings; one step of it feeds the labelled entries, the
+distinct values and :func:`_cardinality_counts`, which adds up orderings
+per cardinality and builds no entry.  :class:`_RankOracle` cuts one
+cardinality at the changing-dimension algorithm's budget from the
 multisets whose products reach a bound, with no frontier.
 """
 
@@ -76,21 +79,8 @@ class DistinctEigenvalue:
 ENUMERATION_CAP = 2_000_000
 
 
-def arrangement_count(indices: tuple[int, ...]) -> int:
-    """Number of distinct orderings of the sorted index multiset ``indices``."""
-    count = math.factorial(len(indices))
-    run = 1
-    for i in range(1, len(indices)):
-        if indices[i] == indices[i - 1]:
-            run += 1
-        else:
-            count //= math.factorial(run)
-            run = 1
-    return count // math.factorial(run)
-
-
 def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
-    """:func:`arrangement_count` of every sorted row, as exact integers."""
+    """Distinct orderings of every sorted row's index multiset, as exact integers."""
     l = rows.shape[1]
     dtype = np.int64 if math.factorial(l) * max(len(rows), 1) < 2**63 else object
     run = np.ones(len(rows), dtype=dtype)
@@ -134,7 +124,7 @@ class TensorEigenStream:
         self.spectrum = spectrum
         self._inv_d = 1.0 / d
         self._max_index = spectrum.n_eigenvalues
-        self._heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, ())]
+        self._heap: list[tuple[float, int, tuple[int, ...], int]] = [(-1.0, 0, (), 1)]
         self._seen: set[tuple[int, ...]] = {()}
         self._last_value = math.inf
         # Largest value :meth:`above` left out (0 until it is called).
@@ -165,44 +155,61 @@ class TensorEigenStream:
 
     # -- enumeration -----------------------------------------------------
 
-    def _push(self, indices: tuple[int, ...]) -> None:
-        if indices in self._seen:
-            return
-        if len(self._seen) >= ENUMERATION_CAP:
+    def _step(self) -> tuple[float, tuple[int, ...], int]:
+        """Pop the largest label and push its unseen successors.
+
+        Returns the label's value, its indices and its orderings (the
+        multiset's distinct arrangements, carried on the heap).  A successor
+        bumps the last index of a run by one or extends the multiset with a
+        fresh index 1; its orderings follow from the run lengths.  The step
+        whose successors take the seen-set past ``ENUMERATION_CAP`` raises
+        :class:`EnumerationCapError`.  Raises ``StopIteration`` once the
+        heap is empty.
+        """
+        heap, seen = self._heap, self._seen
+        if not heap:
+            raise StopIteration
+        neg_value, cardinality, indices, orderings = heapq.heappop(heap)
+        value = -neg_value
+        top, last = self._max_index, cardinality - 1
+        eigen_product, inv_d = self.spectrum.eigen_product, self._inv_d
+        # Canonical multiplication order (eigenvalues nonincreasing, then the
+        # 1/d factors) keeps equal labels bit-identical across code paths.
+        for pos, v in enumerate(indices):
+            if v < top and (pos == last or v < indices[pos + 1]):
+                nxt = indices[:pos] + (v + 1,) + indices[pos + 1 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    x = eigen_product(nxt)
+                    for _ in nxt:
+                        x *= inv_d
+                    count = orderings * indices.count(v) // nxt.count(v + 1)
+                    heapq.heappush(heap, (-x, cardinality, nxt, count))
+        if cardinality < self.d:
+            nxt = (1,) + indices
+            if nxt not in seen:
+                seen.add(nxt)
+                x = eigen_product(nxt)
+                for _ in nxt:
+                    x *= inv_d
+                count = orderings * (cardinality + 1) // nxt.count(1)
+                heapq.heappush(heap, (-x, cardinality + 1, nxt, count))
+        if len(seen) > ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"the stream would visit more than {ENUMERATION_CAP} labels, the "
                 "enumeration cap: every visited label stays in memory"
             )
-        self._seen.add(indices)
-        # Canonical multiplication order (eigenvalues nonincreasing, then the
-        # 1/d factors) keeps equal labels bit-identical across code paths.
-        value = self.spectrum.eigen_product(indices)
-        for _ in indices:
-            value *= self._inv_d
-        heapq.heappush(self._heap, (-value, len(indices), indices))
+        if value > self._last_value * (1.0 + 1e-12):  # pragma: no cover
+            raise CertificationError("eigenvalue stream emitted an increasing value")
+        self._last_value = value
+        return value, indices, orderings
 
     def __iter__(self) -> Iterator[EigenEntry]:
         return self
 
     def __next__(self) -> EigenEntry:
-        if not self._heap:
-            raise StopIteration
-        neg_value, cardinality, indices = heapq.heappop(self._heap)
-        value = -neg_value
-        # Successors: bump one index (deduplicated through the seen-set) or
-        # extend the multiset with a fresh index 1.
-        for pos in range(cardinality):
-            if indices[pos] < self._max_index and (
-                pos == cardinality - 1 or indices[pos] < indices[pos + 1]
-            ):
-                bumped = indices[:pos] + (indices[pos] + 1,) + indices[pos + 1 :]
-                self._push(bumped)
-        if cardinality < self.d:
-            self._push((1,) + indices)
-        if value > self._last_value * (1.0 + 1e-12):  # pragma: no cover
-            raise CertificationError("eigenvalue stream emitted an increasing value")
-        self._last_value = value
-        multiplicity = math.comb(self.d, cardinality) * arrangement_count(indices)
+        value, indices, orderings = self._step()
+        multiplicity = math.comb(self.d, len(indices)) * orderings
         return EigenEntry(value=value, indices=indices, multiplicity=multiplicity)
 
     def above(self, epsilon: float) -> Iterator[EigenEntry]:
@@ -232,16 +239,14 @@ class TensorEigenStream:
         StopIteration
             When the (finite) stream is exhausted.
         """
-        first = next(self)
-        labels = [first.indices]
-        total = first.multiplicity
-        while self._heap and -self._heap[0][0] == first.value:
-            entry = next(self)
-            labels.append(entry.indices)
-            total += entry.multiplicity
-        return DistinctEigenvalue(
-            value=first.value, multiplicity=total, labels=tuple(labels)
-        )
+        value, indices, orderings = self._step()
+        labels = [indices]
+        total = math.comb(self.d, len(indices)) * orderings
+        while self._heap and -self._heap[0][0] == value:
+            _, indices, orderings = self._step()
+            labels.append(indices)
+            total += math.comb(self.d, len(indices)) * orderings
+        return DistinctEigenvalue(value=value, multiplicity=total, labels=tuple(labels))
 
 
 def _total_count(d: int, n) -> int:
@@ -253,17 +258,26 @@ def _cardinality_counts(epsilon: float, d: int, spectrum: Spectrum) -> list[int]
     """Tensor eigenvalues above ``epsilon^2`` on one subset of each cardinality.
 
     ``n[l]``, the functionals the spectral algorithm evaluates on one
-    ``l``-subset, is the multiplicity sum of cardinality ``l`` divided
-    (exactly) by ``C(d, l)``; ``n[0]`` is 1, the constant, unless
-    ``epsilon`` is 1.  One pass of the stream, holding no label.
-    ``epsilon`` is a finite positive real.
+    ``l``-subset, is the sum of the orderings the stream carries for its
+    labels of cardinality ``l``; ``n[0]`` is 1, the constant, unless
+    ``epsilon`` is 1.  One pass of the stream that stores no label: like
+    :meth:`TensorEigenStream.above` it certifies the demand and pops the
+    first value at or below ``epsilon^2``.  ``epsilon`` is a finite
+    positive real.
     """
+    stream = TensorEigenStream(d, spectrum)
+    epsilon = _real(epsilon, "epsilon", 0.0, math.inf)
+    stream.require_certified(epsilon)
+    thr = epsilon * epsilon
     counts = [0]
-    for entry in TensorEigenStream(d, spectrum).above(epsilon):
-        while entry.cardinality >= len(counts):
+    while stream._heap:
+        value, indices, orderings = stream._step()
+        if value <= thr:
+            break
+        while len(indices) >= len(counts):
             counts.append(0)
-        counts[entry.cardinality] += entry.multiplicity
-    return [count // math.comb(d, l) for l, count in enumerate(counts)]
+        counts[len(indices)] += orderings
+    return counts
 
 
 # Relative slack of the rank cut's pruning bound.  A float product of l
@@ -485,13 +499,20 @@ class OptimalAlgorithm:
     m2_ceiling: int
 
 
-def _spectral_ceiling(eps_eff: float, d: int, c0sq: float, max_act: int) -> int:
-    """The orthogonal level ``m2`` at ``eps_eff`` (``d`` at 1), a proven ceiling on ``max_act``.
+def _spectral_ceiling(
+    epsilon: float, d: int, c0sq: float, c_const: float, max_act: int
+) -> int:
+    """The orthogonal level ``m2`` at ``(epsilon, C)``, a proven ceiling on ``max_act``.
 
-    Both are decided in floats, so a demand on a power of ``c0sq/d`` can put
+    ``m2`` is decided as ``bounds`` decides it, from ``epsilon`` and ``C``
+    (``d`` when the effective demand ``epsilon / sqrt(C)`` is 1).  Both are
+    decided in floats, so a demand on a power of ``c0sq/d`` can put
     ``max_act`` above ``m2``: that is a :class:`CertificationError`.
     """
-    m2 = orthogonal_truncation_level(eps_eff, d, c0sq, 1.0) if eps_eff < 1.0 else d
+    if epsilon / math.sqrt(c_const) == 1.0:
+        m2 = d
+    else:
+        m2 = orthogonal_truncation_level(epsilon, d, c0sq, c_const)
     if max_act > m2:
         raise CertificationError(f"retained labels touch {max_act} variables, above m2 = {m2}")
     return m2
@@ -564,5 +585,5 @@ def optimal_algorithm(
         n_terms=sum(e.multiplicity for e in entries),
         worst_case_error=math.sqrt(stream.first_excluded),
         max_act=max_act,
-        m2_ceiling=_spectral_ceiling(eps_eff, d, spectrum.c0sq, max_act),
+        m2_ceiling=_spectral_ceiling(epsilon, d, spectrum.c0sq, c_const, max_act),
     )

@@ -156,10 +156,11 @@ def orthogonal_truncation_level(
     ``(c0sq/d)^d`` already meets ``eps^2 / C``; otherwise the level is
     ``min{k : (c0sq/d)^{k+1} <= eps^2/C}``, evaluated in closed form as
     ``ceil(ln(C/eps^2) / ln(d/c0sq)) - 1`` and clamped to ``[0, d]``.
-    ``epsilon`` is a real in ``(0, 1)``, ``d`` and ``c0sq`` are checked as
-    in :func:`binomial_tail`, and ``c_const`` must be a finite real ``>= 1``.
+    ``epsilon`` is a real in ``(0, 1]`` (at 1 the threshold is ``1/C``),
+    ``d`` and ``c0sq`` are checked as in :func:`binomial_tail`, and
+    ``c_const`` must be a finite real ``>= 1``.
     """
-    epsilon = _real(epsilon, "epsilon", 0.0, 1.0)
+    epsilon = _real(epsilon, "epsilon", 0.0, 1.0, "(]")
     d, c0sq = _count(d, "d"), _real(c0sq, "c0sq", 0.0, math.inf)
     c_const = _real(c_const, "c_const", 1.0, math.inf, "[)")
     log_thr = 2.0 * math.log(epsilon) - math.log(c_const)

@@ -269,6 +269,14 @@ def exhaustive_label_multiplicities(d: int, lams) -> dict[tuple[int, ...], int]:
     return out
 
 
+def arrangement_count(indices) -> int:
+    """Distinct orderings of an index multiset: ``l!`` over the factorials of its multiplicities."""
+    count = math.factorial(len(indices))
+    for m in Counter(indices).values():
+        count //= math.factorial(m)
+    return count
+
+
 def tensor_quadrature(fn, d: int, n_nodes: int = 12) -> float:
     """Tensorized Gauss-Legendre quadrature of ``fn`` over the unit cube."""
     x1, w1 = unit_gauss_legendre(n_nodes)

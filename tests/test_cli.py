@@ -181,6 +181,33 @@ class TestOptimal:
         assert doc["summary"]["max_act"] == 1
         assert "n_cap" not in doc["summary"]
 
+    def test_m2_is_the_bounds_m2_under_an_orthogonality_constant(self, capsys, tmp_path):
+        # optimal decided m2 from eps / sqrt(C) with C = 1 and read 4 here,
+        # under retained labels on 5 variables, so it exited 1; bounds,
+        # which works from eps and C, prints the exact value 5.
+        path = tmp_path / "eigenvalues.json"
+        path.write_text("[0.25]")
+        eps, kernel = "5.712960454235364e-08", f"custom:{path}"
+        code, out, _ = run(
+            capsys, "bounds", "--kernel", kernel, "--eps-grid", eps, "--d-grid", "214",
+            "--c-const", "1.5",
+        )
+        assert code == 0 and out.strip().splitlines()[1].split(",")[5] == "5"
+        code, out, err = run(
+            capsys, "optimal", "--kernel", kernel, "--epsilon", eps, "--d", "214",
+            "--c-const", "1.5", "--format", "json",
+        )
+        assert code == 0, err
+        summary = json.loads(out)["summary"]
+        assert (summary["m2_ceiling"], summary["max_act"]) == (5, 5)
+        # At epsilon = 1 the threshold is 1 / C.
+        code, out, err = run(
+            capsys, "optimal", "--kernel", kernel, "--epsilon", "1", "--d", "3",
+            "--c-const", "1.5", "--format", "json",
+        )
+        assert code == 0, err
+        assert json.loads(out)["summary"]["m2_ceiling"] == 0
+
     def test_n_cap_is_the_closed_form_term_bound(self, capsys):
         code, out, _ = run(
             capsys,

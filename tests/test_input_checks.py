@@ -3,7 +3,7 @@
 Integers (``d``, ``m``, ``k``, grid dimensions, harness counts) are Python
 or numpy integers, and ``bool`` is not one; ``c0sq`` and stream thresholds
 are finite positive reals; a demand ``epsilon`` is a real in ``(0, 1)``
-(``(0, 1]`` for ``optimal_algorithm``); the orthogonality constant is a
+(``(0, 1]`` for ``optimal_algorithm`` and ``orthogonal_truncation_level``); the orthogonality constant is a
 finite real ``>= 1``; ``tau`` is a positive real; a cost's ``q`` lies in
 ``[0, inf)`` and its ``c`` in ``[1, inf)``.  Anything else raises
 :class:`InvalidArgumentError`.  A refusal names the range: ``spectrum._count``
@@ -317,7 +317,7 @@ KIND = {
     "q": "q",
     "c": "c",
 }
-CLOSED_DEMAND = ("optimal_algorithm",)  # it accepts epsilon = 1
+CLOSED_DEMAND = ("optimal_algorithm", "orthogonal_truncation_level")  # they accept epsilon = 1
 
 SPOILERS = {
     "True": True,

@@ -2,6 +2,7 @@
 spectral algorithm built on them."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from activevars import (
     power_sum,
 )
 from activevars import optimal
-from activevars.spectrum import _exp_or_inf
+from activevars.spectrum import Spectrum, _exp_or_inf
 from activevars.errors import (
     CertificationError,
     InvalidArgumentError,
@@ -165,6 +166,105 @@ class TestStream:
         monkeypatch.setattr(optimal, "ENUMERATION_CAP", visited - 1)
         with pytest.raises(EnumerationCapError, match="memory"):
             count_above(0.01, 5, korobov1)
+
+
+# Exact ties (repeated values, powers of two) and float-split ties: 0.3 and
+# the next double above it, and 0.1 * 0.3 against 0.03, differ in the last bit.
+TIED_VALUES = (1.0, 0.5, 0.25, 0.125, 0.3, math.nextafter(0.3, 1.0), 0.1, 0.03)
+
+
+class TestSharedStep:
+    """``_step`` feeds three readers: the entries, the distinct values, the counts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        values=st.lists(st.sampled_from(TIED_VALUES), min_size=1, max_size=4),
+        eps=st.one_of(st.floats(0.01, 1.0), st.sampled_from((0.5, 0.25, 0.125 ** 0.5))),
+    )
+    @example(d=2, values=[0.5, 0.5, 0.125], eps=0.25)
+    @example(d=3, values=[0.3, math.nextafter(0.3, 1.0), 0.1, 0.03], eps=0.02)
+    def test_readers_agree_with_brute_force(self, d, values, eps):
+        lams = sorted(values, reverse=True)
+        s = build_spectrum(custom_kernel(lams))
+        counts = optimal._cardinality_counts(eps, d, s)
+        totals = [math.comb(d, l) * n for l, n in enumerate(counts)]
+        assert totals == oracles.exhaustive_cardinality_counts(d, lams, eps * eps)
+        entries = list(TensorEigenStream(d, s))
+        for e in entries:
+            assert e.multiplicity == math.comb(d, e.cardinality) * oracles.arrangement_count(
+                e.indices
+            )
+        merged = []
+        for e in entries:
+            if merged and merged[-1][0] == e.value:
+                _, total, labels = merged.pop()
+                merged.append((e.value, total + e.multiplicity, labels + (e.indices,)))
+            else:
+                merged.append((e.value, e.multiplicity, (e.indices,)))
+        stream, classes = TensorEigenStream(d, s), []
+        while True:
+            try:
+                de = stream.next_eigenvalue()
+            except StopIteration:
+                break
+            classes.append((de.value, de.multiplicity, de.labels))
+        assert classes == merged
+
+
+class TestLookupParity:
+    """Each visited label costs one ``eigen_product``, and nothing else looks values up.
+
+    ``Spectrum.eigenvalue`` calls are then the visited labels' summed
+    lengths plus fixed lookups: ``lambda_1`` in the ``lambda_1 <= d`` check
+    and, for a demand, ``lambda_{N+1}`` of the tail certificate.
+    """
+
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        calls = {"eigenvalue": 0, "products": Counter(), "streams": []}
+        eigenvalue, eigen_product = Spectrum.eigenvalue, Spectrum.eigen_product
+
+        def counted_eigenvalue(self, n):
+            calls["eigenvalue"] += 1
+            return eigenvalue(self, n)
+
+        def counted_product(self, indices):
+            calls["products"][indices] += 1
+            return eigen_product(self, indices)
+
+        class RecordedStream(optimal.TensorEigenStream):
+            def __init__(self, *args):
+                super().__init__(*args)
+                calls["streams"].append(self)
+
+        monkeypatch.setattr(Spectrum, "eigenvalue", counted_eigenvalue)
+        monkeypatch.setattr(Spectrum, "eigen_product", counted_product)
+        monkeypatch.setattr(optimal, "TensorEigenStream", RecordedStream)
+        return calls
+
+    @staticmethod
+    def check(calls, fixed):
+        (stream,) = calls["streams"]
+        visited = stream._seen - {()}
+        assert set(calls["products"]) == visited
+        assert set(calls["products"].values()) == {1}
+        assert calls["eigenvalue"] == sum(map(len, visited)) + fixed
+        calls.update(eigenvalue=0, products=Counter(), streams=[])
+
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 1e-3])
+    def test_demand_readers(self, recorder, korobov1, d, eps):
+        optimal_algorithm(eps, d, korobov1)
+        self.check(recorder, fixed=2)
+        optimal._cardinality_counts(eps, d, korobov1)
+        self.check(recorder, fixed=2)
+
+    def test_distinct_value_sweep(self, recorder, korobov1):
+        stream = optimal.TensorEigenStream(3, korobov1)
+        for _ in range(300):
+            stream.next_eigenvalue()
+        self.check(recorder, fixed=1)
 
 
 class TestAbove:
@@ -333,6 +433,18 @@ class TestOptimalAlgorithm:
                 ceiling = orthogonal_truncation_level(eps, d, korobov1.c0sq, 1.0)
                 assert alg.max_act <= ceiling
                 assert alg.m2_ceiling == ceiling
+
+    def test_ceiling_is_decided_from_the_demand_and_the_constant(self, korobov1):
+        # Both callers decide m2 as bounds does, from eps and C, not from
+        # eps / sqrt(C) with C = 1.
+        constant = CostModel(family="constant")
+        for c_const in (1.5, 2.0):
+            for d in (2, 10, 100):
+                for eps in (0.1, 0.01):
+                    want = orthogonal_truncation_level(eps, d, korobov1.c0sq, c_const)
+                    alg = optimal_algorithm(eps, d, korobov1, c_const=c_const)
+                    rep = complexity_curve(korobov1, c_const, constant, [eps], [d])
+                    assert alg.m2_ceiling == rep.points[0].m2_ceiling == want
 
     def test_a_broken_ceiling_is_refused_by_both_callers(self, korobov1, monkeypatch):
         # One function computes m2 for the spectral algorithm and for every
