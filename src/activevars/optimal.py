@@ -504,15 +504,12 @@ def _spectral_ceiling(
 ) -> int:
     """The orthogonal level ``m2`` at ``(epsilon, C)``, a proven ceiling on ``max_act``.
 
-    ``m2`` is decided as ``bounds`` decides it, from ``epsilon`` and ``C``
-    (``d`` when the effective demand ``epsilon / sqrt(C)`` is 1).  Both are
-    decided in floats, so a demand on a power of ``c0sq/d`` can put
-    ``max_act`` above ``m2``: that is a :class:`CertificationError`.
+    ``m2`` is :func:`orthogonal_truncation_level` at ``(epsilon, C)``, as
+    ``bounds`` decides it.  Both are decided in floats, so a demand on a
+    power of ``c0sq/d`` can put ``max_act`` above ``m2``: that is a
+    :class:`CertificationError`.
     """
-    if epsilon / math.sqrt(c_const) == 1.0:
-        m2 = d
-    else:
-        m2 = orthogonal_truncation_level(epsilon, d, c0sq, c_const)
+    m2 = orthogonal_truncation_level(epsilon, d, c0sq, c_const)
     if max_act > m2:
         raise CertificationError(f"retained labels touch {max_act} variables, above m2 = {m2}")
     return m2

@@ -61,8 +61,9 @@ _FLOAT, _TUPLE = frozenset({float}), frozenset({tuple})
 
 # Points per eval_pointwise block are chosen so that one block's tables and
 # products hold about this many doubles (2 MB), whatever the point count.
-# Against 2^20, it lowers the benchmark's peak RSS by about 5 MB and leaves
-# its Monte Carlo and mean-function timings within their noise.
+# The d = 10 mean function then fills 112 points per block.  Against 2^20
+# (448 points) its 1,000-point batch is faster, 22 ms against 25 ms, and the
+# benchmark's peak RSS is 5.5 MB lower (AVX-512 Xeon, numpy 2.4, one core).
 _BLOCK_DOUBLES = 1 << 18
 
 
@@ -279,15 +280,22 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
 
     Each used coordinate gets the table rows of the indices ``f`` uses on
     it, from one :class:`EigenfunctionTable` per distinct index set (the
-    coordinates of the mean function share one).  A subset's terms are its
-    coordinates' table rows multiplied, weighted by
-    ``c sqrt(2^{|u|} lambda_{k_1} ... lambda_{k_l})`` and summed.  The
-    weights are one vectorized left-to-right product per subset, with the
-    bits of :meth:`Spectrum.eigen_product`.  Terms go in the order of their
-    first coordinate's rows, so a single-coordinate subset whose rows form a
-    run (one that uses its whole table, say) reads them in place, with no
-    gather.  Points go through in blocks of about ``_BLOCK_DOUBLES`` live
-    doubles, so memory stays bounded whatever their number.
+    coordinates of the mean function share one).  A block holds the rows of
+    the coordinates that some subset of two or more uses, filled first.
+    Every other coordinate is read only by its own singleton: its rows go
+    into one region that all such coordinates reuse, filled just before that
+    singleton's terms are added.  Subsets are added in the order of
+    ``f.terms``.  A subset's terms are its coordinates' table rows
+    multiplied, weighted by ``c sqrt(2^{|u|} lambda_{k_1} ... lambda_{k_l})``
+    and summed.  The weights are one vectorized left-to-right product per
+    subset, with the bits of :meth:`Spectrum.eigen_product`.  Terms go in
+    the order of their first coordinate's rows, so a single-coordinate
+    subset whose rows form a run (one that uses its whole table, say) reads
+    them in place, with no gather.  Points go through in blocks of about
+    ``_BLOCK_DOUBLES`` live doubles, so memory stays bounded whatever their
+    number.  Per point a block holds the held rows, the reused region (the
+    largest of its tables), two products as wide as the widest gathered
+    subset and the tables' scratch.
     """
     try:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -301,7 +309,10 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
     if not f.terms:
         return out
     used: dict[int, set[int]] = {}
+    held: set[int] = set()  # coordinates of subsets of two or more
     for u, coeffs in f.terms.items():
+        if len(u) > 1:
+            held.update(u)
         for j, coord in enumerate(u):
             used.setdefault(coord, set()).update(k[j] for k in coeffs)
     tables, shared = {}, {}
@@ -314,13 +325,19 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
     # block buffer is allocated.
     if _outside_unit_interval(x[:, [c - 1 for c in used]]):
         raise InvalidArgumentError("evaluation points must lie in [0, 1]")
+    # Held tables are stacked; every other coordinate is read only by its own
+    # singleton, and its table goes into one region after them.
     offsets, n_rows = {}, 0
-    for coord, table in tables.items():
+    for coord in held:
         offsets[coord] = n_rows
-        n_rows += table.n_rows
+        n_rows += tables[coord].n_rows
+    alone = [coord for coord in tables if coord not in held]
+    offsets.update(dict.fromkeys(alone, n_rows))
+    n_rows += max((tables[coord].n_rows for coord in alone), default=0)
 
-    # Per subset: term weights, and each term's row in the stacked tables,
-    # one row list per coordinate of the subset, in the order of the first.
+    # Per subset: the coordinate to fill first (None for held ones), term
+    # weights, and each term's row in the stacked tables, one row list per
+    # coordinate of the subset, in the order of the first.
     terms = []
     for u, coeffs in f.terms.items():
         ks = np.array(list(coeffs))
@@ -332,12 +349,13 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
         rows = [r[order] for r in rows]
         if len(u) == 1:  # one row per index, so a run is read in place
             rows[0] = _run(rows[0].tolist())
-        terms.append((_term_weights(s, ks, list(coeffs.values()))[order], rows))
+        weights = _term_weights(s, ks, list(coeffs.values()))[order]
+        terms.append((None if u[0] in held else u[0], weights, rows))
 
     # One buffer per call, carved anew for each block: fresh memory costs a
     # page fault per page on first touch, so blocks reuse it.
     widest = max(
-        (len(w) for w, rows in terms if len(rows) > 1 or not isinstance(rows[0], slice)),
+        (len(w) for _, w, rows in terms if len(rows) > 1 or not isinstance(rows[0], slice)),
         default=0,
     )
     work = max(table.work_doubles for table in shared.values())
@@ -352,10 +370,17 @@ def eval_pointwise(f: AnovaFunction, s: Spectrum, x: np.ndarray) -> np.ndarray:
         stacked = buffer[work * b :][: n_rows * b].reshape(n_rows, b)
         prod = buffer[(work + n_rows) * b :][: widest * b].reshape(widest, b)
         factor = buffer[(work + n_rows + widest) * b :][: widest * b].reshape(widest, b)
-        for coord, table in tables.items():
+
+        def fill(coord: int) -> None:
+            table = tables[coord]
             rows = slice(offsets[coord], offsets[coord] + table.n_rows)
             table.fill(xb[:, coord - 1], scratch, stacked[rows])
-        for weights, rows in terms:
+
+        for coord in held:
+            fill(coord)
+        for coord, weights, rows in terms:
+            if coord is not None:
+                fill(coord)
             n = len(weights)
             p = _gather(stacked, rows[0], prod[:n])
             for r in rows[1:]:

@@ -650,7 +650,9 @@ class EigenfunctionTable:
 
     :meth:`fill` takes one ``tan`` per point, of the half angle of ``z``
     (wiener one more, of the half angle of ``w``), and squares ``z`` into
-    ``z^2, z^4, ...``.  Every other row is a lower row times one of these
+    ``z^2, z^4, ...``; a table with exponents of 128 or more takes one more
+    ``tan``, of the half angle of ``z^64``, and squares on from there.
+    Every other row is a lower row times one of these
     powers: ``z^k = z^(k-m) z^m`` for korobov, and ``w z^e = (w z^(e-m))
     z^m`` for wiener, whose rows ``w z^e`` (``e = n - 1``) start from ``w``
     itself; ``m`` is the top bit of ``k`` or ``e``.  One vectorized complex
@@ -663,11 +665,11 @@ class EigenfunctionTable:
 
     Accuracy: rounding the angle ``theta x`` moves row ``n`` by about ``n``
     ulps, as in the reference :func:`eval_eigenfunction`, and each squaring
-    doubles the error of the power it squares, which adds about as much
-    again.  Against 40-digit values at the same points, the worst row up to
-    ``n = 768`` is off by 3.8e-13 (both kinds, the edge points and 1,600
-    seeded random points; 2.5e-13 with one tan per power of two); the tests
-    bound it at 4e-13.
+    doubles the error of the power it squares; the second seed caps that
+    growth at 64 times a seed's error.  Against 40-digit values at the same
+    points, the worst row up to ``n = 768`` is off by 2.58e-13 (both kinds,
+    the edge points and 1,600 seeded random points; 3.8e-13 with ``z^64``
+    squared from ``z``); the tests bound it at 2.6e-13.
     """
 
     def __init__(self, s: Spectrum, indices) -> None:
@@ -696,17 +698,26 @@ class EigenfunctionTable:
             union, base = sorted(union), len(powers)
             pivots = [base - 1 - j for j in range(len(powers))]
             # tan arguments per unit x: the half angles of z and of w.
-            self._half_angles = np.array([0.5 * math.pi, 0.25 * math.pi])
+            half = [0.5 * math.pi, 0.25 * math.pi]
         else:
             # Rows z^k, the powers among them; z is the first.
             union, base = sorted((union | set(powers)) - {0}), 0
             pivots = [bisect_left(union, m) for m in powers]
-            self._half_angles = np.array([math.pi])
+            half = [math.pi]
         row = {e: base + r for r, e in enumerate(union)}
-        self._seeds = slice(pivots[0], pivots[0] + len(self._half_angles))
+        # Seeds as (z rows, tan rows).  A table that needs z^128 or more
+        # takes z^64 from a tan of its own, so that no power squares a seed's
+        # rounding more than six times.
+        n_half = len(half)
+        self._seeds = [(slice(pivots[0], pivots[0] + n_half), slice(0, n_half))]
+        if len(powers) > 7:
+            self._seeds.append((slice(pivots[6], pivots[6] + 1), slice(n_half, n_half + 1)))
+            half.append(64.0 * half[0])
+        self._half_angles = np.array(half)
+        seeded = {rows.start for rows, _ in self._seeds}
         # Steps (dst, src, pivot) write z[src] z[pivot] to z[dst]: first the
         # squarings z^(2m) = z^m z^m, then one product per power m.
-        self._steps = [(q, p, p) for p, q in zip(pivots, pivots[1:])]
+        self._steps = [(q, p, p) for p, q in zip(pivots, pivots[1:]) if q not in seeded]
         for m, p in zip(powers, pivots):
             lo, hi = bisect_left(union, m + (not wiener)), bisect_left(union, 2 * m)
             if lo < hi:
@@ -743,12 +754,13 @@ class EigenfunctionTable:
         # cos plus one sin (numpy 2.4, Xeon); without SIMD it costs one sin.
         np.multiply.outer(self._half_angles, x, out=t)
         np.tan(t, out=t)
-        r = z.real[self._seeds]
-        np.multiply(t, t, out=r)
-        r += 1.0
-        np.divide(2.0, r, out=r)
-        np.multiply(t, r, out=z.imag[self._seeds])
-        r -= 1.0
+        for rows, tan_rows in self._seeds:
+            r, tr = z.real[rows], t[tan_rows]
+            np.multiply(tr, tr, out=r)
+            r += 1.0
+            np.divide(2.0, r, out=r)
+            np.multiply(tr, r, out=z.imag[rows])
+            r -= 1.0
         for dst, src, pivot in self._steps:
             np.multiply(z[src], z[pivot], out=z[dst])
         out[: self._n_cos] = z.real[self._cos_rows]

@@ -200,13 +200,20 @@ class TestOptimal:
         assert code == 0, err
         summary = json.loads(out)["summary"]
         assert (summary["m2_ceiling"], summary["max_act"]) == (5, 5)
-        # At epsilon = 1 the threshold is 1 / C.
-        code, out, err = run(
-            capsys, "optimal", "--kernel", kernel, "--epsilon", "1", "--d", "3",
-            "--c-const", "1.5", "--format", "json",
-        )
-        assert code == 0, err
-        assert json.loads(out)["summary"]["m2_ceiling"] == 0
+
+    def test_m2_at_epsilon_1_is_the_defined_level(self, capsys, tmp_path):
+        # At epsilon = 1 the threshold is 1 / C, and the level
+        # min{k : (c0sq/d)^(k+1) <= 1/C} is 0 for c0sq < d, with C = 1 as
+        # with C = 1.5.  m2 read d = 3 when eps / sqrt(C) was exactly 1.
+        path = tmp_path / "eigenvalues.json"
+        path.write_text("[0.25]")
+        for c_const in ([], ["--c-const", "1.5"]):
+            code, out, err = run(
+                capsys, "optimal", "--kernel", f"custom:{path}", "--epsilon", "1", "--d", "3",
+                *c_const, "--format", "json",
+            )
+            assert code == 0, err
+            assert json.loads(out)["summary"]["m2_ceiling"] == 0, c_const
 
     def test_n_cap_is_the_closed_form_term_bound(self, capsys):
         code, out, _ = run(

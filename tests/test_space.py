@@ -23,6 +23,7 @@ from activevars.errors import (
     InvalidConfigurationError,
     UnsupportedScaleError,
 )
+from activevars.spectrum import EigenfunctionTable
 
 import oracles
 
@@ -275,6 +276,32 @@ def sparse_functions(draw, max_d=8, max_index=768):
     return AnovaFunction(d=d, constant=constant, terms=terms, max_index=max_index)
 
 
+@st.composite
+def mixed_functions(draw, max_index=768):
+    """Functions with coordinates of two kinds, their subsets in a drawn order.
+
+    Some coordinates are read only by their own singleton; the others are
+    shared by subsets of two or more, and some of those have a singleton
+    too.  A singleton may use a run of indices from 1 or a scattered set.
+    """
+    d = draw(st.integers(3, 8))
+    coords = draw(st.permutations(range(1, d + 1)))
+    split = draw(st.integers(1, d - 2))
+    alone, shared = coords[:split], sorted(coords[split:])
+    subsets = [(c,) for c in alone]
+    groups = st.lists(st.sets(st.sampled_from(shared), min_size=2), min_size=1, max_size=3)
+    subsets += [tuple(sorted(group)) for group in draw(groups)]
+    subsets += [(c,) for c in sorted(draw(st.sets(st.sampled_from(shared))))]
+    idx = st.integers(1, max_index)
+    run = st.integers(1, 40).map(lambda m: [(i,) for i in range(1, m + 1)])
+    terms = {}
+    for u in draw(st.permutations(list(dict.fromkeys(subsets)))):
+        scattered = st.lists(st.tuples(*[idx] * len(u)), min_size=1, max_size=6)
+        ks = draw(st.one_of(run, scattered) if len(u) == 1 else scattered)
+        terms[u] = {k: draw(st.floats(-2.0, 2.0)) for k in ks}
+    return AnovaFunction(d=d, constant=draw(st.floats(-1.0, 1.0)), terms=terms, max_index=max_index)
+
+
 def _scale_bound(f, s) -> float:
     """``sum |c| sqrt(2^{|u|} prod lambda)``: the size of the largest possible value."""
     return abs(f.constant) + sum(
@@ -325,6 +352,43 @@ class TestPointwise:
         np.testing.assert_allclose(
             eval_pointwise(f, s, x), want, rtol=0, atol=_pointwise_atol(f, s)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        analytic,
+        mixed_functions(),
+        st.integers(0, 2**31 - 1),
+        st.one_of(st.integers(1, 40), st.just(space._BLOCK_DOUBLES)),
+    )
+    def test_singleton_only_and_shared_coordinates_match_direct_evaluation(
+        self, s, f, seed, block
+    ):
+        # A coordinate read only by its own singleton is filled into the
+        # region that every such coordinate reuses, between other subsets.
+        rng = np.random.default_rng(seed)
+        x = rng.random((23, f.d))
+        x[: len(EDGE_POINTS)] = np.array(EDGE_POINTS)[:, None]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space, "_BLOCK_DOUBLES", block)
+            got = eval_pointwise(f, s, x)
+        want = oracles.direct_pointwise(f, s, x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=_pointwise_atol(f, s))
+
+    def test_mean_function_fills_blocks_of_at_least_100_points(self, wiener, monkeypatch):
+        # Each coordinate of the mean function is read only by its own
+        # singleton, so a block holds one 768-row table at a time, not ten:
+        # holding all ten fitted 28 points.
+        widths, fill = [], EigenfunctionTable.fill
+
+        def recording_fill(table, x, work, out):
+            widths.append(len(x))
+            fill(table, x, work, out)
+
+        monkeypatch.setattr(EigenfunctionTable, "fill", recording_fill)
+        x = np.random.default_rng(3).random((1000, 10))
+        eval_pointwise(mean_function(10, wiener), wiener, x)
+        assert sum(widths) == 10 * len(x)
+        assert min(widths) >= 100
 
     @settings(max_examples=40, deadline=None)
     @given(analytic, st.integers(1, 5), st.integers(0, 2**31 - 1))

@@ -8,10 +8,12 @@ with ``git archive``, which is removed when the runs end.  Each pair runs
 that directory and once in this checkout, each side with its own
 unchanged runner and sources; the side that goes first alternates from
 pair to pair.  For each end-to-end metric of ``BENCHMARK.json`` the
-script prints both medians, the change's median relative to the base and
-the change's win count: the pairs in which it was strictly better.  It
-exits 1 when a run fails or reports ``correct: false``, and judges no
-gain.  ``--seconds`` defaults to the benchmark's ``run_seconds``.
+script prints both medians, the distance between the quartiles of the
+base's runs, the change's median relative to the base, the change's win
+count (the pairs in which it was strictly better) and the two-sided
+sign-test p-value of that count, with tied pairs left out.  It exits 1
+when a run fails or reports ``correct: false``, and judges no gain.
+``--seconds`` defaults to the benchmark's ``run_seconds``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -26,7 +29,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,21 +48,36 @@ def extract(rev: str, target: Path) -> None:
             tar.extractall(target)
 
 
-def run_side(root: Path, workload: str, seconds: float) -> dict:
-    """One untraced benchmark run in ``root``; the runner's result object."""
+def run_side(root: Path, workload: str, seconds: float, trace: int = 0) -> tuple[dict, dict]:
+    """One seed-0 benchmark run in ``root``; the runner's detail and result objects."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0"]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
+    argv += ["--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        result = json.loads(lines[-1])
+        detail, result = json.loads(lines[-2]), json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        result = {"correct": False, "metrics": {}}
+        detail, result = {}, {"correct": False, "metrics": {}}
     if proc.returncode != 0 or not result.get("correct"):
         sys.stderr.write(f"{root}: run failed (exit {proc.returncode})\n{proc.stderr}")
         result["correct"] = False
-    return result
+    return detail, result
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of ``wins`` against ``losses`` (ties are not counted)."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2**n)
+
+
+def spread(values: list[float]) -> float:
+    """The distance between the quartiles of ``values``; 0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    low, _, high = quantiles(values, n=4)
+    return high - low
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,10 +101,13 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
-                runs[side].append(run_side(sides[side], args.workload, args.seconds))
+                runs[side].append(run_side(sides[side], args.workload, args.seconds)[1])
     ok = all(r["correct"] for side in runs.values() for r in side)
     print(f"workload {args.workload}, base {args.base}, {args.pairs} pairs of {args.seconds:g} s")
-    print(f"{'metric':<12} {'unit':<6} {'base':>12} {'change':>12} {'ratio':>8} {'wins':>6}")
+    print(
+        f"{'metric':<12} {'unit':<6} {'base':>12} {'base IQR':>12} {'change':>12}"
+        f" {'ratio':>8} {'wins':>6} {'p':>8}"
+    )
     for m in metrics:
         name = m["name"]
         try:
@@ -98,9 +119,13 @@ def main(argv: list[str] | None = None) -> int:
             continue
         sign = 1.0 if m["better"] == "lower" else -1.0
         wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+        losses = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         mb, mc = median(base), median(change)
         ratio = f"{mc / mb:.3f}" if mb else "-"
-        print(f"{name:<12} {m['unit']:<6} {mb:>12.6g} {mc:>12.6g} {ratio:>8} {wins:>3}/{len(base)}")
+        print(
+            f"{name:<12} {m['unit']:<6} {mb:>12.6g} {spread(base):>12.6g} {mc:>12.6g}"
+            f" {ratio:>8} {wins:>3}/{len(base)} {sign_test(wins, losses):>8.4f}"
+        )
     if not ok:
         print("a run failed or reported correct: false", file=sys.stderr)
     return 0 if ok else 1
